@@ -1,6 +1,7 @@
 #include "core/controller.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "stats/decision_trace.hh"
 #include "stats/stat_registry.hh"
@@ -23,14 +24,19 @@ recordDecision(std::size_t phaseId, double thC,
         StatRegistry::global().counter("controller.saved_reuse");
     static Counter &steps =
         StatRegistry::global().counter("controller.retune_steps");
+    static const std::array<Counter *, kNumRetuneOutcomes> outcomes = [] {
+        std::array<Counter *, kNumRetuneOutcomes> out{};
+        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+            out[o] = &StatRegistry::global().counter(
+                std::string("controller.outcome.") +
+                retuneOutcomeName(static_cast<RetuneOutcome>(o)));
+        return out;
+    }();
     adaptations.inc();
     if (ad.reusedSaved)
         reuses.inc();
     steps.inc(ad.retuneSteps);
-    StatRegistry::global()
-        .counter(std::string("controller.outcome.") +
-                 retuneOutcomeName(ad.outcome))
-        .inc();
+    outcomes[static_cast<std::size_t>(ad.outcome)]->inc();
 
     DecisionTrace &trace = DecisionTrace::global();
     if (!trace.enabled())

@@ -25,6 +25,9 @@ namespace eval {
 /** Outcome classification of one controller invocation (Figure 13). */
 enum class RetuneOutcome { NoChange, LowFreq, Error, Temp, Power };
 
+/** Number of RetuneOutcome values (Fig 13 outcome classes). */
+constexpr std::size_t kNumRetuneOutcomes = 5;
+
 const char *retuneOutcomeName(RetuneOutcome o);
 
 /** Result of retuning one configuration against the real hardware. */

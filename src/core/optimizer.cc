@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
@@ -305,12 +304,7 @@ CoreOptimizer::freqForConfig(const CoreSystemModel &core,
     // The per-subsystem Freq queries are independent const scans, so
     // fan them out; every task writes its own slot (the FU task its
     // own two locals), and the min-reduction below runs serially, so
-    // the result is bit-identical to the serial loop.  The progress
-    // tick is observational only — one relaxed RMW never read back
-    // by model code (DESIGN.md Sec 5f).
-    static ProgressTracker &subProgress =
-        ProgressRegistry::global().tracker("optimizer.subsystems");
-    subProgress.addTotal(kNumSubsystems);
+    // the result is bit-identical to the serial loop.
     globalPool().parallelFor(0, kNumSubsystems, 1, [&](std::size_t i) {
         const auto id = static_cast<SubsystemId>(i);
         const double alphaF = phase.act.alpha[i];
@@ -318,12 +312,10 @@ CoreOptimizer::freqForConfig(const CoreSystemModel &core,
         if (caps_.fuReplication && id == fuId) {
             fNormal = sub_.maxFrequency(core, id, false, alphaF, thC);
             fLowSlope = sub_.maxFrequency(core, id, true, alphaF, thC);
-            subProgress.tick();
             return;
         }
         const bool alt = smallQueue && id == queueId;
         fmaxOut[i] = sub_.maxFrequency(core, id, alt, alphaF, thC);
-        subProgress.tick();
     });
 
     double minRest = 1e30;
@@ -355,6 +347,8 @@ CoreOptimizer::choose(const CoreSystemModel &core,
         StatRegistry::global().timer("profile.optimizer.choose");
     static Counter &calls =
         StatRegistry::global().counter("optimizer.choose_calls");
+    static Counter &infeasible =
+        StatRegistry::global().counter("optimizer.infeasible");
     ScopedTimer scope(timer);
     ScopedSpan span("optimizer.choose");
     calls.inc();
@@ -414,16 +408,12 @@ CoreOptimizer::choose(const CoreSystemModel &core,
         // the per-slot answers into op serially (op is read by every
         // task via usesAlternate, so tasks must not write it).
         std::array<std::optional<SubsystemKnobs>, kNumSubsystems> picks;
-        static ProgressTracker &subProgress =
-            ProgressRegistry::global().tracker("optimizer.subsystems");
-        subProgress.addTotal(kNumSubsystems);
         globalPool().parallelFor(0, kNumSubsystems, 1,
                                  [&](std::size_t i) {
             const auto id = static_cast<SubsystemId>(i);
             const bool alt = core.usesAlternate(id, op);
             picks[i] = sub_.minimizePower(core, id, alt, op.freq,
                                           phase.act.alpha[i], thC);
-            subProgress.tick();
         });
         for (std::size_t i = 0; i < kNumSubsystems; ++i) {
             const auto id = static_cast<SubsystemId>(i);
@@ -453,7 +443,7 @@ CoreOptimizer::choose(const CoreSystemModel &core,
     }
 
     if (!result.feasible)
-        StatRegistry::global().counter("optimizer.infeasible").inc();
+        infeasible.inc();
 
     result.op = op;
     return result;

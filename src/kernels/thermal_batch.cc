@@ -99,7 +99,8 @@ std::uint64_t
 nextThermalSalt()
 {
     static std::atomic<std::uint64_t> counter{1};
-    // eval-lint: allow(atomics-relaxed) monotone id source; callers need
+    // eval-lint: allow(atomics-relaxed, atomics-hot-rmw) monotone id
+    // source, one draw per ThermalModel (never per solve); callers need
     // uniqueness, not ordering, and never read another thread's id.
     return counter.fetch_add(1, std::memory_order_relaxed);
 }

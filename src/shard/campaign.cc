@@ -138,36 +138,6 @@ CampaignAccumulator::CampaignAccumulator(std::uint64_t firstChip)
 {
 }
 
-CampaignAccumulator::CampaignAccumulator(
-    const CampaignAccumulator &other)
-    : hist_(kHistLo, kHistHi, kHistBins)
-{
-    assignFrom(other);
-}
-
-CampaignAccumulator &
-CampaignAccumulator::operator=(const CampaignAccumulator &other)
-{
-    if (this != &other)
-        assignFrom(other);
-    return *this;
-}
-
-void
-CampaignAccumulator::assignFrom(const CampaignAccumulator &other)
-{
-    firstChip_ = other.firstChip_;
-    nextChip_ = other.nextChip_;
-    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
-        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o) {
-            outcomes_[e][o].reset();
-            outcomes_[e][o].inc(other.outcomes_[e][o].value());
-        }
-    }
-    hist_ = other.hist_;
-    shares_ = other.shares_;
-}
-
 void
 CampaignAccumulator::addChip(std::uint64_t chipId,
                              const ChipCampaignResult &r)
@@ -176,7 +146,7 @@ CampaignAccumulator::addChip(std::uint64_t chipId,
                 "accumulator must be fed chips in id order");
     for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
         for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-            outcomes_[e][o].inc(r.outcomes[e][o]);
+            outcomes_[e][o] += r.outcomes[e][o];
     const double share = r.goodShare();
     hist_.add(share, 1.0);
     shares_.add(share);
@@ -191,7 +161,7 @@ CampaignAccumulator::merge(const CampaignAccumulator &other)
                 "(other accumulator does not start where this ends)");
     for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
         for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-            outcomes_[e][o].merge(other.outcomes_[e][o]);
+            outcomes_[e][o] += other.outcomes_[e][o];
     hist_.merge(other.hist_);
     shares_.merge(other.shares_);
     nextChip_ = other.nextChip_;
@@ -201,15 +171,15 @@ std::uint64_t
 CampaignAccumulator::outcomeCount(std::size_t env,
                                   RetuneOutcome outcome) const
 {
-    return outcomes_[env][static_cast<std::size_t>(outcome)].value();
+    return outcomes_[env][static_cast<std::size_t>(outcome)];
 }
 
 std::uint64_t
 CampaignAccumulator::envInvocations(std::size_t env) const
 {
     std::uint64_t n = 0;
-    for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-        n += outcomes_[env][o].value();
+    for (std::uint64_t c : outcomes_[env])
+        n += c;
     return n;
 }
 
@@ -226,7 +196,7 @@ CampaignAccumulator::toPayload() const
         env.set("tag", fig13VoltageEnvs()[e].tag);
         JsonValue counts = JsonValue::object();
         for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-            counts.set(outcomeKey(o), outcomes_[e][o].value());
+            counts.set(outcomeKey(o), outcomes_[e][o]);
         env.set("outcomes", std::move(counts));
         envs.push(std::move(env));
     }
@@ -267,8 +237,7 @@ CampaignAccumulator::fromPayload(const JsonValue &payload)
             throw SnapshotError("shard accumulator env tag mismatch");
         const JsonValue &counts = env.at("outcomes");
         for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-            acc.outcomes_[e][o].inc(
-                counts.at(outcomeKey(o)).asUint());
+            acc.outcomes_[e][o] = counts.at(outcomeKey(o)).asUint();
     }
 
     const auto &shares = payload.at("good_shares").asArray();
@@ -313,7 +282,7 @@ CampaignAccumulator::statsJson() const
         JsonValue counts = JsonValue::object();
         JsonValue sharesObj = JsonValue::object();
         for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o) {
-            const std::uint64_t n = outcomes_[e][o].value();
+            const std::uint64_t n = outcomes_[e][o];
             counts.set(outcomeKey(o), n);
             sharesObj.set(outcomeKey(o),
                           total ? static_cast<double>(n) /

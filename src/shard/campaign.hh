@@ -15,7 +15,7 @@
  *  - chip i is Rng::split-derived from (seed, i), so a fresh
  *    ExperimentContext inside any shard manufactures the same chip
  *    the monolithic context would (ChipFactory::manufactureAt);
- *  - per-chip tallies are u64 Counters (exact, associative);
+ *  - per-chip tallies are u64 sums (exact, associative);
  *  - the chip-binning histogram only ever takes weight-1 samples, so
  *    bin-wise merge equals serial accumulation exactly;
  *  - the good-share SampleSet merge is an ordered append.
@@ -29,14 +29,10 @@
 
 #include "core/controller.hh"
 #include "core/environment.hh"
-#include "stats/stat_registry.hh"
 #include "util/statistics.hh"
 #include "valid/json_value.hh"
 
 namespace eval {
-
-/** Number of RetuneOutcome values (Fig 13 outcome classes). */
-constexpr std::size_t kNumRetuneOutcomes = 5;
 
 /** The Fig 13 FU+Queue technique row sweeps these four voltage
  *  environments (same construction as bench_fig13_outcomes). */
@@ -104,9 +100,6 @@ class CampaignAccumulator
   public:
     explicit CampaignAccumulator(std::uint64_t firstChip = 0);
 
-    CampaignAccumulator(const CampaignAccumulator &other);
-    CampaignAccumulator &operator=(const CampaignAccumulator &other);
-
     std::uint64_t firstChip() const { return firstChip_; }
     /** One past the last accumulated chip id. */
     std::uint64_t nextChip() const { return nextChip_; }
@@ -144,13 +137,13 @@ class CampaignAccumulator
     double digest() const;
 
   private:
-    void assignFrom(const CampaignAccumulator &other);
-
     std::uint64_t firstChip_ = 0;
     std::uint64_t nextChip_ = 0;
-    /** [env][outcome] fresh-retune tallies. */
-    std::array<std::array<Counter, kNumRetuneOutcomes>, kNumVoltageEnvs>
-        outcomes_;
+    /** [env][outcome] fresh-retune tallies.  Plain integers: the fold
+     *  is serial, so it needs no atomics. */
+    std::array<std::array<std::uint64_t, kNumRetuneOutcomes>,
+               kNumVoltageEnvs>
+        outcomes_{};
     /** Chip-binning curve: one weight-1 sample per chip at its
      *  good-share (integer weights keep bin-wise merge exact). */
     Histogram hist_;

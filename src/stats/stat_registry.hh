@@ -14,9 +14,10 @@
  *    hot paths may cache references (typically as function-local
  *    statics).  reset() zeroes values but keeps registrations.
  *  - Every instrument is safe to update from concurrent parallelFor
- *    bodies: Counter and Gauge use relaxed atomics (an increment is
- *    one uncontended atomic RMW), Histogram and Timer samples take a
- *    per-instrument mutex.  Registration itself is mutex-protected.
+ *    bodies: a Counter increment is one relaxed RMW on the calling
+ *    thread's own cache line (see Counter), a Gauge is one relaxed
+ *    store, and Histogram and Timer samples take a per-instrument
+ *    mutex.  Registration itself is mutex-protected.
  *  - Timers are driven by ScopedTimer and sample only while profiling
  *    is enabled (setProfilingEnabled); when disabled a ScopedTimer
  *    costs one relaxed atomic load and no clock reads (and takes no
@@ -28,6 +29,7 @@
 // eval-lint: counters-only instruments are monotone relaxed counters and
 // gauges read only at snapshot/dump time, off the model path.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -47,10 +49,21 @@ enum class StatType { Counter, Gauge, Histogram, Timer };
 
 const char *statTypeName(StatType t);
 
+/** Per-thread slots in every Counter.  Threads beyond this many share
+ *  slots: totals stay exact, only the sharers contend again. */
+constexpr std::size_t kCounterSlots = 16;
+
 /**
- * Monotonic event counter.  Increments are relaxed atomic RMWs, so
- * hot loops may bump a cached Counter& from any pool thread; totals
- * are exact (the relaxed order only relaxes inter-stat ordering).
+ * Monotonic event counter, built for hot loops on every pool thread.
+ *
+ * Each thread increments its own cache-line-padded slot, so an inc()
+ * is one relaxed RMW on a line no other thread writes (until more than
+ * kCounterSlots threads alias onto shared slots, which stays exact).
+ * value() sums the slots.  The sum is exact once the writers have
+ * joined.  A read that races with inc() sees some of the in-flight
+ * increments, and successive reads by one thread never decrease.
+ * reset() zeroes every slot; like merge() it is meant for quiescent
+ * counters.
  */
 class Counter
 {
@@ -58,14 +71,22 @@ class Counter
     void
     inc(std::uint64_t n = 1)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        slots_[threadSlot()].n.fetch_add(n, std::memory_order_relaxed);
     }
     std::uint64_t
     value() const
     {
-        return value_.load(std::memory_order_relaxed);
+        std::uint64_t sum = 0;
+        for (const Slot &s : slots_)
+            sum += s.n.load(std::memory_order_relaxed);
+        return sum;
     }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    void
+    reset()
+    {
+        for (Slot &s : slots_)
+            s.n.store(0, std::memory_order_relaxed);
+    }
 
     /**
      * Fold @p other into this counter.  u64 addition is exact and
@@ -77,7 +98,26 @@ class Counter
     void merge(const Counter &other) { inc(other.value()); }
 
   private:
-    std::atomic<std::uint64_t> value_{0};
+    /** One slot per 64-byte cache line. */
+    struct alignas(64) Slot
+    {
+        std::atomic<std::uint64_t> n{0};
+    };
+
+    /** The calling thread's slot, shared by every Counter: a
+     *  process-wide thread sequence number modulo kCounterSlots,
+     *  drawn on the thread's first increment. */
+    static std::size_t
+    threadSlot()
+    {
+        static std::atomic<std::size_t> nextThread{0};
+        thread_local const std::size_t slot =
+            nextThread.fetch_add(1, std::memory_order_relaxed) %
+            kCounterSlots;
+        return slot;
+    }
+
+    std::array<Slot, kCounterSlots> slots_;
 };
 
 /** Last-value instrument (temperatures, table sizes, ...).  Atomic

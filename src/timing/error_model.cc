@@ -19,8 +19,9 @@ std::uint64_t
 nextCacheId()
 {
     static std::atomic<std::uint64_t> counter{1};
-    // eval-lint: allow(atomics-relaxed) monotone id source; callers need
-    // uniqueness, not ordering, and never read another thread's id.
+    // eval-lint: allow(atomics-relaxed, atomics-hot-rmw) monotone id
+    // source, one draw per constructed model (never per query); callers
+    // need uniqueness, not ordering, and never read another thread's id.
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -232,9 +233,12 @@ StageErrorModel::computeErrorRatePerAccess(
     // ≤3% overhead budget, DESIGN.md Sec 5e).
     static thread_local std::uint64_t spanTick = 0;
     ScopedSpan span("pe.eval", (spanTick++ & 63) == 0);
-    const PeCounters &counters = PeCounters::get();
-    span.arg("cache_evals", counters.evals.value());
-    span.arg("cache_hits", counters.hits.value());
+    if (span.recording()) {
+        // Counter reads sum every per-thread slot: sampled spans only.
+        const PeCounters &counters = PeCounters::get();
+        span.arg("cache_evals", counters.evals.value());
+        span.arg("cache_hits", counters.hits.value());
+    }
     const double scale = peTableEnabled() ? surface_.scaleFast(op)
                                           : surface_.scaleExact(op);
     if (scale >= kNonFunctionalDelayFactor)

@@ -225,6 +225,10 @@ class ScopedSpan
             trace_detail::endSpanImpl(name_, start_, std::move(args_));
     }
 
+    /** Whether this span records (tracing on and, for the sampled
+     *  form, sampled); guards args that are costly to compute. */
+    bool recording() const { return name_ != nullptr; }
+
     /** Attach a key/value arg (no-op when the tracer was disabled at
      *  construction).  Numbers render raw, strings render quoted. */
     void arg(const char *key, double value);

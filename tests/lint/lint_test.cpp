@@ -92,6 +92,8 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
     EXPECT_EQ(countRule(diags, "lay-unused-edge"), 3);
     EXPECT_EQ(countRule(diags, "exc-contract"), 1);
     EXPECT_EQ(countRule(diags, "atomics-relaxed"), 1);
+    // fetch_add, ++ and -= in a counters-only kernel file
+    EXPECT_EQ(countRule(diags, "atomics-hot-rmw"), 3);
     // 3 bad allow() forms + the bare hot-path marker
     EXPECT_EQ(countRule(diags, "lint-bad-suppression"), 4);
     EXPECT_EQ(countRule(diags, "lint-unused-suppression"), 1);
@@ -118,6 +120,10 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
                            "perf-hot-alloc"));
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_hot_marker.cc", 11,
                            "perf-hot-alloc"));
+    for (int line : {17, 18, 20})
+        EXPECT_TRUE(hasFinding(diags, "src/kernels/bad_shared_rmw.cc", line,
+                               "atomics-hot-rmw"))
+            << line;
     // The bare hot-path marker still marks the file (so the alloc above
     // fires) but is itself flagged for its missing justification.
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_hot_marker.cc", 3,
@@ -395,6 +401,43 @@ TEST(LintRules, SpanLeakFlagsEscapesButNotStackSpans)
                     .empty());
 }
 
+TEST(LintRules, HotRmwCoversThePerQueryPathsOnly)
+{
+    const std::string src = "#include <atomic>\n"
+                            "std::atomic<unsigned> hits{0};\n"
+                            "void f() {\n"
+                            "    hits.fetch_add(1);\n"
+                            "    hits++;\n"
+                            "    hits |= 2u;\n"
+                            "    unsigned plain = 0;\n"
+                            "    plain++;\n"
+                            "}\n";
+    for (const char *path : {"src/kernels/k.cc", "src/timing/t.cc",
+                             "src/thermal/t.cc", "src/core/optimizer.cc"})
+        EXPECT_EQ(countRule(lintSource(path, src), "atomics-hot-rmw"), 3)
+            << path;
+    // Off the per-query paths the same code is the atomics audit's
+    // business, not this rule's; Counter itself lives in src/stats.
+    for (const char *path : {"src/core/controller.cc", "src/stats/s.hh",
+                             "src/obs/progress.hh", "bench/b.cpp"})
+        EXPECT_EQ(countRule(lintSource(path, src), "atomics-hot-rmw"), 0)
+            << path;
+}
+
+TEST(LintRules, HotRmwIgnoresLoadsStoresAndCounterIncs)
+{
+    const auto diags = lintSource(
+        "src/timing/t.cc",
+        "#include <atomic>\n"
+        "std::atomic<int> flag{0};\n"
+        "int f(Counter &c) {\n"
+        "    c.inc();\n"
+        "    flag.store(1);\n"
+        "    return flag.load() + (flag == 1);\n"
+        "}\n");
+    EXPECT_EQ(countRule(diags, "atomics-hot-rmw"), 0);
+}
+
 TEST(LintRules, FloatEqCatchesBothSidesAndExponents)
 {
     const std::string src = "void f(double x) {\n"
@@ -429,7 +472,7 @@ TEST(LintRules, CatalogKnowsEveryReportedRule)
           "obs-span-leak", "obs-progress-units", "perf-hot-alloc",
           "lay-edge", "lay-cycle", "lay-module", "lay-unused-edge",
           "lay-manifest", "exc-contract", "atomics-relaxed",
-          "lint-bad-suppression", "lint-unused-suppression"})
+          "atomics-hot-rmw", "lint-bad-suppression", "lint-unused-suppression"})
         EXPECT_TRUE(eval::lint::isKnownRule(rule)) << rule;
     EXPECT_FALSE(eval::lint::isKnownRule("no-such-rule"));
 }

@@ -4,6 +4,7 @@
  * losing counts or corrupting state.
  */
 
+#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -23,6 +24,108 @@ TEST(StatsConcurrency, CounterIncrementsAreNotLost)
     ThreadPool pool(4);
     pool.parallelFor(0, 100000, 64, [&](std::size_t) { c.inc(); });
     EXPECT_EQ(c.value(), 100000u);
+}
+
+namespace {
+
+/** Run @p body on @p n fresh threads (each draws a new Counter slot)
+ *  and join them all. */
+template <typename Body>
+void
+onFreshThreads(std::size_t n, Body body)
+{
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (std::size_t t = 0; t < n; ++t)
+        threads.emplace_back([&body, t] { body(t); });
+    for (std::thread &th : threads)
+        th.join();
+}
+
+} // namespace
+
+TEST(StatsConcurrency, CounterStaysExactWithMoreThreadsThanSlots)
+{
+    // 2x slots + 3 writers: every slot is shared by at least two
+    // threads, so aliased slots must still count exactly.
+    const std::size_t writers = 2 * kCounterSlots + 3;
+    constexpr std::uint64_t kPerThread = 5000;
+    Counter c;
+    onFreshThreads(writers, [&](std::size_t t) {
+        for (std::uint64_t i = 0; i < kPerThread; ++i)
+            c.inc();
+        c.inc(t);
+    });
+    const std::uint64_t idSum = writers * (writers - 1) / 2;
+    EXPECT_EQ(c.value(), writers * kPerThread + idSum);
+}
+
+TEST(StatsConcurrency, CounterReadsNeverDecreaseDuringIncrements)
+{
+    constexpr std::size_t kWriters = 4;
+    constexpr std::uint64_t kPerThread = 200000;
+    Counter c;
+    std::atomic<std::size_t> running{kWriters};
+    std::thread reader([&] {
+        std::uint64_t last = 0;
+        std::size_t decreases = 0;
+        while (running.load(std::memory_order_acquire) > 0) {
+            const std::uint64_t now = c.value();
+            if (now < last)
+                ++decreases;
+            last = now;
+        }
+        EXPECT_EQ(decreases, 0u);
+        EXPECT_LE(last, kWriters * kPerThread);
+    });
+    onFreshThreads(kWriters, [&](std::size_t) {
+        for (std::uint64_t i = 0; i < kPerThread; ++i)
+            c.inc();
+        running.fetch_sub(1, std::memory_order_release);
+    });
+    reader.join();
+    EXPECT_EQ(c.value(), kWriters * kPerThread);
+}
+
+TEST(StatsConcurrency, CounterResetZeroesEverySlot)
+{
+    // kCounterSlots + 1 consecutive fresh threads cover every slot
+    // (and alias one), so a reset that missed any slot would leave a
+    // residue in value().
+    const std::size_t writers = kCounterSlots + 1;
+    Counter c;
+    onFreshThreads(writers, [&](std::size_t) { c.inc(7); });
+    ASSERT_EQ(c.value(), 7 * writers);
+    c.reset();
+    EXPECT_EQ(c.value(), 0u);
+    onFreshThreads(writers, [&](std::size_t) { c.inc(); });
+    EXPECT_EQ(c.value(), writers);
+}
+
+TEST(StatsConcurrency, CounterMergeStaysExact)
+{
+    const std::size_t writers = kCounterSlots + 5;
+    Counter a;
+    Counter b;
+    onFreshThreads(writers, [&](std::size_t t) {
+        a.inc(t + 1);
+        b.inc(1000);
+    });
+    const std::uint64_t aTotal = a.value();
+    const std::uint64_t bTotal = b.value();
+    EXPECT_EQ(aTotal, writers * (writers + 1) / 2);
+    EXPECT_EQ(bTotal, 1000 * writers);
+
+    // Merge on yet another thread, then into a counter that already
+    // holds slots from several threads.
+    Counter merged;
+    onFreshThreads(3, [&](std::size_t) { merged.inc(11); });
+    std::thread([&] {
+        merged.merge(a);
+        merged.merge(b);
+    }).join();
+    EXPECT_EQ(merged.value(), 33 + aTotal + bTotal);
+    EXPECT_EQ(a.value(), aTotal); // merge reads, never drains
 }
 
 TEST(StatsConcurrency, HistogramSamplesAreNotLost)

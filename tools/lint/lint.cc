@@ -438,6 +438,67 @@ rulePerfHotAlloc(const Ctx &ctx)
 }
 
 void
+ruleAtomicsHotRmw(const Ctx &ctx)
+{
+    // Per-query paths: the PE/thermal kernels and the optimizer search
+    // run tens of millions of times per campaign on every pool thread.
+    // A raw atomic RMW there writes one cache line all threads share,
+    // so counting goes through eval::Counter (per-thread slots).  The
+    // counters-only marker does not exempt a file: it audits memory
+    // orders, not contention.
+    const std::string &rel = ctx.relPath;
+    const bool perQuery = startsWith(rel, "src/kernels/") ||
+                          startsWith(rel, "src/timing/") ||
+                          startsWith(rel, "src/thermal/") ||
+                          rel == "src/core/optimizer.cc";
+    if (!perQuery)
+        return;
+    const std::string &code = ctx.scan.code;
+    const std::string why =
+        " writes a cache line every thread shares on a per-query path; "
+        "count through eval::Counter (per-thread slots) or justify a "
+        "once-per-object use with an audited suppression";
+
+    for (const char *op :
+         {"fetch_add", "fetch_sub", "fetch_and", "fetch_or", "fetch_xor"})
+        for (std::size_t pos : findTokens(code, op, true))
+            ctx.emit(pos, "atomics-hot-rmw",
+                     std::string("atomic ") + op + why);
+
+    // Operator RMWs (++, --, +=, ...) only on names this file declares
+    // as std::atomic; plain integers are private to their thread.
+    static const std::regex atomicDecl(R"(\batomic\s*<[^;{}]*?>\s+(\w+))");
+    std::set<std::string> names;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), atomicDecl);
+         it != std::sregex_iterator(); ++it)
+        names.insert((*it)[1].str());
+    auto isIncDec = [&](std::size_t at) {
+        return code.compare(at, 2, "++") == 0 ||
+               code.compare(at, 2, "--") == 0;
+    };
+    for (const std::string &name : names) {
+        for (std::size_t pos : findTokens(code, name, false)) {
+            std::size_t before = pos;
+            while (before > 0 && std::isspace(static_cast<unsigned char>(
+                                     code[before - 1])))
+                --before;
+            std::size_t after = pos + name.size();
+            while (after < code.size() &&
+                   std::isspace(static_cast<unsigned char>(code[after])))
+                ++after;
+            const bool compound = after + 1 < code.size() &&
+                                  code[after + 1] == '=' &&
+                                  std::string("+-|&^").find(code[after]) !=
+                                      std::string::npos;
+            if ((before >= 2 && isIncDec(before - 2)) || isIncDec(after) ||
+                compound)
+                ctx.emit(pos, "atomics-hot-rmw",
+                         "operator RMW on std::atomic '" + name + "'" + why);
+        }
+    }
+}
+
+void
 runFileRules(const Ctx &ctx)
 {
     ruleDetEntropy(ctx);
@@ -452,6 +513,7 @@ runFileRules(const Ctx &ctx)
     ruleObsSpanLeak(ctx);
     ruleObsProgressUnits(ctx);
     rulePerfHotAlloc(ctx);
+    ruleAtomicsHotRmw(ctx);
 }
 
 void
@@ -595,6 +657,11 @@ ruleCatalog()
          "every memory_order_relaxed needs an audited "
          "allow(atomics-relaxed) or the file-level "
          "'eval-lint: counters-only <why>' marker"},
+        {"atomics-hot-rmw",
+         "no raw std::atomic RMW (fetch_add/fetch_sub/++/--/+=...) on "
+         "per-query paths: src/kernels/, src/timing/, src/thermal/, "
+         "src/core/optimizer.cc (count through eval::Counter; "
+         "counters-only does not exempt)"},
         {"hyg-pragma-once", "every header starts with #pragma once"},
         {"hyg-using-namespace", "no 'using namespace' at header scope"},
         {"hyg-iostream",
