@@ -29,7 +29,6 @@
  *   EVAL_MANIFEST=path     write the run-provenance manifest
  *                          (default <bench>.manifest.json; set empty
  *                          to disable)
- *   EVAL_PROFILE=1         enable ScopedTimers, print the self-profile
  *   EVAL_STATUS_OUT=path   start the live MetricsSampler: publish a
  *                          status JSON snapshot (progress, chips/sec,
  *                          ETA, RSS, stats) to the path every
@@ -72,8 +71,8 @@ namespace eval {
  * destruction, prints exactly one line
  *   BENCH_JSON {"bench": "<name>", "wall_clock_s": W, "metrics": {...}}
  * so trajectory tooling can scrape every bench the same way.  Also
- * wires the EVAL_STATS_OUT / EVAL_TRACE_OUT / EVAL_PROFILE env hooks
- * described in the file header.
+ * wires the EVAL_STATS_OUT / EVAL_TRACE_OUT / EVAL_TRACE_SPANS /
+ * EVAL_PROFILE_OUT env hooks described in the file header.
  */
 class BenchReporter
 {
@@ -101,8 +100,6 @@ class BenchReporter
             SpanTracer::global().setEnabled(true);
         manifestPath_ =
             envString("EVAL_MANIFEST", name_ + ".manifest.json");
-        if (envBool("EVAL_PROFILE", false))
-            setProfilingEnabled(true);
 
         RunManifest::global().setTool(name_);
         RunManifest::global().setThreads(globalThreads());
@@ -161,8 +158,6 @@ class BenchReporter
                 if (!manifest.empty() &&
                     !RunManifest::global().write(manifest))
                     warn("failed to write manifest to ", manifest);
-                if (envBool("EVAL_PROFILE", false))
-                    StatRegistry::global().printProfile();
             });
     }
 

@@ -166,20 +166,6 @@ BM_CounterContended(benchmark::State &state)
 BENCHMARK(BM_CounterContended)->Threads(1)->Threads(4);
 
 void
-BM_ScopedTimerDisabled(benchmark::State &state)
-{
-    // The disabled ScopedTimer guarantee: one relaxed atomic load,
-    // no lock — also under threads (profiling off is the hot case).
-    static TimerStat &timer =
-        StatRegistry::global().timer("microbench.disabled_timer");
-    for (auto _ : state) {
-        ScopedTimer scope(timer);
-        benchmark::DoNotOptimize(&scope);
-    }
-}
-BENCHMARK(BM_ScopedTimerDisabled)->Threads(1)->Threads(4);
-
-void
 BM_ErrorRateQueryCached(benchmark::State &state)
 {
     // Same PE query from several threads: each thread has its own

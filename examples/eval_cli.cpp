@@ -43,7 +43,6 @@
  *   --manifest=FILE    write a run-provenance manifest (git SHA, build
  *                      flags, seed, stage wall times, peak RSS);
  *                      default from EVAL_MANIFEST, "" disables
- *   --profile          enable ScopedTimers and print the self-profile
  *   --status-out=FILE  publish live status snapshots (progress,
  *                      chips/sec, ETA, RSS, stats) to FILE every
  *                      --status-interval-ms (default 500) via
@@ -444,16 +443,16 @@ usage()
     std::fprintf(stderr,
                  "usage: eval_cli <chips|run|sweep|record|replay"
                  "|fig13> "
-                 "[--stats-out=FILE] [--trace-out=FILE] [--profile] "
+                 "[--stats-out=FILE] [--trace-out=FILE] "
                  "[--threads=N] [options]\n"
                  "(see the file header for options)\n");
     return 2;
 }
 
-/** Export stats/trace/profile per the observability flags. */
+/** Export stats/trace per the observability flags. */
 void
 dumpObservability(const std::string &statsOut,
-                  const std::string &traceOut, bool profile)
+                  const std::string &traceOut)
 {
     if (!statsOut.empty()) {
         if (statsOut.size() > 4 &&
@@ -465,8 +464,6 @@ dumpObservability(const std::string &statsOut,
     }
     if (!traceOut.empty())
         DecisionTrace::global().writeJsonl(traceOut);
-    if (profile)
-        StatRegistry::global().printProfile();
 }
 
 } // namespace
@@ -484,7 +481,6 @@ main(int argc, char **argv)
     const char *manifestEnv = std::getenv("EVAL_MANIFEST");
     const std::string manifestOut = args.getString(
         "manifest", manifestEnv ? manifestEnv : "manifest.json");
-    const bool profile = args.getBool("profile", false);
     const char *statusEnv = std::getenv("EVAL_STATUS_OUT");
     const std::string statusOut =
         args.getString("status-out", statusEnv ? statusEnv : "");
@@ -502,8 +498,6 @@ main(int argc, char **argv)
         DecisionTrace::global().setEnabled(true);
     if (!spansOut.empty() || !profileOut.empty())
         SpanTracer::global().setEnabled(true);
-    if (profile)
-        setProfilingEnabled(true);
 
     RunManifest::global().setTool("eval_cli");
     RunManifest::global().setThreads(globalThreads());
@@ -538,9 +532,8 @@ main(int argc, char **argv)
     // normal path identical (closures run exactly once).
     ExitFlush::global().add(
         "eval_cli.telemetry",
-        [statsOut, traceOut, profile, spansOut, profileOut,
-         manifestOut] {
-            dumpObservability(statsOut, traceOut, profile);
+        [statsOut, traceOut, spansOut, profileOut, manifestOut] {
+            dumpObservability(statsOut, traceOut);
             if (!gFleetOwnsSpans) {
                 if (!spansOut.empty() &&
                     !SpanTracer::global().writeJson(spansOut)) {
@@ -562,7 +555,7 @@ main(int argc, char **argv)
     // With observability flags but no command, default to `run`.
     const bool observing = !statsOut.empty() || !traceOut.empty() ||
                            !spansOut.empty() || !profileOut.empty() ||
-                           !statusOut.empty() || profile;
+                           !statusOut.empty();
     if (args.positional().empty() && !observing)
         return usage();
     const std::string cmd =

@@ -72,8 +72,9 @@
 # --prof-smoke (or CHECK_PROF_SMOKE=1) is the span-profiling
 # end-to-end check (DESIGN.md §5j): a fast 2-shard fig13 with tracing
 # must leave one merged Perfetto timeline plus a fleet profile.json
-# behind; eval_prof tree/flame must render it and a self-compare
-# `diff --gate` must exit 0; then a synthetic +20% wall-clock
+# behind, with non-zero characterize.app and arch.core_run buckets
+# and no pe.eval bucket; eval_prof tree/flame must render it and a
+# self-compare `diff --gate` must exit 0; then a synthetic +20% wall-clock
 # regression with one grown span, fed through benchtrack, must trip
 # the gate AND render a Blame section naming that span.
 #
@@ -416,6 +417,23 @@ if [[ "$mode" == "prof-smoke" ]]; then
         fi
     done
 
+    # The fleet profile covers characterization (the largest
+    # cold-start layer) and counts every Core::run; per-access PE
+    # evaluations are counters, never spans, so no pe.eval bucket.
+    buckets="$(tr -d ' \n' < "$profile")"
+    for span in characterize.app arch.core_run; do
+        if ! grep -qE "\"name\":\"$span\",\"count\":[1-9]" \
+                <<< "$buckets"; then
+            echo "check.sh: ERROR fleet profile has no $span bucket" \
+                 "with a non-zero count"
+            exit 1
+        fi
+    done
+    if grep -q '"name":"pe.eval"' <<< "$buckets"; then
+        echo "check.sh: ERROR fleet profile has a pe.eval bucket"
+        exit 1
+    fi
+
     # 2. eval_prof must render the fleet profile, and a self-compare
     #    diff has nothing to gate on.
     echo "check.sh: prof smoke -- eval_prof tree/flame/diff"
@@ -432,9 +450,9 @@ if [[ "$mode" == "prof-smoke" ]]; then
     hist="$run_dir/history"
     footers="$run_dir/footers.jsonl"
     for _ in 1 2 3 4; do
-        printf '%s\n' '{"bench": "prof_smoke", "wall_clock_s": 10.0, "span_self_ms": {"fig13.sweep": 8000.0, "thermal.solve": 1500.0}}'
+        printf '%s\n' '{"bench": "prof_smoke", "wall_clock_s": 10.0, "span_self_ms": {"fig13.sweep": 8000.0, "optimizer.choose": 1500.0}}'
     done > "$footers"
-    printf '%s\n' '{"bench": "prof_smoke", "wall_clock_s": 12.0, "span_self_ms": {"fig13.sweep": 8100.0, "thermal.solve": 3400.0}}' \
+    printf '%s\n' '{"bench": "prof_smoke", "wall_clock_s": 12.0, "span_self_ms": {"fig13.sweep": 8100.0, "optimizer.choose": 3400.0}}' \
         >> "$footers"
     "$bt" ingest --history "$hist" "$footers" > /dev/null
     if "$bt" report --history "$hist" \
@@ -448,7 +466,7 @@ if [[ "$mode" == "prof-smoke" ]]; then
         exit 1
     fi
     if ! grep -A6 '^## Blame: prof_smoke' "$run_dir/blame.md" \
-            | grep -q 'thermal.solve'; then
+            | grep -q 'optimizer.choose'; then
         echo "check.sh: ERROR blame did not name the grown span"
         cat "$run_dir/blame.md"
         exit 1

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "stats/stat_registry.hh"
+#include "trace/span_tracer.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -546,9 +546,7 @@ Core::retire(std::uint64_t now, unsigned maxRetire)
 CoreStats
 Core::run(TraceSource &trace, std::uint64_t numInstructions)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.arch.core_run");
-    ScopedTimer scope(timer);
+    ScopedSpan span("arch.core_run");
     stats_ = CoreStats{};
     rob_.clear();
     fetchQueue_.clear();

@@ -133,15 +133,12 @@ CmpRunResult
 CmpSystem::runMix(const WorkloadMix &mix, EnvironmentKind env,
                   AdaptScheme scheme)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.cmp.run_mix");
     static Counter &iterations =
         StatRegistry::global().counter("chip.thermal.iterations");
     static Counter &throttles =
         StatRegistry::global().counter("chip.thermal.throttle_steps");
     static Gauge &heatsink =
         StatRegistry::global().gauge("chip.thermal.heatsink_c");
-    ScopedTimer scope(timer);
     ScopedSpan span("cmp.run_mix");
     span.arg("apps", mix.size());
     span.arg("env", environmentName(env));

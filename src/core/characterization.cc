@@ -2,7 +2,7 @@
 
 #include "arch/core.hh"
 #include "obs/progress.hh"
-#include "stats/stat_registry.hh"
+#include "trace/span_tracer.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -49,9 +49,8 @@ CharacterizationCache::get(const AppProfile &profile)
 AppCharacterization
 CharacterizationCache::characterize(const AppProfile &profile)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.characterize.app");
-    ScopedTimer scope(timer);
+    ScopedSpan span("characterize.app");
+    span.arg("app", profile.name);
     AppCharacterization app;
     app.name = profile.name;
     app.isFp = profile.isFp;

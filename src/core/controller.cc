@@ -195,9 +195,6 @@ DynamicController::adaptPhase(const CoreSystemModel &core,
                               const PhaseCharacterization &phase,
                               double thC)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.controller.adapt_phase");
-    ScopedTimer scope(timer);
     ScopedSpan span("controller.adapt_phase");
     span.arg("phase", phaseId);
     span.arg("reused", saved_.lookup(phaseId).has_value());

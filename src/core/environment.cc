@@ -527,9 +527,6 @@ ExperimentContext::runApp(std::size_t chipIndex, std::size_t core,
                           const AppProfile &app, EnvironmentKind env,
                           AdaptScheme scheme)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.experiment.run_app");
-    ScopedTimer scope(timer);
     ScopedSpan span("experiment.run_app");
     span.arg("app", app.name);
     span.arg("chip", chipIndex);

@@ -21,6 +21,7 @@
 #include "core/subsystem_model.hh"
 #include "fuzzy/fuzzy_controller.hh"
 #include "fuzzy/regressors.hh"
+#include "kernels/alpha_power.hh"
 #include "phase/phase_detector.hh"
 #include "phase/phase_table.hh"
 #include "power/knobs.hh"
@@ -28,7 +29,6 @@
 #include "power/vt0_calibration.hh"
 #include "thermal/sensors.hh"
 #include "thermal/thermal_model.hh"
-#include "timing/alpha_power.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"
 #include "util/config.hh"

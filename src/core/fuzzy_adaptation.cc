@@ -33,9 +33,6 @@ CoreFuzzySystem::freqInput(SubsystemId id, double thC, double alphaF,
 void
 CoreFuzzySystem::train()
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.fuzzy.train");
-    ScopedTimer scope(timer);
     ScopedSpan span("fuzzy.train");
     StatRegistry::global().counter("fuzzy.trainings").inc();
 
@@ -115,11 +112,8 @@ CoreFuzzySystem::predictFmax(SubsystemId id, double thC, double alphaF,
                              bool altConfig) const
 {
     EVAL_ASSERT(trained_, "fuzzy system queried before training");
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.fuzzy.predict");
     static Counter &inferences =
         StatRegistry::global().counter("fuzzy.inferences");
-    ScopedTimer scope(timer);
     ScopedSpan span("fuzzy.predict_fmax");
     inferences.inc();
     return fmaxFc_[static_cast<std::size_t>(id)]->predict(
@@ -131,11 +125,8 @@ CoreFuzzySystem::predictKnobs(SubsystemId id, double thC, double alphaF,
                               bool altConfig, double fcore) const
 {
     EVAL_ASSERT(trained_, "fuzzy system queried before training");
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.fuzzy.predict");
     static Counter &inferences =
         StatRegistry::global().counter("fuzzy.inferences");
-    ScopedTimer scope(timer);
     ScopedSpan span("fuzzy.predict_knobs");
     inferences.inc();
     SubsystemKnobs k{core_.params().vddNominal, 0.0};

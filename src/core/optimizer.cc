@@ -59,11 +59,8 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
                                   SubsystemId id, bool useAlternate,
                                   double alphaF, double thC)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.optimizer.max_frequency");
     static Counter &queries =
         StatRegistry::global().counter("optimizer.freq_queries");
-    ScopedTimer scope(timer);
     ScopedSpan span("optimizer.max_frequency");
     span.arg("subsystem", static_cast<std::size_t>(id));
     span.arg("alt", useAlternate);
@@ -198,11 +195,8 @@ ExhaustiveOptimizer::minimizePower(const CoreSystemModel &core,
                                    double fcore, double alphaF,
                                    double thC)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.optimizer.minimize_power");
     static Counter &queries =
         StatRegistry::global().counter("optimizer.power_queries");
-    ScopedTimer scope(timer);
     ScopedSpan span("optimizer.minimize_power");
     span.arg("subsystem", static_cast<std::size_t>(id));
     queries.inc();
@@ -343,13 +337,10 @@ AdaptationResult
 CoreOptimizer::choose(const CoreSystemModel &core,
                       const PhaseCharacterization &phase, double thC)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.optimizer.choose");
     static Counter &calls =
         StatRegistry::global().counter("optimizer.choose_calls");
     static Counter &infeasible =
         StatRegistry::global().counter("optimizer.infeasible");
-    ScopedTimer scope(timer);
     ScopedSpan span("optimizer.choose");
     calls.inc();
 

@@ -16,7 +16,7 @@
 #include <array>
 #include <cstddef>
 
-#include "timing/alpha_power.hh"
+#include "kernels/alpha_power.hh"
 #include "variation/floorplan.hh"
 #include "variation/process_params.hh"
 

@@ -3,7 +3,6 @@
 // eval-lint: counters-only instruments are monotone relaxed counters and
 // gauges read only at snapshot/dump time, off the model path.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -21,7 +20,6 @@ statTypeName(StatType t)
       case StatType::Counter:   return "counter";
       case StatType::Gauge:     return "gauge";
       case StatType::Histogram: return "histogram";
-      case StatType::Timer:     return "timer";
     }
     return "?";
 }
@@ -35,8 +33,6 @@ HistogramStat::reset()
 }
 
 namespace {
-
-std::atomic<bool> profilingFlag{false};
 
 /** JSON number: finite values via %.12g, otherwise null. */
 std::string
@@ -64,18 +60,6 @@ splitDotted(const std::string &name)
 }
 
 } // namespace
-
-void
-setProfilingEnabled(bool enabled)
-{
-    profilingFlag.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-profilingEnabled()
-{
-    return profilingFlag.load(std::memory_order_relaxed);
-}
 
 StatRegistry &
 StatRegistry::global()
@@ -128,9 +112,6 @@ StatRegistry::slot(const std::string &name, StatType type, double lo,
         made = std::make_unique<Slot>(
             std::in_place_type<HistogramStat>, lo, hi, bins);
         break;
-      case StatType::Timer:
-        made = std::make_unique<Slot>(std::in_place_type<TimerStat>);
-        break;
     }
     it = stats_.emplace(name, std::move(made)).first;
     return *it->second;
@@ -154,12 +135,6 @@ StatRegistry::histogram(const std::string &name, double lo, double hi,
 {
     return std::get<HistogramStat>(
         slot(name, StatType::Histogram, lo, hi, bins));
-}
-
-TimerStat &
-StatRegistry::timer(const std::string &name)
-{
-    return std::get<TimerStat>(slot(name, StatType::Timer));
 }
 
 bool
@@ -238,7 +213,7 @@ StatRegistry::json() const
                 } else if constexpr (std::is_same_v<T, Gauge>) {
                     os << "{\"type\": \"gauge\", \"value\": "
                        << jsonNumber(stat.value()) << "}";
-                } else if constexpr (std::is_same_v<T, HistogramStat>) {
+                } else {
                     os << "{\"type\": \"histogram\", \"count\": "
                        << stat.count()
                        << ", \"mean\": " << jsonNumber(stat.mean())
@@ -249,21 +224,6 @@ StatRegistry::json() const
                        << ", \"p90\": " << jsonNumber(stat.quantile(0.9))
                        << ", \"p95\": " << jsonNumber(stat.quantile(0.95))
                        << ", \"p99\": " << jsonNumber(stat.quantile(0.99))
-                       << "}";
-                } else {
-                    os << "{\"type\": \"timer\", \"calls\": "
-                       << stat.calls()
-                       << ", \"total_ms\": "
-                       << jsonNumber(static_cast<double>(stat.totalNs()) /
-                                     1e6)
-                       << ", \"mean_us\": "
-                       << jsonNumber(stat.meanNs() / 1e3)
-                       << ", \"min_us\": "
-                       << jsonNumber(static_cast<double>(stat.minNs()) /
-                                     1e3)
-                       << ", \"max_us\": "
-                       << jsonNumber(static_cast<double>(stat.maxNs()) /
-                                     1e3)
                        << "}";
                 }
             },
@@ -296,7 +256,7 @@ StatRegistry::csv() const
                     table.row({name, "gauge", "",
                                formatDouble(stat.value(), 6), "", "",
                                "", "", "", "", ""});
-                } else if constexpr (std::is_same_v<T, HistogramStat>) {
+                } else {
                     table.row({name, "histogram",
                                std::to_string(stat.count()), "",
                                formatDouble(stat.mean(), 6),
@@ -306,20 +266,6 @@ StatRegistry::csv() const
                                formatDouble(stat.quantile(0.9), 6),
                                formatDouble(stat.quantile(0.95), 6),
                                formatDouble(stat.quantile(0.99), 6)});
-                } else {
-                    table.row({name, "timer",
-                               std::to_string(stat.calls()),
-                               formatDouble(static_cast<double>(
-                                                stat.totalNs()) / 1e6,
-                                            3),
-                               formatDouble(stat.meanNs() / 1e3, 3),
-                               formatDouble(static_cast<double>(
-                                                stat.minNs()) / 1e3,
-                                            3),
-                               formatDouble(static_cast<double>(
-                                                stat.maxNs()) / 1e3,
-                                            3),
-                               "", "", "", ""});
                 }
             },
             *s);
@@ -345,18 +291,13 @@ StatRegistry::flat() const
                     push(name, static_cast<double>(stat.value()));
                 } else if constexpr (std::is_same_v<T, Gauge>) {
                     push(name, stat.value());
-                } else if constexpr (std::is_same_v<T, HistogramStat>) {
+                } else {
                     push(name + ".count",
                          static_cast<double>(stat.count()));
                     push(name + ".mean", stat.mean());
                     push(name + ".p50", stat.quantile(0.5));
                     push(name + ".p95", stat.quantile(0.95));
                     push(name + ".p99", stat.quantile(0.99));
-                } else {
-                    push(name + ".calls",
-                         static_cast<double>(stat.calls()));
-                    push(name + ".total_ms",
-                         static_cast<double>(stat.totalNs()) / 1e6);
                 }
             },
             *s);
@@ -394,54 +335,6 @@ bool
 StatRegistry::writeCsv(const std::string &path) const
 {
     return writeTextFile(path, csv());
-}
-
-void
-StatRegistry::printProfile() const
-{
-    struct Row
-    {
-        std::string name;
-        const TimerStat *timer;
-    };
-    std::vector<Row> rows;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[name, s] : stats_) {
-            if (const auto *t = std::get_if<TimerStat>(s.get())) {
-                if (t->calls() > 0)
-                    rows.push_back({name, t});
-            }
-        }
-    }
-    if (rows.empty()) {
-        inform("self-profile: no timer samples "
-               "(enable with --profile / setProfilingEnabled)");
-        return;
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const Row &a, const Row &b) {
-                  return a.timer->totalNs() > b.timer->totalNs();
-              });
-    double grandNs = 0.0;
-    for (const Row &r : rows)
-        grandNs += static_cast<double>(r.timer->totalNs());
-
-    TablePrinter table("self-profile (wall-clock per instrumented region)");
-    table.header({"region", "calls", "total (ms)", "mean (us)",
-                  "max (us)", "share"});
-    for (const Row &r : rows) {
-        table.row({r.name, std::to_string(r.timer->calls()),
-                   formatDouble(
-                       static_cast<double>(r.timer->totalNs()) / 1e6, 3),
-                   formatDouble(r.timer->meanNs() / 1e3, 2),
-                   formatDouble(
-                       static_cast<double>(r.timer->maxNs()) / 1e3, 2),
-                   formatPercent(
-                       static_cast<double>(r.timer->totalNs()) /
-                       grandNs)});
-    }
-    table.print();
 }
 
 } // namespace eval

@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulator-wide statistics registry in the spirit of gem5's Stats
- * framework: named Counter / Gauge / Histogram / Timer instruments,
+ * framework: named Counter / Gauge / Histogram instruments,
  * registered under dotted hierarchical names
  * ("core0.controller.retunes", "chip.thermal.throttle_steps"),
  * snapshotable mid-run and dumpable as nested JSON or flat CSV.
@@ -16,12 +16,10 @@
  *  - Every instrument is safe to update from concurrent parallelFor
  *    bodies: a Counter increment is one relaxed RMW on the calling
  *    thread's own cache line (see Counter), a Gauge is one relaxed
- *    store, and Histogram and Timer samples take a per-instrument
- *    mutex.  Registration itself is mutex-protected.
- *  - Timers are driven by ScopedTimer and sample only while profiling
- *    is enabled (setProfilingEnabled); when disabled a ScopedTimer
- *    costs one relaxed atomic load and no clock reads (and takes no
- *    lock), preserving the disabled-path guarantee under threading.
+ *    store, and a Histogram sample takes a per-instrument mutex.
+ *    Registration itself is mutex-protected.
+ *  - The registry holds no clocks: region timing is the span
+ *    tracer's job (src/trace, ScopedSpan and its profile).
  */
 
 #pragma once
@@ -31,7 +29,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,7 +42,7 @@
 namespace eval {
 
 /** Kind tag of one registered instrument. */
-enum class StatType { Counter, Gauge, Histogram, Timer };
+enum class StatType { Counter, Gauge, Histogram };
 
 const char *statTypeName(StatType t);
 
@@ -214,110 +211,6 @@ class HistogramStat
     RunningStats moments_;
 };
 
-/** Accumulated wall-clock time of one instrumented region.  Samples
- *  are mutex-guarded; the lock is only ever taken while profiling is
- *  enabled (ScopedTimer skips the call entirely when disabled). */
-class TimerStat
-{
-  public:
-    void
-    addSample(std::uint64_t ns)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++calls_;
-        totalNs_ += ns;
-        if (calls_ == 1 || ns < minNs_)
-            minNs_ = ns;
-        if (ns > maxNs_)
-            maxNs_ = ns;
-    }
-
-    std::uint64_t
-    calls() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return calls_;
-    }
-    std::uint64_t
-    totalNs() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return totalNs_;
-    }
-    std::uint64_t
-    minNs() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return calls_ ? minNs_ : 0;
-    }
-    std::uint64_t
-    maxNs() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return maxNs_;
-    }
-    double
-    meanNs() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return calls_ ? static_cast<double>(totalNs_) /
-                            static_cast<double>(calls_)
-                      : 0.0;
-    }
-
-    void
-    reset()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        calls_ = totalNs_ = minNs_ = maxNs_ = 0;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::uint64_t calls_ = 0;
-    std::uint64_t totalNs_ = 0;
-    std::uint64_t minNs_ = 0;
-    std::uint64_t maxNs_ = 0;
-};
-
-/** Globally enable/disable ScopedTimer sampling (the --profile flag). */
-void setProfilingEnabled(bool enabled);
-bool profilingEnabled();
-
-/**
- * RAII region timer feeding a TimerStat.  When profiling is disabled
- * the constructor takes no clock sample, so the per-call overhead is
- * a single relaxed atomic load.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(TimerStat &timer)
-        : timer_(profilingEnabled() ? &timer : nullptr)
-    {
-        if (timer_)
-            start_ = std::chrono::steady_clock::now();
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    ~ScopedTimer()
-    {
-        if (timer_) {
-            const auto ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-            timer_->addSample(static_cast<std::uint64_t>(ns));
-        }
-    }
-
-  private:
-    TimerStat *timer_;
-    std::chrono::steady_clock::time_point start_;
-};
-
 /**
  * The hierarchical instrument registry.  Most code uses the process
  * singleton (global()); tests may build private instances.
@@ -336,7 +229,6 @@ class StatRegistry
     Gauge &gauge(const std::string &name);
     HistogramStat &histogram(const std::string &name, double lo,
                              double hi, std::size_t bins);
-    TimerStat &timer(const std::string &name);
 
     /** Whether @p name is registered (any type). */
     bool has(const std::string &name) const;
@@ -358,20 +250,16 @@ class StatRegistry
     /** Flat numeric view for live-telemetry snapshots: one
      *  (dotted-name, value) pair per scalar, in name order.  Counters
      *  and gauges emit their value; histograms emit
-     *  name.count/.mean/.p50/.p95/.p99; timers emit
-     *  name.calls/.total_ms.  Non-finite values are skipped. */
+     *  name.count/.mean/.p50/.p95/.p99.  Non-finite values are
+     *  skipped. */
     std::vector<std::pair<std::string, double>> flat() const;
 
     bool writeJson(const std::string &path) const;
     bool writeCsv(const std::string &path) const;
 
-    /** Print the self-profile table (all timers, sorted by total
-     *  time) to stdout.  No-op message when nothing was sampled. */
-    void printProfile() const;
-
   private:
     using Slot =
-        std::variant<Counter, Gauge, HistogramStat, TimerStat>;
+        std::variant<Counter, Gauge, HistogramStat>;
 
     /** Find-or-create @p name; fatal on type or hierarchy clash. */
     Slot &slot(const std::string &name, StatType type,

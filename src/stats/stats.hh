@@ -1,8 +1,8 @@
 /**
  * @file
  * Umbrella header for the observability subsystem: the hierarchical
- * stat registry (counters/gauges/histograms/timers + ScopedTimer
- * profiling) and the adaptation decision trace.
+ * stat registry (counters/gauges/histograms) and the adaptation
+ * decision trace.  Region timing lives in src/trace (ScopedSpan).
  */
 
 #pragma once

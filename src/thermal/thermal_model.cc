@@ -4,7 +4,6 @@
 
 #include "kernels/thermal_batch.hh"
 #include "stats/stat_registry.hh"
-#include "trace/span_tracer.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 
@@ -43,14 +42,6 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
         StatRegistry::global().counter("thermal.cache_hits");
     static Counter &runaways =
         StatRegistry::global().counter("thermal.runaways");
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.thermal.solve_subsystem");
-    ScopedTimer scope(timer);
-    // Sampled 1-in-64: called per candidate operating point, far too
-    // hot for an every-call span (DESIGN.md Sec 5e).
-    static thread_local std::uint64_t spanTick = 0;
-    ScopedSpan span("thermal.solve", (spanTick++ & 63) == 0);
-    span.arg("lanes", static_cast<double>(n));
 
     // The batch kernel solves at most 64 lanes per call; a core has 15
     // subsystems, so one chunk covers every current caller.

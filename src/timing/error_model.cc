@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "stats/stat_registry.hh"
-#include "trace/span_tracer.hh"
 #include "util/config.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
@@ -225,20 +224,6 @@ double
 StageErrorModel::computeErrorRatePerAccess(
     double clockPeriod, const OperatingConditions &op) const
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.timing.error_eval");
-    ScopedTimer scope(timer);
-    // Sampled 1-in-64: a full PE evaluation is only an indexed lookup,
-    // so an every-call span would dominate its own measurement (the
-    // ≤3% overhead budget, DESIGN.md Sec 5e).
-    static thread_local std::uint64_t spanTick = 0;
-    ScopedSpan span("pe.eval", (spanTick++ & 63) == 0);
-    if (span.recording()) {
-        // Counter reads sum every per-thread slot: sampled spans only.
-        const PeCounters &counters = PeCounters::get();
-        span.arg("cache_evals", counters.evals.value());
-        span.arg("cache_hits", counters.hits.value());
-    }
     const double scale = peTableEnabled() ? surface_.scaleFast(op)
                                           : surface_.scaleExact(op);
     if (scale >= kNonFunctionalDelayFactor)

@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "kernels/alpha_power.hh"
 #include "kernels/pe_surface.hh"
-#include "timing/alpha_power.hh"
 #include "timing/path_population.hh"
 #include "variation/process_params.hh"
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/alpha_power.hh"
 #include "kernels/path_soa.hh"
-#include "timing/alpha_power.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 

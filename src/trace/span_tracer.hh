@@ -2,15 +2,16 @@
  * @file
  * Low-overhead span tracer with Chrome/Perfetto trace_event export.
  *
- * Where the stats layer (src/stats) answers "how much time went into
- * region X in total", spans answer "where did the wall-clock of THIS
- * run go, on which thread, nested under what": every instrumented
+ * Where the stats layer (src/stats) counts events, spans answer
+ * "where did the wall-clock of THIS run go, on which thread, nested
+ * under what" (and, through the profile, "how much time went into
+ * region X in total"): every instrumented
  * region records one complete event (begin timestamp + duration +
  * thread id + optional key/value args), and the whole run exports as
  * a single JSON file that https://ui.perfetto.dev (or Chrome's
  * about:tracing) renders as a multi-thread timeline.
  *
- * Design (mirrors the ScopedTimer conventions in src/stats):
+ * Design (ScopedSpan is the project's only timing primitive):
  *  - Disabled is the hot case: a ScopedSpan on a disabled tracer
  *    costs one relaxed atomic load and records nothing — no clock
  *    read, no allocation, no lock.  Benches assert this stays true
@@ -35,10 +36,14 @@
  *    the whole run no matter how long it is — and it exports as
  *    profile.json (see DESIGN.md Sec 5j for the schema and the
  *    cross-shard merge semantics).
+ *  - Spans cover regions, not per-access work: a PE evaluation or
+ *    thermal solve is far too cheap for an every-call span, so those
+ *    are counted exactly by stats counters (timing.error_evals,
+ *    thermal.solves) and their time lands in the enclosing span's
+ *    self time.
  *  - This file is the sanctioned home of wall-clock reads for
- *    tracing, alongside src/stats for profiling (see the
- *    det-wallclock lint rule): model code must not read clocks, but
- *    may open spans freely.
+ *    tracing (see the det-wallclock lint rule): model code must not
+ *    read clocks, but may open spans freely.
  *
  * Escape hatch discipline: ScopedSpan is the ONLY way model code may
  * create spans.  The raw beginSpan/endSpan handle API exists for the
@@ -81,7 +86,7 @@ struct SpanEvent
 
 /** One (parent-path, name) profile bucket.  `path` is the semicolon-
  *  joined open-span chain ending in `name` (collapsed-stack key, e.g.
- *  "fig13;mc.chip;thermal.solve"); counts are exact u64 sums, so
+ *  "fig13;mc.chip;optimizer.choose"); counts are exact u64 sums, so
  *  buckets merge associatively by summing (see src/shard trace
  *  merge). */
 struct ProfileBucket
@@ -202,18 +207,6 @@ class ScopedSpan
             start_ = trace_detail::beginSpanImpl(name_);
     }
 
-    /** Sampled span for hot paths: records only when @p sample is
-     *  true (callers typically pass a 1-in-N tick so per-access
-     *  regions stay within the overhead budget — DESIGN.md Sec 5e).
-     *  When false this is exactly the disabled-tracer path. */
-    ScopedSpan(const char *name, bool sample)
-        : name_(sample && trace_detail::tracingEnabled() ? name
-                                                         : nullptr)
-    {
-        if (name_)
-            start_ = trace_detail::beginSpanImpl(name_);
-    }
-
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
     ScopedSpan(ScopedSpan &&) = delete;
@@ -224,10 +217,6 @@ class ScopedSpan
         if (name_)
             trace_detail::endSpanImpl(name_, start_, std::move(args_));
     }
-
-    /** Whether this span records (tracing on and, for the sampled
-     *  form, sampled); guards args that are costly to compute. */
-    bool recording() const { return name_ != nullptr; }
 
     /** Attach a key/value arg (no-op when the tracer was disabled at
      *  construction).  Numbers render raw, strings render quoted. */

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/characterization.hh"
+#include "trace/span_tracer.hh"
 
 namespace eval {
 namespace {
@@ -73,6 +76,34 @@ TEST(Characterization, PhasesDiffer)
     // The memory-heavy phase (index 1) must show a higher miss rate.
     EXPECT_GT(chr.phases[1].chr.perfFull.missesPerInst,
               chr.phases[2].chr.perfFull.missesPerInst);
+}
+
+TEST(Characterization, SpanProfileCountsEveryCoreRun)
+{
+    // Characterization is the largest cold-start layer, so the span
+    // profile must see it: one characterize.app span per app, and
+    // under it one arch.core_run per Core::run — two queue
+    // configurations x (warm, measure) per phase.
+    SpanTracer &tracer = SpanTracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    RecoveryModel recovery;
+    CharacterizationCache cache{recovery, 4e9, 123, 2000};
+    const std::size_t phases = cache.get(appByName("gzip")).phases.size();
+    tracer.setEnabled(false);
+
+    std::uint64_t apps = 0;
+    std::uint64_t coreRuns = 0;
+    for (const ProfileBucket &b : tracer.snapshotProfile()) {
+        if (b.path == "characterize.app")
+            apps = b.count;
+        else if (b.path == "characterize.app;arch.core_run")
+            coreRuns = b.count;
+    }
+    tracer.clear();
+    EXPECT_EQ(phases, 2u);
+    EXPECT_EQ(apps, 1u);
+    EXPECT_EQ(coreRuns, 4u * phases);
 }
 
 } // namespace

@@ -72,7 +72,7 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
     EXPECT_EQ(eval::lint::exitCodeFor(diags), 1);
 
     EXPECT_EQ(countRule(diags, "det-entropy"), 7); // 4 + 3 under bad supps
-    EXPECT_EQ(countRule(diags, "det-wallclock"), 1);
+    EXPECT_EQ(countRule(diags, "det-wallclock"), 2); // model + stats
     EXPECT_EQ(countRule(diags, "det-unordered"), 1);
     EXPECT_EQ(countRule(diags, "det-shared-rng"), 2);
     EXPECT_EQ(countRule(diags, "det-par-capture"), 2); // push_back + sum +=
@@ -100,6 +100,8 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
 
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_entropy.cc", 15,
                            "det-entropy"));
+    EXPECT_TRUE(hasFinding(diags, "src/stats/bad_clock.cc", 10,
+                           "det-wallclock"));
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_header.hh", 1,
                            "hyg-pragma-once"));
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_header.hh", 8,
@@ -348,16 +350,18 @@ TEST(LintRules, PathScopingExemptsTheSanctionedLayers)
 {
     EXPECT_TRUE(lintSource("src/util/random.cc", "int x = rand();\n")
                     .empty());
-    EXPECT_TRUE(lintSource("src/stats/t.cc",
+    EXPECT_TRUE(lintSource("src/trace/t.cc",
                            "auto t = steady_clock::now();\n")
                     .empty());
     EXPECT_TRUE(lintSource("tests/t.cc",
                            "auto t = steady_clock::now();\n")
                     .empty());
-    EXPECT_EQ(countRule(lintSource("src/core/t.cc",
-                                   "auto t = steady_clock::now();\n"),
-                        "det-wallclock"),
-              1);
+    for (const char *path : {"src/core/t.cc", "src/stats/t.cc"})
+        EXPECT_EQ(countRule(lintSource(path,
+                                       "auto t = steady_clock::now();\n"),
+                            "det-wallclock"),
+                  1)
+            << path;
 }
 
 TEST(LintRules, SplitDerivedStreamsPassSharedRng)

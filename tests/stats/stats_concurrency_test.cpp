@@ -141,17 +141,6 @@ TEST(StatsConcurrency, HistogramSamplesAreNotLost)
     EXPECT_NEAR(h.mean(), 0.495, 1e-9);
 }
 
-TEST(StatsConcurrency, TimerSamplesAreNotLost)
-{
-    TimerStat &t = StatRegistry::global().timer("test.conc_timer");
-    t.reset();
-    ThreadPool pool(4);
-    pool.parallelFor(0, 5000, 16,
-                     [&](std::size_t) { t.addSample(1000); });
-    EXPECT_EQ(t.calls(), 5000u);
-    EXPECT_EQ(t.totalNs(), 5000u * 1000u);
-}
-
 TEST(StatsConcurrency, TraceRecordsCarryPerThreadContext)
 {
     DecisionTrace trace(1 << 16);

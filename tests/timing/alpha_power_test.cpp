@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "timing/alpha_power.hh"
+#include "kernels/alpha_power.hh"
 
 namespace eval {
 namespace {

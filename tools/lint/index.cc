@@ -30,11 +30,11 @@ moduleOf(const std::string &relPath)
 
 namespace {
 
+const std::regex incRe(R"(^[ \t]*#[ \t]*include[ \t]*(["<])([^">]+)[">])");
+
 void
 indexIncludes(const std::string &content, FileIndex &out)
 {
-    static const std::regex incRe(
-        R"(^[ \t]*#[ \t]*include[ \t]*(["<])([^">]+)[">])");
     std::istringstream lines(content);
     std::string line;
     int lineNo = 0;
@@ -65,19 +65,28 @@ keyword(const std::string &word)
     return false;
 }
 
+const std::regex nsRe(R"(namespace\s+([A-Za-z_]\w*(::\w+)*))");
+
+const std::regex typeRe(
+    R"((class|struct|enum)\s+(class\s+|struct\s+)?([A-Za-z_]\w*))");
+
+// Function definitions in the repo's layout: the name starts a
+// line (return type on the previous line) and is immediately
+// followed by its parameter list.  Heuristic on purpose — the
+// passes only need a best-effort symbol map, and a missed
+// declaration can only under-report.
+const std::regex fnRe(R"((^|\n)([A-Za-z_~][\w:]*)\()");
+
 void
 indexDecls(const Scan &scan, FileIndex &out)
 {
     const std::string &code = scan.code;
 
-    static const std::regex nsRe(R"(namespace\s+([A-Za-z_]\w*(::\w+)*))");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), nsRe);
          it != std::sregex_iterator(); ++it)
         out.decls.push_back({DeclSite::Kind::Namespace, (*it)[1].str(),
                              lineOf(scan, it->position())});
 
-    static const std::regex typeRe(
-        R"((class|struct|enum)\s+(class\s+|struct\s+)?([A-Za-z_]\w*))");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), typeRe);
          it != std::sregex_iterator(); ++it) {
         const std::string kindWord = (*it)[1].str();
@@ -90,12 +99,6 @@ indexDecls(const Scan &scan, FileIndex &out)
             {kind, (*it)[3].str(), lineOf(scan, it->position())});
     }
 
-    // Function definitions in the repo's layout: the name starts a
-    // line (return type on the previous line) and is immediately
-    // followed by its parameter list.  Heuristic on purpose — the
-    // passes only need a best-effort symbol map, and a missed
-    // declaration can only under-report.
-    static const std::regex fnRe(R"((^|\n)([A-Za-z_~][\w:]*)\()");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), fnRe);
          it != std::sregex_iterator(); ++it) {
         const std::string name = (*it)[2].str();
@@ -168,11 +171,12 @@ indexCatches(const Scan &scan, FileIndex &out)
     }
 }
 
+const std::regex orderRe(
+    R"(memory_order(::|_)(relaxed|consume|acquire|release|acq_rel|seq_cst))");
+
 void
 indexAtomics(const Scan &scan, FileIndex &out)
 {
-    static const std::regex orderRe(
-        R"(memory_order(::|_)(relaxed|consume|acquire|release|acq_rel|seq_cst))");
     const std::string &code = scan.code;
     for (auto it = std::sregex_iterator(code.begin(), code.end(), orderRe);
          it != std::sregex_iterator(); ++it)

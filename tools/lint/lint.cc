@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <locale>
 #include <map>
 #include <regex>
 #include <set>
@@ -30,7 +31,7 @@ struct PathScope
 {
     bool header = false;      ///< .hh/.h/.hpp
     bool inSrc = false;       ///< under src/
-    bool timingExempt = false;  ///< entropy abstraction, stats, logging
+    bool timingExempt = false;  ///< entropy abstraction, trace, logging
     bool iostreamExempt = false; ///< the logging sink itself
 };
 
@@ -45,7 +46,6 @@ classify(const std::string &relPath)
     ps.inSrc = startsWith(relPath, "src/");
     ps.timingExempt = startsWith(relPath, "src/util/random") ||
                       startsWith(relPath, "src/util/logging") ||
-                      startsWith(relPath, "src/stats/") ||
                       startsWith(relPath, "src/trace/") ||
                       startsWith(relPath, "src/obs/");
     ps.iostreamExempt = startsWith(relPath, "src/util/logging");
@@ -105,9 +105,8 @@ ruleDetWallclock(const Ctx &ctx)
         for (std::size_t pos : findTokens(ctx.scan.code, t, false))
             ctx.emit(pos, "det-wallclock",
                      std::string("wall-clock type '") + t +
-                         "' on a model path; timing belongs to the "
-                         "stats/profiling layer (src/stats) or logging "
-                         "timestamps");
+                         "' on a model path; timing belongs to "
+                         "src/trace spans or logging timestamps");
 }
 
 void
@@ -178,16 +177,17 @@ ruleDetSharedRng(const Ctx &ctx)
     }
 }
 
+// A floating literal (1.0, .5, 2e-3, 1.5e8f) adjacent to == or !=.
+const std::regex floatEqRe(
+    R"((==|!=)\s*[+-]?((\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?)"
+    R"(|((\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?\s*(==|!=))");
+
 void
 ruleNumFloatEq(const Ctx &ctx)
 {
-    // A floating literal (1.0, .5, 2e-3, 1.5e8f) adjacent to == or !=.
-    static const std::regex re(
-        R"((==|!=)\s*[+-]?((\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?)"
-        R"(|((\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?\s*(==|!=))");
     const std::string &code = ctx.scan.code;
     std::set<int> seen;
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), re);
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), floatEqRe);
          it != std::sregex_iterator(); ++it) {
         const int line = lineOf(ctx.scan, it->position());
         if (!seen.insert(line).second)
@@ -209,16 +209,17 @@ ruleNumFloatNarrow(const Ctx &ctx)
                  "the model is double-throughout");
 }
 
+const std::regex pragmaOnceRe(R"(^[ \t]*#[ \t]*pragma[ \t]+once\b)");
+
 void
 ruleHygPragmaOnce(const Ctx &ctx)
 {
     if (!ctx.scope.header)
         return;
-    static const std::regex re(R"(^[ \t]*#[ \t]*pragma[ \t]+once\b)");
     std::istringstream lines(ctx.scan.code);
     std::string line;
     while (std::getline(lines, line))
-        if (std::regex_search(line, re))
+        if (std::regex_search(line, pragmaOnceRe))
             return;
     ctx.diags.push_back({ctx.relPath, 1, "hyg-pragma-once",
                          "header is missing '#pragma once'"});
@@ -351,6 +352,8 @@ ruleObsProgressUnits(const Ctx &ctx)
     }
 }
 
+const std::regex sizedVec(R"(vector\s*<[^;{}()]*>\s+\w+\s*\()");
+
 void
 rulePerfHotAlloc(const Ctx &ctx)
 {
@@ -424,8 +427,6 @@ rulePerfHotAlloc(const Ctx &ctx)
     // call.  Declarations without a parenthesized initializer (member
     // fields, signatures) don't match.
     if (!ctx.scope.header) {
-        static const std::regex sizedVec(
-            R"(vector\s*<[^;{}()]*>\s+\w+\s*\()");
         for (auto it = std::sregex_iterator(code.begin(), code.end(),
                                             sizedVec);
              it != std::sregex_iterator(); ++it)
@@ -436,6 +437,9 @@ rulePerfHotAlloc(const Ctx &ctx)
                      "justify with an audited suppression");
     }
 }
+
+// A std::atomic declaration; group 1 is the declared name.
+const std::regex atomicDecl(R"(\batomic\s*<[^;{}]*?>\s+(\w+))");
 
 void
 ruleAtomicsHotRmw(const Ctx &ctx)
@@ -467,7 +471,6 @@ ruleAtomicsHotRmw(const Ctx &ctx)
 
     // Operator RMWs (++, --, +=, ...) only on names this file declares
     // as std::atomic; plain integers are private to their thread.
-    static const std::regex atomicDecl(R"(\batomic\s*<[^;{}]*?>\s+(\w+))");
     std::set<std::string> names;
     for (auto it = std::sregex_iterator(code.begin(), code.end(), atomicDecl);
          it != std::sregex_iterator(); ++it)
@@ -607,6 +610,23 @@ collectFiles(const std::filesystem::path &root, const std::string &relDir,
     }
 }
 
+/** Fill libstdc++'s ctype<char>::narrow cache for every character.
+ *  The cache fills lazily, one unsynchronized byte per character,
+ *  and std::regex reads it while compiling and while matching word
+ *  boundaries; filled once here, pool threads only ever read it.
+ *  (The lint regexes themselves are namespace-scope constants, built
+ *  before main.) */
+void
+warmCtypeCache()
+{
+    char chars[256];
+    for (int i = 0; i < 256; ++i)
+        chars[i] = static_cast<char>(i);
+    char narrowed[256];
+    std::use_facet<std::ctype<char>>(std::locale())
+        .narrow(chars, chars + 256, '\0', narrowed);
+}
+
 } // namespace
 
 const std::vector<RuleInfo> &
@@ -615,10 +635,10 @@ ruleCatalog()
     static const std::vector<RuleInfo> catalog = {
         {"det-entropy",
          "no rand()/srand()/std::random_device/time()/gettimeofday "
-         "outside src/util/random, src/stats, src/util/logging"},
+         "outside src/util/random, src/util/logging, src/trace, src/obs"},
         {"det-wallclock",
-         "no std::chrono clock reads on src/ model paths (stats and "
-         "logging own timing)"},
+         "no std::chrono clock reads on src/ model paths (timing "
+         "belongs to src/trace spans or logging timestamps)"},
         {"det-unordered",
          "no std::unordered_{map,set} in src/ without an audited "
          "justification (iteration order is unspecified)"},
@@ -803,6 +823,7 @@ runLint(const Options &opts, std::string *error)
     // list, so the outcome is independent of the thread count.
     const std::size_t jobs =
         opts.jobs > 0 ? opts.jobs : eval::defaultThreads();
+    warmCtypeCache();
     eval::ThreadPool pool(std::max<std::size_t>(jobs, 1));
     std::vector<PerFile> scanned =
         pool.parallelMap(files.size(), [&](std::size_t i) {

@@ -40,19 +40,19 @@ coveredLineFor(const Scan &scan, int line)
     return line;
 }
 
+const std::regex allowRe(R"(eval-lint:\s*allow\(([^)]*)\)(.*))");
+
+// File-scope markers share the audited form: marker word, then a
+// justification.  Built from pieces so this file's own comments
+// cannot accidentally contain an active marker.
+const std::regex markerRe(R"(eval-lint:\s*(hot-path|counters-only)\b(.*))");
+
 } // namespace
 
 std::vector<Suppression>
 parseSuppressions(const Scan &scan, const std::string &relPath,
                   std::vector<Diagnostic> &diags, FileMarkers *markers)
 {
-    static const std::regex allowRe(
-        R"(eval-lint:\s*allow\(([^)]*)\)(.*))");
-    // File-scope markers share the audited form: marker word, then a
-    // justification.  Built from pieces so this file's own comments
-    // cannot accidentally contain an active marker.
-    static const std::regex markerRe(
-        R"(eval-lint:\s*(hot-path|counters-only)\b(.*))");
     std::vector<Suppression> supps;
     for (const auto &[line, text] : scan.lineComments) {
         if (text.find("eval-lint") == std::string::npos)
