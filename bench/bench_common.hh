@@ -9,7 +9,8 @@
  * EVAL_FAST are honoured through ExperimentConfig::fromEnv;
  * EVAL_THREADS sizes the global thread pool for the per-chip fan-out
  * (unset = hardware concurrency; results are bit-identical either
- * way, see DESIGN.md Sec 5c).
+ * way, see DESIGN.md Sec 5c).  Benches run the same exact PE numerics
+ * the golden tier pins; there is no bench-only fast path.
  *
  * Observability (DESIGN.md "Observability"): every bench constructs a
  * BenchReporter, which prints one machine-readable JSON footer line
@@ -86,12 +87,6 @@ class BenchReporter
         // default stays serial).  The resulting thread count is
         // reported in the footer.
         setGlobalThreads(0);
-        // Benches default to the PE-table fast path (the library and
-        // golden runs default to exact); an explicit EVAL_PE_TABLE in
-        // the environment wins either way, so the perf-smoke CI job
-        // can pin both modes.
-        if (!envHas("EVAL_PE_TABLE"))
-            setPeTableEnabled(true);
         if (!envString("EVAL_TRACE_OUT", "").empty())
             DecisionTrace::global().setEnabled(true);
         spansPath_ = envString("EVAL_TRACE_SPANS", "");

@@ -7,30 +7,14 @@
  *
  * Organization follows the paper: technique sets {No opt, FU opt,
  * Queue opt, FU+Queue opt} x voltage environments {A: TS, B: TS+ABB,
- * C: TS+ASV, D: TS+ABB+ASV}.
+ * C: TS+ASV, D: TS+ABB+ASV}.  Every cell runs the Fig 13 unit
+ * (ExperimentContext::adaptApps) per chip, the same unit the sharded
+ * campaign and the fig13_micro golden run.
  */
-
-#include <cctype>
 
 #include "bench_common.hh"
 
 using namespace eval;
-
-namespace {
-
-EnvCapabilities
-makeCaps(bool abb, bool asv, bool fu, bool queue)
-{
-    EnvCapabilities caps;
-    caps.timingSpec = true;
-    caps.abb = abb;
-    caps.asv = asv;
-    caps.fuReplication = fu;
-    caps.queueResize = queue;
-    return caps;
-}
-
-} // namespace
 
 int
 main()
@@ -38,23 +22,21 @@ main()
     BenchReporter reporter("fig13_outcomes");
     ExperimentContext ctx(benchConfig(10));
     const auto apps = ctx.selectedApps();
+    const auto chips = static_cast<std::size_t>(ctx.config().chips);
 
-    struct Cell
+    struct Technique
     {
-        std::map<RetuneOutcome, std::uint64_t> counts;
-        std::uint64_t total = 0;
+        const char *name;
+        bool fu;
+        bool queue;
     };
-
-    const std::vector<std::pair<std::string, std::pair<bool, bool>>>
-        techniques = {{"No opt", {false, false}},
-                      {"FU opt", {true, false}},
-                      {"Queue opt", {false, true}},
-                      {"FU+Queue opt", {true, true}}};
-    const std::vector<std::pair<std::string, std::pair<bool, bool>>>
-        voltages = {{"A:TS", {false, false}},
-                    {"B:TS+ABB", {true, false}},
-                    {"C:TS+ASV", {false, true}},
-                    {"D:TS+ABB+ASV", {true, true}}};
+    const Technique techniques[] = {{"No opt", false, false},
+                                    {"FU opt", true, false},
+                                    {"Queue opt", false, true},
+                                    {"FU+Queue opt", true, true}};
+    // Row labels, in fig13VoltageEnvs() order.
+    const char *const envNames[kNumVoltageEnvs] = {
+        "A:TS", "B:TS+ABB", "C:TS+ASV", "D:TS+ABB+ASV"};
 
     TablePrinter table("Figure 13: fuzzy controller outcomes (%)");
     table.header({"techniques", "environment", "NoChange", "LowFreq",
@@ -64,7 +46,7 @@ main()
     // Per-voltage-environment tallies (across all technique sets) for
     // the footer metrics: the NoChange+LowFreq share per environment
     // is the shape the golden paper-anchor test pins.
-    std::map<std::string, Cell> perEnv;
+    std::array<OutcomeTally, kNumVoltageEnvs> perEnv{};
 
     // Warm the per-app characterization cache before the chip fan-out
     // starts: the first cell's chips would otherwise all serialize on
@@ -81,102 +63,68 @@ main()
     // status file shows a true completion fraction from snapshot one.
     ProgressTracker &chipProgress =
         ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(techniques.size() * voltages.size() *
-                          static_cast<std::uint64_t>(
-                              ctx.config().chips));
+    chipProgress.addTotal(std::size(techniques) * kNumVoltageEnvs *
+                          static_cast<std::uint64_t>(chips));
 
-    for (const auto &[techName, tech] : techniques) {
-        for (const auto &[envName, volt] : voltages) {
-            const EnvCapabilities caps = makeCaps(
-                volt.first, volt.second, tech.first, tech.second);
+    for (const Technique &tech : techniques) {
+        for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
+            EnvCapabilities caps = fig13Caps(fig13VoltageEnvs()[e]);
+            caps.fuReplication = tech.fu;
+            caps.queueResize = tech.queue;
 
             // One task per chip (each drives its own chip's models);
             // per-chip tallies merge serially in chip order.
             const auto perChip = globalPool().parallelMap(
-                static_cast<std::size_t>(ctx.config().chips),
-                [&ctx, &apps, &caps, &chipProgress](std::size_t chip) {
-                    Cell local;
-                    for (std::size_t a = 0; a < apps.size(); ++a) {
-                        const AppProfile &app = *apps[a];
-                        const std::size_t coreIdx = (chip + a) % 4;
-                        CoreSystemModel &core =
-                            ctx.coreModel(chip, coreIdx);
-                        core.setAppType(app.isFp);
-                        FuzzyOptimizer fuzzy(
-                            ctx.coreFuzzy(chip, coreIdx, caps));
-                        DynamicController ctl(fuzzy, caps,
-                                              ctx.config().constraints,
-                                              ctx.config().recovery);
-                        const auto &chr =
-                            ctx.characterizations().get(app);
-                        for (std::size_t p = 0; p < chr.phases.size();
-                             ++p) {
-                            const PhaseAdaptation ad = ctl.adaptPhase(
-                                core, p, chr.phases[p].chr, 65.0);
-                            if (!ad.reusedSaved) {
-                                ++local.counts[ad.outcome];
-                                ++local.total;
-                            }
-                        }
-                    }
+                chips, [&ctx, &caps, &chipProgress](std::size_t chip) {
+                    const OutcomeTally local = ctx.adaptApps(
+                        chip, caps, AdaptScheme::FuzzyDyn);
                     chipProgress.tick();
                     return local;
                 });
-            Cell cell;
-            for (const Cell &local : perChip) {
-                for (const auto &[o, n] : local.counts)
-                    cell.counts[o] += n;
-                cell.total += local.total;
-            }
+            OutcomeTally cell{};
+            for (const OutcomeTally &local : perChip)
+                for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+                    cell[o] += local[o];
+            const std::uint64_t total = invocationCount(cell);
 
-            std::vector<std::string> row{techName, envName};
-            for (RetuneOutcome o :
-                 {RetuneOutcome::NoChange, RetuneOutcome::LowFreq,
-                  RetuneOutcome::Error, RetuneOutcome::Temp,
-                  RetuneOutcome::Power}) {
+            std::vector<std::string> row{tech.name, envNames[e]};
+            for (std::uint64_t n : cell) {
                 const double pct =
-                    cell.total
-                        ? 100.0 * static_cast<double>(cell.counts[o]) /
-                              static_cast<double>(cell.total)
-                        : 0.0;
+                    total ? 100.0 * static_cast<double>(n) /
+                                static_cast<double>(total)
+                          : 0.0;
                 row.push_back(formatDouble(pct, 1));
             }
-            row.push_back(std::to_string(cell.total));
+            row.push_back(std::to_string(total));
             table.row(row);
-            totalInvocations += cell.total;
-            totalNoChange += cell.counts[RetuneOutcome::NoChange];
-            Cell &env = perEnv[envName];
-            for (const auto &[o, n] : cell.counts)
-                env.counts[o] += n;
-            env.total += cell.total;
+            totalInvocations += total;
+            totalNoChange +=
+                cell[static_cast<std::size_t>(RetuneOutcome::NoChange)];
+            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+                perEnv[e][o] += cell[o];
         }
     }
     table.print();
-    std::printf("\npaper shape: NoChange dominates under TS; "
-                "NoChange+LowFreq >= ~50%% in every bar; Temp is "
-                "infrequent.\n");
     reporter.metric("invocations", static_cast<double>(totalInvocations));
     reporter.metric("no_change_share",
                     totalInvocations
                         ? static_cast<double>(totalNoChange) /
                               static_cast<double>(totalInvocations)
                         : 0.0);
-    for (auto &[envName, env] : perEnv) {
-        // "A:TS" -> "env_a", "D:TS+ABB+ASV" -> "env_d".
-        std::string key = "env_";
-        key.push_back(
-            static_cast<char>(std::tolower(envName.front())));
-        const double total = static_cast<double>(env.total);
+    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
+        // "a_ts" -> "env_a", "d_ts_abb_asv" -> "env_d".
+        const std::string key =
+            std::string("env_") + fig13VoltageEnvs()[e].tag[0];
+        const OutcomeTally &env = perEnv[e];
+        const double total = static_cast<double>(invocationCount(env));
         const double good = static_cast<double>(
-            env.counts[RetuneOutcome::NoChange] +
-            env.counts[RetuneOutcome::LowFreq]);
-        reporter.metric(key + "_good_share", env.total ? good / total : 0.0);
+            env[static_cast<std::size_t>(RetuneOutcome::NoChange)] +
+            env[static_cast<std::size_t>(RetuneOutcome::LowFreq)]);
+        const double error = static_cast<double>(
+            env[static_cast<std::size_t>(RetuneOutcome::Error)]);
+        reporter.metric(key + "_good_share", total > 0.0 ? good / total : 0.0);
         reporter.metric(key + "_error_share",
-                        env.total
-                            ? static_cast<double>(
-                                  env.counts[RetuneOutcome::Error]) /
-                                  total
-                            : 0.0);
+                        total > 0.0 ? error / total : 0.0);
     }
     return 0;
 }

@@ -82,14 +82,11 @@ main()
 
     double sink = 0.0;
     const bool peCacheWas = peCacheEnabled();
-    const bool peTableWas = peTableEnabled();
 
-    // --- PE(f) evaluation, exact (memo off, tables off): the
-    // golden-mode workhorse.  Alternate logic/memory stages like real
-    // sweeps do.  Modes are pinned explicitly because BenchReporter
-    // defaults EVAL_PE_TABLE on for end-to-end benches.
+    // --- PE(f) evaluation, memo off: the uncached workhorse behind
+    // every optimizer scan.  Alternate logic/memory stages like real
+    // sweeps do.
     setPeCacheEnabled(false);
-    setPeTableEnabled(false);
     {
         const std::size_t n = periods.size() * ops.size();
         const double ns = nsPerCall(2 * n, [&](std::size_t i) {
@@ -100,21 +97,6 @@ main()
         reporter.metric("pe_eval_exact_ns", ns);
         std::printf("pe_eval_exact        %10.1f ns/eval\n", ns);
     }
-
-    // --- PE(f) evaluation, table-accelerated scale (memo off): the
-    // bench/optimizer fast path (EVAL_PE_TABLE).
-    setPeTableEnabled(true);
-    {
-        const std::size_t n = periods.size() * ops.size();
-        const double ns = nsPerCall(2 * n, [&](std::size_t i) {
-            const StageErrorModel &m = (i & 1) ? memory : logic;
-            const double p = periods[i % periods.size()];
-            sink += m.errorRatePerAccess(p, ops[(i / 2) % ops.size()]);
-        });
-        reporter.metric("pe_eval_table_ns", ns);
-        std::printf("pe_eval_table        %10.1f ns/eval\n", ns);
-    }
-    setPeTableEnabled(false);
 
     // --- PE(f) evaluation, memo-cached: steady-state repeat queries.
     // 64 periods x 5 conditions = 320 keys, far below the 4096-entry
@@ -136,7 +118,6 @@ main()
         std::printf("pe_eval_cached       %10.1f ns/eval\n", ns);
     }
     setPeCacheEnabled(peCacheWas);
-    setPeTableEnabled(peTableWas);
 
     // --- Alpha-power delay scale (the per-condition scale factor
     // behind every PE query and fvar).

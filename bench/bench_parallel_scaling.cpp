@@ -81,6 +81,54 @@ runAtThreads(const ExperimentConfig &cfg, std::size_t threads)
     return out;
 }
 
+/** Off/on pairs per overhead budget. */
+constexpr int kOverheadPairs = 7;
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/** Feature overhead from alternating off/on pipeline runs. */
+struct Overhead
+{
+    double pct = 0.0;       ///< (median per-pair on/off ratio - 1) in %
+    double noisePct = 0.0;  ///< slowest off run above the off median
+};
+
+/**
+ * Time @p run (one single-thread pipeline with the feature switched
+ * to the given state, returning its wall seconds) in back-to-back
+ * off/on pairs, swapping which side goes first every pair.  Each
+ * pair's on/off ratio compares two runs made moments apart, so drift
+ * on a shared host cancels within the pair instead of landing on one
+ * side; the median pair discards bursts that hit a single run.
+ */
+template <typename Run>
+Overhead
+measureOverhead(Run &&run)
+{
+    std::vector<double> off, ratios;
+    for (int i = 0; i < kOverheadPairs; ++i) {
+        const bool onFirst = i % 2 == 1;
+        const double first = run(onFirst);
+        const double second = run(!onFirst);
+        const double offS = onFirst ? second : first;
+        const double onS = onFirst ? first : second;
+        off.push_back(offS);
+        ratios.push_back(offS > 0.0 ? onS / offS : 1.0);
+    }
+    Overhead o;
+    o.pct = (median(ratios) - 1.0) * 100.0;
+    const double offMedS = median(off);
+    const double offMaxS = *std::max_element(off.begin(), off.end());
+    o.noisePct = offMedS > 0.0 ? (offMaxS / offMedS - 1.0) * 100.0 : 0.0;
+    return o;
+}
+
 } // namespace
 
 int
@@ -133,47 +181,34 @@ main()
     // ≤3% budget in DESIGN.md Sec 5e refers to.
     SpanTracer &tracer = SpanTracer::global();
     const bool wasTracing = tracer.enabled();
-    constexpr int kOverheadReps = 3; // min-of-N tames scheduler noise
     constexpr double kOverheadBudgetPct = 3.0; // DESIGN.md Sec 5e
 
-    tracer.setEnabled(false);
-    const std::size_t eventsBefore = tracer.eventCount();
-    double offWallS = runAtThreads(cfg, 1).wallS;
-    double offMaxS = offWallS;
-    for (int i = 1; i < kOverheadReps; ++i) {
-        const double w = runAtThreads(cfg, 1).wallS;
-        offWallS = std::min(offWallS, w);
-        offMaxS = std::max(offMaxS, w);
-    }
-    EVAL_ASSERT(tracer.eventCount() == eventsBefore,
-                "disabled tracer recorded span events");
-
-    tracer.setEnabled(true);
-    double onWallS = runAtThreads(cfg, 1).wallS;
-    for (int i = 1; i < kOverheadReps; ++i)
-        onWallS = std::min(onWallS, runAtThreads(cfg, 1).wallS);
-    EVAL_ASSERT(tracer.eventCount() > eventsBefore,
-                "enabled tracer recorded no span events");
+    std::size_t spanEvents = 0;
+    const Overhead tracing = measureOverhead([&](bool enabled) {
+        tracer.setEnabled(enabled);
+        const std::size_t before = tracer.eventCount();
+        const double wallS = runAtThreads(cfg, 1).wallS;
+        const std::size_t recorded = tracer.eventCount() - before;
+        EVAL_ASSERT(enabled || recorded == 0,
+                    "disabled tracer recorded span events");
+        spanEvents += recorded;
+        return wallS;
+    });
     tracer.setEnabled(wasTracing);
+    EVAL_ASSERT(spanEvents > 0, "enabled tracer recorded no span events");
 
     // The assertion tolerates the run-to-run spread of the tracer-off
     // samples on top of the budget: short EVAL_FAST windows jitter by
     // several percent under scheduler noise, and the budget polices
     // the tracer, not the machine.
-    const double overheadPct =
-        offWallS > 0.0 ? (onWallS / offWallS - 1.0) * 100.0 : 0.0;
-    const double noisePct =
-        offWallS > 0.0 ? (offMaxS / offWallS - 1.0) * 100.0 : 0.0;
     std::printf("span tracer overhead: %.2f%% (%zu events, budget "
                 "%.0f%% + %.2f%% measured noise)\n",
-                overheadPct, tracer.eventCount() - eventsBefore,
-                kOverheadBudgetPct, noisePct);
-    EVAL_ASSERT(overheadPct <= kOverheadBudgetPct + noisePct,
+                tracing.pct, spanEvents, kOverheadBudgetPct,
+                tracing.noisePct);
+    EVAL_ASSERT(tracing.pct <= kOverheadBudgetPct + tracing.noisePct,
                 "span tracer overhead exceeds the enabled budget");
-    reporter.metric("span_overhead_pct", overheadPct);
-    reporter.metric(
-        "span_events",
-        static_cast<double>(tracer.eventCount() - eventsBefore));
+    reporter.metric("span_overhead_pct", tracing.pct);
+    reporter.metric("span_events", static_cast<double>(spanEvents));
 
     // Metrics-sampler overhead: the same single-thread pipeline with
     // live telemetry off and on, budgeted at ≤2% (DESIGN.md Sec 5f).
@@ -182,14 +217,6 @@ main()
     // EVAL_STATUS_OUT-driven global sampler, and over-stresses the
     // budget rather than flattering it.
     constexpr double kSamplerBudgetPct = 2.0; // DESIGN.md Sec 5f
-    double samplerOffS = runAtThreads(cfg, 1).wallS;
-    double samplerOffMaxS = samplerOffS;
-    for (int i = 1; i < kOverheadReps; ++i) {
-        const double w = runAtThreads(cfg, 1).wallS;
-        samplerOffS = std::min(samplerOffS, w);
-        samplerOffMaxS = std::max(samplerOffMaxS, w);
-    }
-
     const std::string overheadStatus =
         "parallel_scaling.overhead.status.json";
     MetricsSampler sampler;
@@ -198,30 +225,25 @@ main()
     samplerCfg.statusPath = overheadStatus;
     samplerCfg.intervalMs = 25;
     sampler.configure(samplerCfg);
-    sampler.start();
-    double samplerOnS = runAtThreads(cfg, 1).wallS;
-    for (int i = 1; i < kOverheadReps; ++i)
-        samplerOnS = std::min(samplerOnS, runAtThreads(cfg, 1).wallS);
-    sampler.stop();
+    const Overhead sampling = measureOverhead([&](bool enabled) {
+        if (enabled)
+            sampler.start();
+        const double wallS = runAtThreads(cfg, 1).wallS;
+        sampler.stop();
+        return wallS;
+    });
     EVAL_ASSERT(sampler.published() >= 2,
                 "sampler published too few snapshots");
     std::remove(overheadStatus.c_str());
 
-    const double samplerPct =
-        samplerOffS > 0.0 ? (samplerOnS / samplerOffS - 1.0) * 100.0
-                          : 0.0;
-    const double samplerNoisePct =
-        samplerOffS > 0.0
-            ? (samplerOffMaxS / samplerOffS - 1.0) * 100.0
-            : 0.0;
     std::printf("metrics sampler overhead: %.2f%% (%llu snapshots, "
                 "budget %.0f%% + %.2f%% measured noise)\n",
-                samplerPct,
+                sampling.pct,
                 static_cast<unsigned long long>(sampler.published()),
-                kSamplerBudgetPct, samplerNoisePct);
-    EVAL_ASSERT(samplerPct <= kSamplerBudgetPct + samplerNoisePct,
+                kSamplerBudgetPct, sampling.noisePct);
+    EVAL_ASSERT(sampling.pct <= kSamplerBudgetPct + sampling.noisePct,
                 "metrics sampler overhead exceeds the enabled budget");
-    reporter.metric("sampler_overhead_pct", samplerPct);
+    reporter.metric("sampler_overhead_pct", sampling.pct);
     reporter.metric("sampler_snapshots",
                     static_cast<double>(sampler.published()));
     return identical ? 0 : 1;

@@ -53,13 +53,10 @@
 # the noise threshold vs the recent history window.  See TESTING.md
 # "Tracking bench regressions".
 #
-# --perf-smoke (or CHECK_PERF_SMOKE=1) runs a fast bench set twice --
-# once with EVAL_PE_TABLE=1 (the bench-default fast-scale tables) and
-# once with EVAL_PE_TABLE=0 (exact mode, the golden configuration) --
-# and gates each run with benchtrack against its own history
-# (bench/history for table mode, bench/history-exact for exact mode;
-# the two modes have different cost profiles, so they must never share
-# a regression baseline).  See TESTING.md "Perf smoke".
+# --perf-smoke (or CHECK_PERF_SMOKE=1) runs a fast kernel-sensitive
+# bench set once and gates it with benchtrack against bench/history
+# (perf-report.md / perf-report.json in the build dir).  See
+# TESTING.md "Perf smoke".
 #
 # --obs-smoke (or CHECK_OBS_SMOKE=1) is the live-telemetry end-to-end
 # check: it runs a fast bench with EVAL_STATUS_OUT set, polls the
@@ -271,37 +268,24 @@ if [[ "$mode" == "perf-smoke" ]]; then
     cmake --build "$build_dir" -j"$(nproc)" --target benchtrack \
         "${bench_set[@]}"
 
-    # Two passes: table mode (the bench default) and exact mode (the
-    # golden configuration).  Each mode gates against its own history
-    # directory -- the exact path is intentionally slower, so sharing a
-    # baseline would mask regressions in one mode behind the other.
-    for table in 1 0; do
-        if [[ "$table" == "1" ]]; then
-            label="table"
-            history_dir="${BENCH_TRACK_HISTORY:-$repo_root/bench/history}"
-        else
-            label="exact"
-            history_dir="${BENCH_TRACK_HISTORY_EXACT:-$repo_root/bench/history-exact}"
-        fi
-        run_dir="$build_dir/perf-smoke-$label"
-        rm -rf "$run_dir" && mkdir -p "$run_dir"
-        for bench in "${bench_set[@]}"; do
-            echo "check.sh: running $bench (EVAL_PE_TABLE=$table)"
-            (cd "$run_dir" && EVAL_FAST=1 EVAL_PE_TABLE=$table \
-                "$build_dir/bench/$bench" > "$bench.stdout")
-        done
-        "$build_dir/tools/benchtrack/benchtrack" ingest \
-            --history "$history_dir" "$run_dir"/*.stdout
-        "$build_dir/tools/benchtrack/benchtrack" report \
-            --history "$history_dir" \
-            --window "${BENCH_TRACK_WINDOW:-5}" \
-            --threshold "${BENCH_TRACK_THRESHOLD:-10}" \
-            --markdown "$build_dir/perf-report-$label.md" \
-            --json "$build_dir/perf-report-$label.json" \
-            --gate
-        echo "check.sh: perf smoke ($label mode) passed" \
-             "(report: $build_dir/perf-report-$label.md)"
+    history_dir="${BENCH_TRACK_HISTORY:-$repo_root/bench/history}"
+    run_dir="$build_dir/perf-smoke"
+    rm -rf "$run_dir" && mkdir -p "$run_dir"
+    for bench in "${bench_set[@]}"; do
+        echo "check.sh: running $bench"
+        (cd "$run_dir" && EVAL_FAST=1 \
+            "$build_dir/bench/$bench" > "$bench.stdout")
     done
+    "$build_dir/tools/benchtrack/benchtrack" ingest \
+        --history "$history_dir" "$run_dir"/*.stdout
+    "$build_dir/tools/benchtrack/benchtrack" report \
+        --history "$history_dir" \
+        --window "${BENCH_TRACK_WINDOW:-5}" \
+        --threshold "${BENCH_TRACK_THRESHOLD:-10}" \
+        --markdown "$build_dir/perf-report.md" \
+        --json "$build_dir/perf-report.json" \
+        --gate
+    echo "check.sh: perf smoke passed (report: $build_dir/perf-report.md)"
     exit 0
 fi
 

@@ -1,6 +1,7 @@
 #include "core/environment.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "core/perf_model.hh"
@@ -69,6 +70,36 @@ adaptSchemeName(AdaptScheme s)
       case AdaptScheme::ExhDyn:   return "Exh-Dyn";
     }
     return "?";
+}
+
+const std::array<VoltageEnv, kNumVoltageEnvs> &
+fig13VoltageEnvs()
+{
+    static const std::array<VoltageEnv, kNumVoltageEnvs> envs = {{
+        {"a_ts", false, false},
+        {"b_ts_abb", true, false},
+        {"c_ts_asv", false, true},
+        {"d_ts_abb_asv", true, true},
+    }};
+    return envs;
+}
+
+EnvCapabilities
+fig13Caps(const VoltageEnv &env)
+{
+    EnvCapabilities caps;
+    caps.timingSpec = true;
+    caps.abb = env.abb;
+    caps.asv = env.asv;
+    caps.fuReplication = true;
+    caps.queueResize = true;
+    return caps;
+}
+
+std::uint64_t
+invocationCount(const OutcomeTally &tally)
+{
+    return std::accumulate(tally.begin(), tally.end(), std::uint64_t{0});
 }
 
 ExperimentConfig
@@ -417,20 +448,6 @@ ExperimentContext::runManaged(std::size_t chipIndex, std::size_t coreIdx,
     DecisionTrace::global().setContext(static_cast<int>(chipIndex),
                                        static_cast<int>(coreIdx));
 
-    // Pick the per-subsystem optimizer.
-    std::unique_ptr<ExhaustiveOptimizer> exh;
-    std::unique_ptr<FuzzyOptimizer> fuzzy;
-    SubsystemOptimizer *sub = nullptr;
-    if (scheme == AdaptScheme::FuzzyDyn) {
-        fuzzy = std::make_unique<FuzzyOptimizer>(
-            coreFuzzy(chipIndex, coreIdx, caps));
-        sub = fuzzy.get();
-    } else {
-        exh = std::make_unique<ExhaustiveOptimizer>(caps,
-                                                    cfg_.constraints);
-        sub = exh.get();
-    }
-
     AppRunResult result;
     const KnobSpace grid = caps.knobSpace();
 
@@ -480,6 +497,8 @@ ExperimentContext::runManaged(std::size_t chipIndex, std::size_t coreIdx,
     }
 
     // Dynamic schemes: phase-triggered adaptation with saved configs.
+    const std::unique_ptr<SubsystemOptimizer> sub =
+        makeOptimizer(chipIndex, coreIdx, caps, scheme);
     DynamicController ctl(*sub, caps, cfg_.constraints, cfg_.recovery);
     double thC = 65.0;
     for (int iter = 0; iter < 2; ++iter) {
@@ -522,6 +541,17 @@ ExperimentContext::runManaged(std::size_t chipIndex, std::size_t coreIdx,
     return result;
 }
 
+std::unique_ptr<SubsystemOptimizer>
+ExperimentContext::makeOptimizer(std::size_t chipIndex, std::size_t core,
+                                 const EnvCapabilities &caps,
+                                 AdaptScheme scheme)
+{
+    if (scheme == AdaptScheme::FuzzyDyn)
+        return std::make_unique<FuzzyOptimizer>(
+            coreFuzzy(chipIndex, core, caps));
+    return std::make_unique<ExhaustiveOptimizer>(caps, cfg_.constraints);
+}
+
 AppRunResult
 ExperimentContext::runApp(std::size_t chipIndex, std::size_t core,
                           const AppProfile &app, EnvironmentKind env,
@@ -554,6 +584,37 @@ ExperimentContext::runApp(std::size_t chipIndex, std::size_t core,
 
     res.perfRel = reference > 0.0 ? res.perfRel / reference : 0.0;
     return res;
+}
+
+OutcomeTally
+ExperimentContext::adaptApps(std::size_t chipIndex,
+                             const EnvCapabilities &caps,
+                             AdaptScheme scheme)
+{
+    EVAL_ASSERT(scheme != AdaptScheme::Static,
+                "Fig 13 tallies dynamic-controller invocations");
+    const auto apps = selectedApps();
+    OutcomeTally tally{};
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const AppProfile &app = *apps[a];
+        const std::size_t coreIdx = (chipIndex + a) % 4;
+        CoreSystemModel &core = coreModel(chipIndex, coreIdx);
+        core.setAppType(app.isFp);
+        // Fresh optimizer + controller per app: the controller's
+        // saved-config table must not leak across apps or envs.
+        const std::unique_ptr<SubsystemOptimizer> sub =
+            makeOptimizer(chipIndex, coreIdx, caps, scheme);
+        DynamicController ctl(*sub, caps, cfg_.constraints,
+                              cfg_.recovery);
+        const AppCharacterization &chr = chars_.get(app);
+        for (std::size_t p = 0; p < chr.phases.size(); ++p) {
+            const PhaseAdaptation ad =
+                ctl.adaptPhase(core, p, chr.phases[p].chr, 65.0);
+            if (!ad.reusedSaved)
+                ++tally[static_cast<std::size_t>(ad.outcome)];
+        }
+    }
+    return tally;
 }
 
 } // namespace eval

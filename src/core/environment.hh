@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -44,6 +46,30 @@ EnvCapabilities environmentCaps(EnvironmentKind kind);
 enum class AdaptScheme { Static, FuzzyDyn, ExhDyn };
 
 const char *adaptSchemeName(AdaptScheme s);
+
+/** Figure 13's voltage environments: A TS, B TS+ABB, C TS+ASV,
+ *  D TS+ABB+ASV. */
+struct VoltageEnv
+{
+    const char *tag;
+    bool abb;
+    bool asv;
+};
+
+constexpr std::size_t kNumVoltageEnvs = 4;
+
+const std::array<VoltageEnv, kNumVoltageEnvs> &fig13VoltageEnvs();
+
+/** Capabilities of one Fig 13 voltage environment under the FU+Queue
+ *  technique set (TS + FU + Queue plus the env's ABB/ASV bits); the
+ *  other technique rows clear fuReplication / queueResize. */
+EnvCapabilities fig13Caps(const VoltageEnv &env);
+
+/** Fresh-retune invocations per RetuneOutcome (one Fig 13 bar). */
+using OutcomeTally = std::array<std::uint64_t, kNumRetuneOutcomes>;
+
+/** Total invocations of a tally (the sum over outcomes). */
+std::uint64_t invocationCount(const OutcomeTally &tally);
 
 /** Per-(app, chip, core, environment, scheme) result. */
 struct AppRunResult
@@ -176,6 +202,18 @@ class ExperimentContext
     /** NoVar performance of an application (instructions/s), cached. */
     double novarPerf(const AppProfile &app);
 
+    /**
+     * The Fig 13 unit: run the dynamic controller of @p scheme under
+     * @p caps over every selected app on chip @p chipIndex (app a on
+     * core (chip + a) % 4, a fresh optimizer and controller per app,
+     * every phase adapted at a 65 C heat sink) and tally the outcomes
+     * of the fresh retunes (saved-config reuses are not invocations).
+     * Touches only per-chip caches, so chips may run in parallel.
+     */
+    OutcomeTally adaptApps(std::size_t chipIndex,
+                           const EnvCapabilities &caps,
+                           AdaptScheme scheme);
+
   private:
     struct EnvRun
     {
@@ -198,6 +236,12 @@ class ExperimentContext
     AppRunResult runManaged(std::size_t chipIndex, std::size_t core,
                             const AppCharacterization &app,
                             EnvironmentKind env, AdaptScheme scheme);
+    /** The per-subsystem optimizer of a dynamic scheme: the core's
+     *  trained fuzzy system for FuzzyDyn, an exhaustive scan
+     *  otherwise. */
+    std::unique_ptr<SubsystemOptimizer>
+    makeOptimizer(std::size_t chipIndex, std::size_t core,
+                  const EnvCapabilities &caps, AdaptScheme scheme);
 
     ExperimentConfig cfg_;
     std::array<SubsystemPowerParams, kNumSubsystems> power_;

@@ -2,13 +2,13 @@
  * @file
  * Umbrella header for the EVAL library: include this to get the whole
  * public API (variation modeling, timing-error models, power/thermal,
- * the core simulator, workloads, and the adaptation framework).
+ * the core simulator, workloads, and the adaptation framework).  The
+ * multicore layer sits above core; include cmp/cmp_system.hh for it.
  */
 
 #pragma once
 
 #include "arch/core.hh"
-#include "cmp/cmp_system.hh"
 #include "core/area_model.hh"
 #include "core/characterization.hh"
 #include "core/controller.hh"

@@ -4,22 +4,9 @@
 #include <cmath>
 #include <cstdint>
 
-#include "kernels/fast_math.hh"
 #include "util/logging.hh"
 
 namespace eval {
-
-namespace {
-
-/** Table ranges: chosen to cover everything the knob grid and the
- *  clamped thermal solver can reach (Vdd in [0.80, 1.20], Vbb in
- *  [-0.5, 0.5], T in [-50, 400] C) with headroom; rare excursions
- *  fall back to exact std::pow inside PowTable::operator(). */
-constexpr double kOdLo = 0.25, kOdHi = 1.5;
-constexpr double kMobLo = 0.5, kMobHi = 1.75;
-constexpr std::size_t kPowTableSize = 4096;
-
-} // namespace
 
 PeSurface::PeSurface(const ProcessParams &params, double vt0Mean,
                      double leffMean, std::vector<double> delays,
@@ -51,14 +38,6 @@ PeSurface::PeSurface(const ProcessParams &params, double vt0Mean,
                 "stage must be functional at the design corner");
     atCorner_ = numCorner / denomCorner_;
     EVAL_ASSERT(atCorner_ > 0.0, "corner delay factor must be positive");
-    tNomK_ = celsiusToKelvin(params_.tempNominalC);
-
-    odPow_ = &powTableFor(params_.alphaPower, kOdLo, kOdHi, kPowTableSize);
-    mobPow_ = &powTableFor(params_.mobilityTempExponent, kMobLo, kMobHi,
-                           kPowTableSize);
-    EVAL_ASSERT(odPow_->maxRelError() + mobPow_->maxRelError() <
-                    0.5 * kScaleRelErrorBound,
-                "pow tables must fit the advertised scale error bound");
 
     // PE levels, precomputed once with the legacy expression (so an
     // exact-mode query returns the very same double the old code
@@ -104,25 +83,6 @@ PeSurface::scaleExact(const OperatingConditions &op) const
     const double vtEff = effectiveVt(params_, vt0Amp_, op);
     const double num = rawAlphaPowerDelay(params_, vtEff, leffAmp_,
                                           op.vdd, op.tempC);
-    if (num >= kNonFunctionalDelayFactor)
-        return kNonFunctionalDelayFactor;
-    const double atOp = num / denomCorner_;
-    if (atOp >= kNonFunctionalDelayFactor)
-        return kNonFunctionalDelayFactor;
-    return atOp / atCorner_;
-}
-
-double
-PeSurface::scaleFast(const OperatingConditions &op) const
-{
-    const double vtEff = effectiveVt(params_, vt0Amp_, op);
-    const double overdrive = op.vdd - vtEff;
-    if (overdrive <= 1e-3)
-        return kNonFunctionalDelayFactor;
-    const double tK = celsiusToKelvin(op.tempC);
-    const double mobility = (*mobPow_)(tNomK_ / tK);
-    const double num =
-        op.vdd * leffAmp_ / (mobility * (*odPow_)(overdrive));
     if (num >= kNonFunctionalDelayFactor)
         return kNonFunctionalDelayFactor;
     const double atOp = num / denomCorner_;

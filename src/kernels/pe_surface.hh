@@ -12,28 +12,18 @@
  *
  *  - `levels_[i]`  : the PE value when paths [i, n) fail, i.e.
  *    `1 - exp(survivalLog[i])`, evaluated once with the legacy
- *    expression so exact-mode queries return bit-identical doubles;
+ *    expression so queries return bit-identical doubles;
  *  - a uniform bucket index over the sorted path delays turning the
  *    `upper_bound` into an O(1) lookup plus a short scan;
  *  - the hoisted corner constants (`denomCorner`, `atCorner`,
  *    amplified Vt0/Leff) of the delay-scale expression.
  *
- * Two scale evaluators are exposed:
- *
- *  - `scaleExact` replays the legacy `delayScale` expression tree
- *    with the constants hoisted — bit-identical results (hoisting a
- *    subexpression that is recomputed from identical inputs cannot
- *    change its bits; no FMA contraction at baseline -march);
- *  - `scaleFast` substitutes the two fixed-exponent `std::pow` calls
- *    with piecewise-linear tables (kernels/fast_math.hh) whose
- *    measured relative error is asserted against
- *    `kScaleRelErrorBound` at construction.  Since PE(period) is a
- *    nonincreasing step function of period/scale, a relative scale
- *    error of delta is *exactly equivalent* to querying the exact
- *    surface at a period perturbed by at most delta (backward error):
- *    PE_exact(p*(1+delta)) <= PE_fast(p) <= PE_exact(p*(1-delta)).
- *    The golden record and all frequency-rating queries
- *    (fvar/maxDelay/maxFrequencyForErrorRate) never use this path.
+ * `scaleExact` replays the legacy `delayScale` expression tree with
+ * the constants hoisted — bit-identical results (hoisting a
+ * subexpression that is recomputed from identical inputs cannot
+ * change its bits; no FMA contraction at baseline -march).  It is the
+ * only scale evaluator: every PE query, golden and bench alike, runs
+ * the same exact numerics (DESIGN.md Sec 5g).
  */
 
 #pragma once
@@ -47,17 +37,9 @@
 
 namespace eval {
 
-class PowTable;
-
 class PeSurface
 {
   public:
-    /** Asserted bound on |scaleFast/scaleExact - 1| (backward period
-     *  perturbation of table-mode PE queries).  Derivation in
-     *  DESIGN.md Sec 5g: two tables with measured relative error
-     *  <= ~2.5e-7 each, plus rounding slack, with >10x margin. */
-    static constexpr double kScaleRelErrorBound = 4.0e-6;
-
     /**
      * @param delays      sorted reference path delays (ascending)
      * @param survivalLog survivalLog[i] = log P(no path in [i,n) fails),
@@ -69,9 +51,6 @@ class PeSurface
 
     /** Bit-identical replay of the legacy delayScale expression. */
     double scaleExact(const OperatingConditions &op) const;
-
-    /** Table-accelerated scale, within kScaleRelErrorBound of exact. */
-    double scaleFast(const OperatingConditions &op) const;
 
     /** First index with delays[i] > threshold (== std::upper_bound). */
     std::size_t upperBoundIndex(double threshold) const;
@@ -97,9 +76,6 @@ class PeSurface
     double leffAmp_;      ///< variation-amplified mean Leff (hoisted)
     double denomCorner_;  ///< raw alpha-power delay at the corner
     double atCorner_;     ///< gateDelayFactor at the corner
-    double tNomK_;        ///< design-corner temperature in kelvin
-    const PowTable *odPow_;   ///< overdrive^alphaPower
-    const PowTable *mobPow_;  ///< (Tnom/T)^mobilityTempExponent
 
     std::vector<double> delays_;   ///< ascending reference delays
     std::vector<double> levels_;   ///< PE per first-failing index, n+1

@@ -1,18 +1,11 @@
 #include "shard/campaign.hh"
 
-#include "core/fuzzy_adaptation.hh"
-#include "core/optimizer.hh"
 #include "util/logging.hh"
 #include "valid/snapshot.hh"
-#include "workload/profile.hh"
 
 namespace eval {
 
 namespace {
-
-/** Controller invocations happen at this heat-sink temperature
- *  (matches runFig13Micro / bench_fig13_outcomes). */
-constexpr double kThC = 65.0;
 
 /** Chip-binning histogram layout: 20 bins over [0, 1]; a perfect 1.0
  *  good-share clamps into the top bin by the Histogram edge rule. */
@@ -28,30 +21,6 @@ outcomeKey(std::size_t outcome)
 
 } // namespace
 
-const std::array<VoltageEnv, kNumVoltageEnvs> &
-fig13VoltageEnvs()
-{
-    static const std::array<VoltageEnv, kNumVoltageEnvs> envs = {{
-        {"a_ts", false, false},
-        {"b_ts_abb", true, false},
-        {"c_ts_asv", false, true},
-        {"d_ts_abb_asv", true, true},
-    }};
-    return envs;
-}
-
-EnvCapabilities
-fig13Caps(const VoltageEnv &env)
-{
-    EnvCapabilities caps;
-    caps.timingSpec = true;
-    caps.abb = env.abb;
-    caps.asv = env.asv;
-    caps.fuReplication = true;
-    caps.queueResize = true;
-    return caps;
-}
-
 std::string
 CampaignConfig::fingerprint() const
 {
@@ -63,9 +32,8 @@ std::uint64_t
 ChipCampaignResult::invocations() const
 {
     std::uint64_t n = 0;
-    for (const auto &env : outcomes)
-        for (std::uint64_t c : env)
-            n += c;
+    for (const OutcomeTally &env : outcomes)
+        n += invocationCount(env);
     return n;
 }
 
@@ -85,50 +53,10 @@ ChipCampaignResult
 runCampaignChip(ExperimentContext &ctx, const CampaignConfig &campaign,
                 std::size_t chip)
 {
-    EVAL_ASSERT(campaign.scheme != AdaptScheme::Static,
-                "the Fig 13 campaign is a dynamic-controller study");
-    const auto apps = ctx.selectedApps();
-
     ChipCampaignResult result;
-    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
-        const EnvCapabilities caps = fig13Caps(fig13VoltageEnvs()[e]);
-        for (std::size_t a = 0; a < apps.size(); ++a) {
-            const AppProfile &app = *apps[a];
-            const std::size_t coreIdx = (chip + a) % 4;
-            CoreSystemModel &core = ctx.coreModel(chip, coreIdx);
-            core.setAppType(app.isFp);
-
-            // Fresh optimizer + controller per (env, app), exactly
-            // like runFig13Micro: the controller's saved-config table
-            // must not leak across environments.
-            std::unique_ptr<ExhaustiveOptimizer> exh;
-            std::unique_ptr<FuzzyOptimizer> fuzzy;
-            SubsystemOptimizer *sub = nullptr;
-            if (campaign.scheme == AdaptScheme::FuzzyDyn) {
-                fuzzy = std::make_unique<FuzzyOptimizer>(
-                    ctx.coreFuzzy(chip, coreIdx, caps));
-                sub = fuzzy.get();
-            } else {
-                exh = std::make_unique<ExhaustiveOptimizer>(
-                    caps, ctx.config().constraints);
-                sub = exh.get();
-            }
-            DynamicController ctl(*sub, caps,
-                                  ctx.config().constraints,
-                                  ctx.config().recovery);
-
-            const AppCharacterization &chr =
-                ctx.characterizations().get(app);
-            for (std::size_t p = 0; p < chr.phases.size(); ++p) {
-                const PhaseAdaptation ad =
-                    ctl.adaptPhase(core, p, chr.phases[p].chr, kThC);
-                if (!ad.reusedSaved) {
-                    ++result.outcomes[e][static_cast<std::size_t>(
-                        ad.outcome)];
-                }
-            }
-        }
-    }
+    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
+        result.outcomes[e] = ctx.adaptApps(
+            chip, fig13Caps(fig13VoltageEnvs()[e]), campaign.scheme);
     return result;
 }
 
@@ -177,10 +105,7 @@ CampaignAccumulator::outcomeCount(std::size_t env,
 std::uint64_t
 CampaignAccumulator::envInvocations(std::size_t env) const
 {
-    std::uint64_t n = 0;
-    for (std::uint64_t c : outcomes_[env])
-        n += c;
-    return n;
+    return invocationCount(outcomes_[env]);
 }
 
 JsonValue

@@ -34,23 +34,6 @@
 
 namespace eval {
 
-/** The Fig 13 FU+Queue technique row sweeps these four voltage
- *  environments (same construction as bench_fig13_outcomes). */
-struct VoltageEnv
-{
-    const char *tag;
-    bool abb;
-    bool asv;
-};
-
-constexpr std::size_t kNumVoltageEnvs = 4;
-
-const std::array<VoltageEnv, kNumVoltageEnvs> &fig13VoltageEnvs();
-
-/** Capabilities of one Fig 13 voltage environment (TS + FU + Queue
- *  plus the env's ABB/ASV bits). */
-EnvCapabilities fig13Caps(const VoltageEnv &env);
-
 /** What to run: the experiment population plus the adaptation
  *  scheme driving the controller. */
 struct CampaignConfig
@@ -68,9 +51,7 @@ struct ChipCampaignResult
 {
     /** outcomes[env][RetuneOutcome] — fresh-retune invocations only,
      *  matching Fig 13 (saved-config reuses are not invocations). */
-    std::array<std::array<std::uint64_t, kNumRetuneOutcomes>,
-               kNumVoltageEnvs>
-        outcomes{};
+    std::array<OutcomeTally, kNumVoltageEnvs> outcomes{};
 
     std::uint64_t invocations() const;
     /** Fraction of invocations ending in NoChange (the chip runs at
@@ -79,9 +60,11 @@ struct ChipCampaignResult
 };
 
 /**
- * Run the campaign unit for one chip.  Pure in (campaign, chip id):
- * only per-chip caches of @p ctx are touched, so a fresh context
- * inside a shard worker reproduces the monolithic result exactly.
+ * Run the campaign unit for one chip: ExperimentContext::adaptApps
+ * under fig13Caps of each voltage env, env-major.  Pure in (campaign,
+ * chip id): only per-chip caches of @p ctx are touched, so a fresh
+ * context inside a shard worker reproduces the monolithic result
+ * exactly.
  */
 ChipCampaignResult runCampaignChip(ExperimentContext &ctx,
                                    const CampaignConfig &campaign,
@@ -141,9 +124,7 @@ class CampaignAccumulator
     std::uint64_t nextChip_ = 0;
     /** [env][outcome] fresh-retune tallies.  Plain integers: the fold
      *  is serial, so it needs no atomics. */
-    std::array<std::array<std::uint64_t, kNumRetuneOutcomes>,
-               kNumVoltageEnvs>
-        outcomes_{};
+    std::array<OutcomeTally, kNumVoltageEnvs> outcomes_{};
     /** Chip-binning curve: one weight-1 sample per chip at its
      *  good-share (integer weights keep bin-wise merge exact). */
     Histogram hist_;

@@ -59,9 +59,6 @@ doubleBits(double v)
 /** -1 = follow EVAL_PE_CACHE, otherwise the forced 0/1 setting. */
 std::atomic<int> peCacheOverride{-1};
 
-/** -1 = follow EVAL_PE_TABLE, otherwise the forced 0/1 setting. */
-std::atomic<int> peTableOverride{-1};
-
 /**
  * The eval/hit counters, registered once and shared by the cached
  * entry point and the uncached compute path (previously both
@@ -100,25 +97,6 @@ peCacheEnabled()
     if (forced >= 0)
         return forced != 0;
     static const bool enabled = envBool("EVAL_PE_CACHE", true);
-    return enabled;
-}
-
-void
-setPeTableEnabled(bool enabled)
-{
-    // eval-lint: allow(atomics-relaxed) independent on/off override; readers
-    // only ever see 0/1/-1 and no other memory is published with it.
-    peTableOverride.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-peTableEnabled()
-{
-    // eval-lint: allow(atomics-relaxed) single flag with no associated payload.
-    const int forced = peTableOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    static const bool enabled = envBool("EVAL_PE_TABLE", false);
     return enabled;
 }
 
@@ -224,8 +202,7 @@ double
 StageErrorModel::computeErrorRatePerAccess(
     double clockPeriod, const OperatingConditions &op) const
 {
-    const double scale = peTableEnabled() ? surface_.scaleFast(op)
-                                          : surface_.scaleExact(op);
+    const double scale = surface_.scaleExact(op);
     if (scale >= kNonFunctionalDelayFactor)
         return 1.0;
     const double threshold = clockPeriod / scale;

@@ -49,29 +49,22 @@ class StageErrorModel
      * cycles, and knob values come from a discrete grid, so exact-bit
      * keys hit without perturbing any result (a hit returns the very
      * value a recomputation would).  Set EVAL_PE_CACHE=0 (or call
-     * setPeCacheEnabled(false)) to disable.
-     *
-     * In table mode (EVAL_PE_TABLE / setPeTableEnabled) the delay
-     * scale comes from bounded-error pow tables instead of exact
-     * std::pow; the result equals an exact evaluation at a period
-     * perturbed by at most PeSurface::kScaleRelErrorBound (relative).
-     * Exact mode — the default, and the mode all goldens are recorded
-     * in — never touches the tables.
+     * setPeCacheEnabled(false)) to disable.  The delay scale is
+     * always PeSurface::scaleExact, so benches, library callers and
+     * the golden record share one numeric path.
      */
     double errorRatePerAccess(double clockPeriod,
                               const OperatingConditions &op) const;
 
-    /** Slowest path delay in seconds at @p op.  Always exact. */
+    /** Slowest path delay in seconds at @p op. */
     double maxDelay(const OperatingConditions &op) const;
 
-    /** Error-free frequency at @p op (1 / maxDelay).  Always exact. */
+    /** Error-free frequency at @p op (1 / maxDelay). */
     double fvar(const OperatingConditions &op) const;
 
     /**
      * Highest frequency whose per-access error rate does not exceed
      * @p peBudget at @p op (the per-stage step of the Freq algorithm).
-     * Always exact: rated frequencies feed the golden record in both
-     * modes.
      */
     double maxFrequencyForErrorRate(double peBudget,
                                     const OperatingConditions &op) const;
@@ -121,17 +114,5 @@ void setPeCacheEnabled(bool enabled);
 
 /** Whether errorRatePerAccess currently memoizes. */
 bool peCacheEnabled();
-
-/**
- * Runtime override of PE-table mode (default: EVAL_PE_TABLE env, OFF
- * when unset — the library and the golden record default to exact).
- * Benches turn it on unless the environment pins it (bench_common).
- * Table-mode PE values stay within PeSurface::kScaleRelErrorBound
- * (as a relative period perturbation) of exact mode.
- */
-void setPeTableEnabled(bool enabled);
-
-/** Whether errorRatePerAccess currently uses the fast-scale tables. */
-bool peTableEnabled();
 
 } // namespace eval

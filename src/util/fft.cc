@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "exec/thread_pool.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -44,43 +43,6 @@ fft(std::vector<Complex> &data, bool inverse)
             }
         }
     }
-}
-
-void
-fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
-      bool inverse)
-{
-    EVAL_ASSERT(data.size() == rows * cols, "fft2d size mismatch");
-    EVAL_ASSERT(isPowerOfTwo(rows) && isPowerOfTwo(cols),
-                "fft2d dims must be powers of two");
-
-    // Rows (and then columns) are independent 1-D transforms over
-    // disjoint data, so the fan-out is race-free and bit-identical to
-    // the serial loop for any thread count.  A few rows per chunk
-    // amortizes scheduling; nested calls (e.g. from a parallel
-    // per-chip loop) run inline via the pool's nesting fallback.
-    ThreadPool &pool = globalPool();
-
-    // Transform rows (contiguous, in place).
-    pool.parallelFor(0, rows, 4, [&data, cols, inverse](std::size_t r) {
-        std::vector<Complex> scratch(
-            data.begin() + static_cast<std::ptrdiff_t>(r * cols),
-            data.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
-        fft(scratch, inverse);
-        std::copy(scratch.begin(), scratch.end(),
-                  data.begin() + static_cast<std::ptrdiff_t>(r * cols));
-    });
-
-    // Transform columns (strided gather/scatter).
-    pool.parallelFor(0, cols, 4,
-                     [&data, rows, cols, inverse](std::size_t c) {
-        std::vector<Complex> scratch(rows);
-        for (std::size_t r = 0; r < rows; ++r)
-            scratch[r] = data[r * cols + c];
-        fft(scratch, inverse);
-        for (std::size_t r = 0; r < rows; ++r)
-            data[r * cols + c] = scratch[r];
-    });
 }
 
 } // namespace eval

@@ -1,7 +1,8 @@
 /**
  * @file
- * Minimal in-place radix-2 FFT (1-D and 2-D) used by the circulant-
- * embedding generator of spatially-correlated variation fields.
+ * Minimal in-place radix-2 1-D FFT; the circulant-embedding generator
+ * of spatially-correlated variation fields builds its parallel 2-D
+ * transform on it (variation/correlated_field.hh, fft2d).
  *
  * Only power-of-two sizes are supported; the variation grid is chosen
  * accordingly.
@@ -27,14 +28,6 @@ bool isPowerOfTwo(std::size_t n);
  * @param inverse when true computes the (unnormalized) inverse transform
  */
 void fft(std::vector<Complex> &data, bool inverse);
-
-/**
- * In-place 2-D FFT over a row-major rows x cols array.
- * Both dimensions must be powers of two.  The inverse transform is
- * unnormalized; callers divide by rows*cols.
- */
-void fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
-           bool inverse);
 
 } // namespace eval
 

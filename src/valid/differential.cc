@@ -39,7 +39,7 @@ class ConfigGuard
   public:
     ConfigGuard()
         : threads_(globalThreads()), cache_(peCacheEnabled()),
-          table_(peTableEnabled()), thermal_(thermalCacheEnabled())
+          thermal_(thermalCacheEnabled())
     {
     }
 
@@ -47,14 +47,12 @@ class ConfigGuard
     {
         setGlobalThreads(threads_);
         setPeCacheEnabled(cache_);
-        setPeTableEnabled(table_);
         setThermalCacheEnabled(thermal_);
     }
 
   private:
     std::size_t threads_;
     bool cache_;
-    bool table_;
     bool thermal_;
 };
 
@@ -97,7 +95,6 @@ runDifferential(const std::string &experiment,
 
     setGlobalThreads(1);
     setPeCacheEnabled(true);
-    setPeTableEnabled(false);       // goldens are recorded in exact mode
     setThermalCacheEnabled(true);
     const GoldenFile reference =
         runValidationExperiment(experiment, tweaks);

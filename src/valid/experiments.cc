@@ -1,11 +1,10 @@
 #include "valid/experiments.hh"
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/environment.hh"
-#include "core/fuzzy_adaptation.hh"
+#include "core/optimizer.hh"
 #include "exec/thread_pool.hh"
 #include "obs/progress.hh"
 #include "util/logging.hh"
@@ -130,7 +129,7 @@ struct SweepCell
     double freqRel = 0.0;
     double perfRel = 0.0;
     double powerW = 0.0;
-    std::map<RetuneOutcome, std::uint64_t> outcomes;
+    OutcomeTally outcomes{};
     std::uint64_t runs = 0;
 };
 
@@ -150,7 +149,7 @@ runChipCell(ExperimentContext &ctx,
         cell.perfRel += r.perfRel;
         cell.powerW += r.powerW;
         for (RetuneOutcome o : r.outcomes)
-            ++cell.outcomes[o];
+            ++cell.outcomes[static_cast<std::size_t>(o)];
         ++cell.runs;
     }
     return cell;
@@ -176,8 +175,8 @@ runSweepCell(ExperimentContext &ctx,
         total.freqRel += c.freqRel;
         total.perfRel += c.perfRel;
         total.powerW += c.powerW;
-        for (const auto &[o, n] : c.outcomes)
-            total.outcomes[o] += n;
+        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+            total.outcomes[o] += c.outcomes[o];
         total.runs += c.runs;
     }
     if (total.runs > 0) {
@@ -206,22 +205,14 @@ addCellMetrics(GoldenFile &golden, const std::string &tag,
 
 void
 addOutcomeMetrics(GoldenFile &golden, const std::string &tag,
-                  const SweepCell &cell)
+                  const OutcomeTally &outcomes)
 {
-    const std::pair<RetuneOutcome, const char *> kinds[] = {
-        {RetuneOutcome::NoChange, "no_change"},
-        {RetuneOutcome::LowFreq, "low_freq"},
-        {RetuneOutcome::Error, "error"},
-        {RetuneOutcome::Temp, "temp"},
-        {RetuneOutcome::Power, "power"},
-    };
-    for (const auto &[o, name] : kinds) {
-        const auto it = cell.outcomes.find(o);
-        golden.addExact(
-            tag + "_out_" + name,
-            static_cast<double>(it == cell.outcomes.end() ? 0
-                                                          : it->second));
-    }
+    // Golden metric names, in RetuneOutcome order.
+    constexpr const char *kNames[kNumRetuneOutcomes] = {
+        "no_change", "low_freq", "error", "temp", "power"};
+    for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+        golden.addExact(tag + "_out_" + kNames[o],
+                        static_cast<double>(outcomes[o]));
 }
 
 GoldenFile
@@ -256,7 +247,7 @@ runSweepMicro(const ExperimentTweaks &tweaks)
                 std::string(envTag) + "_" + schemeTag;
             addCellMetrics(golden, tag, cell, 0.0);
             if (scheme != AdaptScheme::Static)
-                addOutcomeMetrics(golden, tag, cell);
+                addOutcomeMetrics(golden, tag, cell.outcomes);
         }
     }
     return golden;
@@ -300,71 +291,30 @@ runFig13Micro(const ExperimentTweaks &tweaks)
     GoldenFile golden("fig13_micro");
     ExperimentContext ctx(
         microConfig(1, 3, {"gzip", "swim", "applu"}, tweaks));
-    const auto apps = ctx.selectedApps();
 
     // The FU+Queue technique row of Figure 13 across the four voltage
-    // environments (same construction as bench_fig13_outcomes).
-    const auto makeCaps = [](bool abb, bool asv) {
-        EnvCapabilities caps;
-        caps.timingSpec = true;
-        caps.abb = abb;
-        caps.asv = asv;
-        caps.fuReplication = true;
-        caps.queueResize = true;
-        return caps;
-    };
-    const std::tuple<const char *, bool, bool> voltages[] = {
-        {"a_ts", false, false},
-        {"b_ts_abb", true, false},
-        {"c_ts_asv", false, true},
-        {"d_ts_abb_asv", true, true},
-    };
-
+    // environments.
     static ProgressTracker &chipProgress =
         ProgressRegistry::global().tracker("chips");
     chipProgress.addTotal(
-        std::size(voltages) *
-        static_cast<std::uint64_t>(ctx.config().chips));
-    for (const auto &[tag, abb, asv] : voltages) {
-        const EnvCapabilities caps = makeCaps(abb, asv);
+        kNumVoltageEnvs * static_cast<std::uint64_t>(ctx.config().chips));
+    for (const VoltageEnv &env : fig13VoltageEnvs()) {
+        const EnvCapabilities caps = fig13Caps(env);
         const auto perChip = globalPool().parallelMap(
             static_cast<std::size_t>(ctx.config().chips),
             [&](std::size_t chip) {
-                SweepCell local;
-                for (std::size_t a = 0; a < apps.size(); ++a) {
-                    const AppProfile &app = *apps[a];
-                    const std::size_t coreIdx = (chip + a) % 4;
-                    CoreSystemModel &core = ctx.coreModel(chip, coreIdx);
-                    core.setAppType(app.isFp);
-                    FuzzyOptimizer fuzzy(
-                        ctx.coreFuzzy(chip, coreIdx, caps));
-                    DynamicController ctl(fuzzy, caps,
-                                          ctx.config().constraints,
-                                          ctx.config().recovery);
-                    const AppCharacterization &chr =
-                        ctx.characterizations().get(app);
-                    for (std::size_t p = 0; p < chr.phases.size();
-                         ++p) {
-                        const PhaseAdaptation ad = ctl.adaptPhase(
-                            core, p, chr.phases[p].chr, kThC);
-                        if (!ad.reusedSaved) {
-                            ++local.outcomes[ad.outcome];
-                            ++local.runs;
-                        }
-                    }
-                }
+                const OutcomeTally local =
+                    ctx.adaptApps(chip, caps, AdaptScheme::FuzzyDyn);
                 chipProgress.tick();
                 return local;
             });
-        SweepCell cell;
-        for (const SweepCell &local : perChip) {
-            for (const auto &[o, n] : local.outcomes)
-                cell.outcomes[o] += n;
-            cell.runs += local.runs;
-        }
-        golden.addExact(std::string(tag) + "_invocations",
-                        static_cast<double>(cell.runs));
-        addOutcomeMetrics(golden, tag, cell);
+        OutcomeTally outcomes{};
+        for (const OutcomeTally &local : perChip)
+            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+                outcomes[o] += local[o];
+        golden.addExact(std::string(env.tag) + "_invocations",
+                        static_cast<double>(invocationCount(outcomes)));
+        addOutcomeMetrics(golden, env.tag, outcomes);
     }
     return golden;
 }

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/fft.hh"
 #include "util/random.hh"
 
 namespace eval {
@@ -23,6 +24,15 @@ namespace eval {
 /** Spherical correlation function with range phi (distances in chip
  *  units, chip width = 1). */
 double sphericalCorrelation(double r, double phi);
+
+/**
+ * In-place 2-D FFT over a row-major rows x cols array.
+ * Both dimensions must be powers of two.  The inverse transform is
+ * unnormalized; callers divide by rows*cols.  Rows, then columns, fan
+ * out over the global thread pool (bit-identical at any thread count).
+ */
+void fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
+           bool inverse);
 
 /**
  * Samples correlated N x N fields over the unit chip.  The spectral

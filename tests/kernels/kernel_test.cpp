@@ -1,19 +1,16 @@
 /**
  * Kernel-layer equivalence suite: every fast path in src/kernels/
- * must either be bit-identical to the legacy expression it replaced
+ * must be bit-identical to the legacy expression it replaced
  * (scaleExact, upperBoundIndex, lockstep thermal solves, the SoA
- * corner-delay pass, the thermal memo) or stay within the bound it
- * advertises (PowTable, scaleFast vs kScaleRelErrorBound).
+ * corner-delay pass, the thermal memo).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "kernels/alpha_power.hh"
-#include "kernels/fast_math.hh"
 #include "kernels/path_soa.hh"
 #include "kernels/pe_surface.hh"
 #include "kernels/thermal_batch.hh"
@@ -46,62 +43,19 @@ class ToggleGuard
 {
   public:
     ToggleGuard()
-        : cache_(peCacheEnabled()), table_(peTableEnabled()),
-          thermal_(thermalCacheEnabled())
+        : cache_(peCacheEnabled()), thermal_(thermalCacheEnabled())
     {
     }
     ~ToggleGuard()
     {
         setPeCacheEnabled(cache_);
-        setPeTableEnabled(table_);
         setThermalCacheEnabled(thermal_);
     }
 
   private:
     bool cache_;
-    bool table_;
     bool thermal_;
 };
-
-// ---------------------------------------------------------------------------
-// PowTable
-// ---------------------------------------------------------------------------
-
-TEST(PowTable, MeasuredBoundHoldsOnResample)
-{
-    // The same (exponent, range, size) the PE surface installs for
-    // the overdrive term; its measured error must clear the asserted
-    // bound with margin (half of it, per the DESIGN.md derivation).
-    const PowTable &t = powTableFor(1.75, 0.25, 1.5, 4096);
-    ASSERT_GT(t.maxRelError(), 0.0);
-    EXPECT_LT(t.maxRelError(), 0.5 * PeSurface::kScaleRelErrorBound);
-    // Resample at points the builder did not necessarily hit; the
-    // measured bound was taken over a dense per-segment sweep, so a
-    // small margin absorbs sampling phase.
-    for (int i = 0; i <= 10000; ++i) {
-        const double x = 0.25 + (1.5 - 0.25) * i / 10000.0;
-        const double rel = std::abs(t(x) / std::pow(x, 1.75) - 1.0);
-        EXPECT_LE(rel, 1.10 * t.maxRelError() + 1e-15) << "x=" << x;
-    }
-}
-
-TEST(PowTable, OutOfRangeFallsBackToExactPow)
-{
-    const PowTable &t = powTableFor(1.75, 0.25, 1.5, 4096);
-    for (double x : {0.01, 0.249, 1.51, 3.0, 10.0}) {
-        const double exact = std::pow(x, 1.75);
-        EXPECT_EQ(t(x), exact) << "x=" << x;
-    }
-}
-
-TEST(PowTable, RegistryReturnsSameTableForSameKey)
-{
-    const PowTable &a = powTableFor(1.5, 0.5, 2.0, 256);
-    const PowTable &b = powTableFor(1.5, 0.5, 2.0, 256);
-    EXPECT_EQ(&a, &b);
-    const PowTable &c = powTableFor(1.5, 0.5, 2.0, 512);
-    EXPECT_NE(&a, &c);
-}
 
 // ---------------------------------------------------------------------------
 // PeSurface
@@ -156,29 +110,6 @@ TEST(PeSurface, FirstIndexWithinBudgetMatchesLinearWalk)
     }
     for (double b : budgets)
         EXPECT_EQ(s.firstIndexWithinBudget(b), walk(b)) << "budget=" << b;
-}
-
-TEST(PeSurface, FastScaleWithinAssertedBound)
-{
-    Fixture f;
-    const StageErrorModel model = makeModel(f, SubsystemId::IntReg);
-    const PeSurface &s = model.surface();
-    for (double vdd = 0.70; vdd <= 1.25; vdd += 0.025) {
-        for (double vbb = -0.30; vbb <= 0.30; vbb += 0.15) {
-            for (double t = 40.0; t <= 110.0; t += 7.0) {
-                const OperatingConditions op{vdd, vbb, t};
-                const double exact = s.scaleExact(op);
-                const double fast = s.scaleFast(op);
-                if (exact >= kNonFunctionalDelayFactor) {
-                    EXPECT_GE(fast, kNonFunctionalDelayFactor);
-                    continue;
-                }
-                EXPECT_LE(std::abs(fast / exact - 1.0),
-                          PeSurface::kScaleRelErrorBound)
-                    << "vdd=" << vdd << " vbb=" << vbb << " T=" << t;
-            }
-        }
-    }
 }
 
 TEST(PeSurface, ExactScaleBacksDelayScale)

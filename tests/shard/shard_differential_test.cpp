@@ -5,10 +5,14 @@
  *
  *  Ingredients under test together: Rng::split chip purity, lazy
  *  manufacture, the order-preserving accumulator merge, the shard
- *  planner, and the supervisor's merge path. */
+ *  planner, and the supervisor's merge path.  The Fig 13 unit
+ *  (ExperimentContext::adaptApps) the campaign is built from is
+ *  checked on its own too: thread-count invariant on a non-FU+Queue
+ *  technique row, and summing to the campaign's tallies. */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 
@@ -133,6 +137,75 @@ TEST(ShardDifferentialTest, ShardResultsRoundTripThroughSnapshots)
     CampaignConfig other = campaign;
     other.experiment.seed = 12;
     EXPECT_THROW(readShardResult(other, 0, 2, dir), SnapshotError);
+}
+
+/** Per-env tallies of the Fig 13 unit over every chip of a fresh
+ *  context, chips fanned out over the global pool. */
+std::array<OutcomeTally, kNumVoltageEnvs>
+runUnit(const ExperimentConfig &cfg, bool fu, bool queue,
+        AdaptScheme scheme)
+{
+    ExperimentContext ctx(cfg);
+    std::array<OutcomeTally, kNumVoltageEnvs> perEnv{};
+    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
+        EnvCapabilities caps = fig13Caps(fig13VoltageEnvs()[e]);
+        caps.fuReplication = fu;
+        caps.queueResize = queue;
+        const auto perChip = globalPool().parallelMap(
+            ctx.numChips(), [&](std::size_t chip) {
+                return ctx.adaptApps(chip, caps, scheme);
+            });
+        for (const OutcomeTally &t : perChip)
+            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+                perEnv[e][o] += t[o];
+    }
+    return perEnv;
+}
+
+TEST(Fig13Unit, NoOptTalliesMatchAcrossThreadCounts)
+{
+    // The No opt technique row (neither FU replication nor queue
+    // resizing), which only bench_fig13_outcomes runs at full size.
+    ExperimentConfig cfg;
+    cfg.seed = 5;
+    cfg.chips = 3;
+    cfg.simInsts = 20000;
+    cfg.apps = {"gzip", "swim"};
+
+    setGlobalThreads(1);
+    const auto serial =
+        runUnit(cfg, false, false, AdaptScheme::FuzzyDyn);
+    setGlobalThreads(4);
+    const auto parallel =
+        runUnit(cfg, false, false, AdaptScheme::FuzzyDyn);
+    setGlobalThreads(0);
+
+    std::uint64_t invocations = 0;
+    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
+        EXPECT_EQ(serial[e], parallel[e])
+            << "env " << fig13VoltageEnvs()[e].tag;
+        for (std::uint64_t n : serial[e])
+            invocations += n;
+    }
+    EXPECT_GT(invocations, 0u);
+}
+
+TEST(Fig13Unit, FuQueueSumsEqualCampaignTallies)
+{
+    setGlobalThreads(0);
+    CampaignConfig campaign = testCampaign();
+    campaign.experiment.chips = 3;
+    const CampaignAccumulator acc = runMonolithic(campaign);
+    const auto perEnv =
+        runUnit(campaign.experiment, true, true, campaign.scheme);
+    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
+        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o) {
+            EXPECT_EQ(perEnv[e][o],
+                      acc.outcomeCount(e, static_cast<RetuneOutcome>(o)))
+                << "env " << fig13VoltageEnvs()[e].tag << " outcome "
+                << retuneOutcomeName(static_cast<RetuneOutcome>(o));
+        }
+    }
 }
 
 } // namespace

@@ -237,51 +237,6 @@ TEST(StageErrorModel, BudgetExactlyOnLevelKeepsTheTieInclusive)
     }
 }
 
-/**
- * Differential table-vs-exact contract over a dense (period, Vdd, T)
- * grid.  A relative delay-scale error of delta is exactly a backward
- * perturbation of the queried period, so table-mode PE must sit
- * between the exact PE at periods perturbed by +/- delta
- * (kScaleRelErrorBound).  PE is nonincreasing in period, hence the
- * bracket orientation.
- */
-TEST(StageErrorModel, TableModeWithinBackwardErrorBracket)
-{
-    const bool cacheWas = peCacheEnabled();
-    const bool tableWas = peTableEnabled();
-    // The memo key does not include the mode, so keep it off while
-    // toggling table mode back and forth.
-    setPeCacheEnabled(false);
-
-    Fixture f;
-    StageErrorModel model(f.params, build(f.chip, SubsystemId::Dcache));
-    const double delta = PeSurface::kScaleRelErrorBound;
-    const double tNom = 1.0 / f.params.freqNominal;
-    for (double vdd = 0.8; vdd <= 1.2; vdd += 0.1) {
-        for (double t = 45.0; t <= 105.0; t += 20.0) {
-            const OperatingConditions op{vdd, 0.0, t};
-            for (double pr = 0.6; pr <= 1.4; pr += 0.02) {
-                const double period = pr * tNom;
-                setPeTableEnabled(false);
-                const double lo =
-                    model.errorRatePerAccess(period * (1.0 + delta), op);
-                const double hi =
-                    model.errorRatePerAccess(period * (1.0 - delta), op);
-                setPeTableEnabled(true);
-                const double table =
-                    model.errorRatePerAccess(period, op);
-                ASSERT_GE(table, lo) << "vdd=" << vdd << " T=" << t
-                                     << " period=" << period;
-                ASSERT_LE(table, hi) << "vdd=" << vdd << " T=" << t
-                                     << " period=" << period;
-            }
-        }
-    }
-
-    setPeCacheEnabled(cacheWas);
-    setPeTableEnabled(tableWas);
-}
-
 TEST(PipelineModel, Eq4SumsActivityWeightedRates)
 {
     const std::vector<double> pe{1e-4, 2e-4, 0.0};

@@ -1,9 +1,10 @@
-/** Statistical tests for the correlated-field generator. */
+/** Tests for the correlated-field generator and its 2-D FFT. */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "util/random.hh"
 #include "util/statistics.hh"
 #include "variation/correlated_field.hh"
 
@@ -120,6 +121,36 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, FieldSweep,
     ::testing::Combine(::testing::Values<std::size_t>(16, 32, 64),
                        ::testing::Values(0.1, 0.3, 0.5, 0.9)));
+
+TEST(Fft2d, RoundTrip)
+{
+    Rng rng(4);
+    const std::size_t rows = 8, cols = 16;
+    std::vector<Complex> data(rows * cols);
+    std::vector<Complex> orig(rows * cols);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = Complex(rng.gaussian(), rng.gaussian());
+        orig[i] = data[i];
+    }
+    fft2d(data, rows, cols, false);
+    fft2d(data, rows, cols, true);
+    const double norm = static_cast<double>(rows * cols);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        EXPECT_NEAR(data[i].real() / norm, orig[i].real(), 1e-9);
+        EXPECT_NEAR(data[i].imag() / norm, orig[i].imag(), 1e-9);
+    }
+}
+
+TEST(Fft2d, SeparableSignalTransformsSeparably)
+{
+    // A constant image transforms to a single DC spike.
+    const std::size_t n = 8;
+    std::vector<Complex> data(n * n, Complex(1.0, 0.0));
+    fft2d(data, n, n, false);
+    EXPECT_NEAR(data[0].real(), static_cast<double>(n * n), 1e-9);
+    for (std::size_t i = 1; i < data.size(); ++i)
+        EXPECT_NEAR(std::abs(data[i]), 0.0, 1e-9);
+}
 
 } // namespace
 } // namespace eval
