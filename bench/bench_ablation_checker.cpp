@@ -24,11 +24,6 @@ main()
     table.header({"checker", "rp (cycles)", "power (W)", "area (%)",
                   "fR", "PerfR", "PE (err/inst)"});
 
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(CheckerModel::all().size() *
-                          static_cast<std::uint64_t>(base.chips));
-
     RunningStats frSpread;
     for (const CheckerModel &checker : CheckerModel::all()) {
         ExperimentConfig cfg = base;
@@ -41,16 +36,16 @@ main()
         // stats bit-identical to a serial run.
         const auto perChip = globalPool().parallelMap(
             static_cast<std::size_t>(cfg.chips),
-            [&ctx, &apps, &chipProgress](std::size_t chip) {
+            [&ctx, &apps](std::size_t chip) {
                 std::vector<AppRunResult> runs;
                 for (std::size_t a = 0; a < apps.size(); a += 4) {
                     runs.push_back(ctx.runApp(
                         chip, (chip + a) % 4, *apps[a],
                         EnvironmentKind::TS_ASV, AdaptScheme::ExhDyn));
                 }
-                chipProgress.tick();
                 return runs;
             });
+        reporter.addChips(perChip.size());
         RunningStats fr, perf, pe;
         for (const auto &runs : perChip) {
             for (const AppRunResult &r : runs) {

@@ -34,8 +34,11 @@ main()
     table.header({"PE_MAX (err/inst)", "fR chosen", "true PE",
                   "PerfR", "CPI recovery share"});
 
+    const double peMaxes[] = {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
+    constexpr std::size_t kPaperTargetRow = 2; // PE = 1e-4
     double frAtPaperTarget = 0.0, perfAtPaperTarget = 0.0;
-    for (double peMax : {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}) {
+    for (std::size_t row = 0; row < std::size(peMaxes); ++row) {
+        const double peMax = peMaxes[row];
         Constraints constraints = cfg.constraints;
         constraints.peMax = peMax;
         const EnvCapabilities caps =
@@ -61,10 +64,7 @@ main()
                    formatDouble(res.op.freq / cfg.process.freqNominal, 3),
                    trueBuf, formatDouble(perf, 3),
                    formatPercent(recShare, 2)});
-        // eval-lint: allow(num-float-eq) selects the PE=1e-4 row of the
-        // sweep; peMax iterates the literal list above, so the compare
-        // is exact by construction.
-        if (peMax == 1e-4) {
+        if (row == kPaperTargetRow) {
             frAtPaperTarget = res.op.freq / cfg.process.freqNominal;
             perfAtPaperTarget = perf;
         }

@@ -81,7 +81,10 @@ main()
     table.header({"threshold", "stable share", "purity",
                   "phases found (truth: 2-3)"});
 
-    for (double threshold : {0.05, 0.15, 0.25, 0.45, 0.8}) {
+    const double thresholds[] = {0.05, 0.15, 0.25, 0.45, 0.8};
+    constexpr std::size_t kDefaultRow = 2; // threshold 0.25
+    for (std::size_t row = 0; row < std::size(thresholds); ++row) {
+        const double threshold = thresholds[row];
         RunningStats stable, purity, phases;
         for (const std::string &name : apps) {
             const DetectorScore s =
@@ -94,10 +97,7 @@ main()
                    formatPercent(stable.mean(), 1),
                    formatPercent(purity.mean(), 1),
                    formatDouble(phases.mean(), 1)});
-        // eval-lint: allow(num-float-eq) selects the default-threshold
-        // row of the sweep; threshold iterates the literal list above,
-        // so the compare is exact by construction.
-        if (threshold == 0.25) {
+        if (row == kDefaultRow) {
             reporter.metric("stable_share_default", stable.mean());
             reporter.metric("purity_default", purity.mean());
         }

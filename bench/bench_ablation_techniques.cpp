@@ -55,11 +55,6 @@ main()
     std::map<std::string, double> fr;
     const auto apps = ctx.selectedApps();
 
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(combos.size() *
-                          static_cast<std::uint64_t>(cfg.chips));
-
     for (const Combo &combo : combos) {
         EnvCapabilities caps;
         caps.timingSpec = true;
@@ -74,7 +69,7 @@ main()
         // bit-identical to a serial run.
         const auto perChip = globalPool().parallelMap(
             static_cast<std::size_t>(cfg.chips),
-            [&ctx, &apps, &opt, &cfg, &chipProgress](std::size_t chip) {
+            [&ctx, &apps, &opt, &cfg](std::size_t chip) {
                 std::vector<double> freqs;
                 for (std::size_t a = 0; a < apps.size(); a += 3) {
                     const AppProfile &app = *apps[a];
@@ -88,9 +83,9 @@ main()
                     freqs.push_back(res.op.freq /
                                     cfg.process.freqNominal);
                 }
-                chipProgress.tick();
                 return freqs;
             });
+        reporter.addChips(perChip.size());
         RunningStats freq;
         for (const auto &freqs : perChip)
             for (double f : freqs)

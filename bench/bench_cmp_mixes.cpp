@@ -34,14 +34,6 @@ main()
     table.header({"mix", "environment", "throughputRel", "chip W",
                   "TH (C)", "throttle steps"});
 
-    // The campaign is mixes x setups x chips chip-runs; declare it
-    // all so the live status fraction is meaningful from the start.
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(mixes.size() * setups.size() *
-                          static_cast<std::uint64_t>(
-                              ctx.config().chips));
-
     double totalThrottleSteps = 0.0;
     for (const auto &[mixName, mix] : mixes) {
         for (const auto &[env, scheme] : setups) {
@@ -50,13 +42,12 @@ main()
             // so the stats match a serial run bit for bit.
             const auto perChip = globalPool().parallelMap(
                 static_cast<std::size_t>(ctx.config().chips),
-                [&ctx, &mix, &chipProgress, env = env, scheme = scheme]
+                [&ctx, &mix, env = env, scheme = scheme]
                 (std::size_t chip) {
                     CmpSystem cmp(ctx, chip);
-                    CmpRunResult res = cmp.runMix(mix, env, scheme);
-                    chipProgress.tick();
-                    return res;
+                    return cmp.runMix(mix, env, scheme);
                 });
+            reporter.addChips(perChip.size());
             RunningStats tput, power, th, throttle;
             for (const CmpRunResult &res : perChip) {
                 tput.add(res.throughputRel);

@@ -30,20 +30,13 @@
  *   EVAL_MANIFEST=path     write the run-provenance manifest
  *                          (default <bench>.manifest.json; set empty
  *                          to disable)
- *   EVAL_STATUS_OUT=path   start the live MetricsSampler: publish a
- *                          status JSON snapshot (progress, chips/sec,
- *                          ETA, RSS, stats) to the path every
- *                          EVAL_STATUS_INTERVAL_MS (default 500) via
- *                          rename-into-place; watch it with eval_top
- *   EVAL_STATUS_PROM=path  also publish Prometheus text exposition
  * The telemetry dump is registered with ExitFlush at construction, so
- * files survive fatal()/uncaught-exception exits mid-bench; the
- * sampler likewise registers a final-snapshot closure.
+ * files survive fatal()/uncaught-exception exits mid-bench.
  *
- * Benches account per-chip fan-out progress through the "chips"
- * ProgressTracker (the obs-progress-units lint rule enforces the
- * wiring); the reporter derives a throughput_chips_per_s footer
- * metric from it, which benchtrack gates as higher-is-better.
+ * Benches that simulate whole chips credit them with
+ * BenchReporter::addChips; the reporter divides that count by wall
+ * time into a throughput_chips_per_s footer metric, which benchtrack
+ * gates as higher-is-better.
  */
 
 #pragma once
@@ -57,8 +50,6 @@
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
-#include "obs/metrics_sampler.hh"
-#include "obs/progress.hh"
 #include "stats/stats.hh"
 #include "trace/exit_flush.hh"
 #include "trace/manifest.hh"
@@ -103,24 +94,6 @@ class BenchReporter
         if (!profilePath_.empty())
             RunManifest::global().setOutput("span_profile",
                                             profilePath_);
-
-        // Live telemetry: publish status snapshots while the bench
-        // runs (DESIGN.md Sec 5f).  The sampler registers its own
-        // ExitFlush closure so the final snapshot survives crashes.
-        const std::string statusPath = envString("EVAL_STATUS_OUT", "");
-        const std::string promPath = envString("EVAL_STATUS_PROM", "");
-        if (!statusPath.empty() || !promPath.empty()) {
-            SamplerConfig sampler;
-            sampler.tool = name_;
-            sampler.statusPath = statusPath;
-            sampler.promPath = promPath;
-            sampler.intervalMs = static_cast<std::uint64_t>(
-                envInt("EVAL_STATUS_INTERVAL_MS", 500));
-            MetricsSampler::global().configure(sampler);
-            MetricsSampler::global().start();
-            if (!statusPath.empty())
-                RunManifest::global().setOutput("status", statusPath);
-        }
 
         // Registered up front so a bench that dies mid-run (fatal(),
         // uncaught exception) still flushes its telemetry files; the
@@ -173,6 +146,13 @@ class BenchReporter
         metrics_.emplace_back(key, "\"" + value + "\"");
     }
 
+    /** Credit @p n simulated chips to the throughput footer metric. */
+    void
+    addChips(std::uint64_t n)
+    {
+        chips_ += n;
+    }
+
     ~BenchReporter()
     {
         const double wallS =
@@ -180,16 +160,12 @@ class BenchReporter
                 std::chrono::steady_clock::now() - start_)
                 .count();
 
-        // Per-chip throughput from the shared progress tracker, so a
-        // wall-clock gate cannot hide per-chip regressions when chip
-        // counts change (benchtrack gates this higher-is-better).
-        if (const ProgressTracker *chips =
-                ProgressRegistry::global().find("chips")) {
-            const std::uint64_t done = chips->done();
-            if (done > 0 && wallS > 0.0) {
-                metric("throughput_chips_per_s",
-                       static_cast<double>(done) / wallS);
-            }
+        // Per-chip throughput, so a wall-clock gate cannot hide
+        // per-chip regressions when chip counts change (benchtrack
+        // gates this higher-is-better).
+        if (chips_ > 0 && wallS > 0.0) {
+            metric("throughput_chips_per_s",
+                   static_cast<double>(chips_) / wallS);
         }
 
         std::string json = "{\"bench\": \"" + name_ +
@@ -243,10 +219,6 @@ class BenchReporter
         }
 
         RunManifest::global().addStage(name_, wallS);
-        // Stop the sampler first: stop() joins the thread, publishes
-        // the final (100%-progress) snapshot, and unregisters its
-        // ExitFlush closure before the blanket flush below.
-        MetricsSampler::global().stop();
         // Normal exit: flush every registered closure (ours included)
         // now, exactly once; the atexit hook then finds nothing left.
         ExitFlush::global().runNow();
@@ -259,6 +231,7 @@ class BenchReporter
     std::string profilePath_;
     std::string manifestPath_;
     int flushId_ = 0;
+    std::uint64_t chips_ = 0;
     std::vector<std::pair<std::string, std::string>> metrics_;
 };
 
@@ -362,13 +335,6 @@ runEnvironmentSweep(ExperimentContext &ctx,
     for (const AppProfile *app : apps)
         ctx.novarPerf(*app);
 
-    // Progress accounting is observational only (DESIGN.md Sec 5f):
-    // tick() is one relaxed RMW off the bit-identical accumulation
-    // path below.
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(static_cast<std::uint64_t>(chips));
-
     const auto perChip = globalPool().parallelMap(
         static_cast<std::size_t>(chips), [&](std::size_t chip) {
             ChipSweepRuns runs;
@@ -390,7 +356,6 @@ runEnvironmentSweep(ExperimentContext &ctx,
                         runs.managed[m++] =
                             ctx.runApp(chip, core, app, env, scheme);
             }
-            chipProgress.tick();
             if (progress && !isQuiet()) {
                 std::fprintf(stderr, "[bench] chip %zu/%d done\n",
                              chip + 1, chips);

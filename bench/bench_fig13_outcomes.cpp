@@ -50,21 +50,11 @@ main()
 
     // Warm the per-app characterization cache before the chip fan-out
     // starts: the first cell's chips would otherwise all serialize on
-    // the cache's call_once and the chips tracker would sit at zero
-    // for most of the run.  Distinct apps characterize in parallel.
-    // eval-lint: allow(obs-progress-units) warm-up is reported by the
-    // characterize.phases tracker inside CharacterizationCache
+    // the cache's call_once.  Distinct apps characterize in parallel.
     globalPool().parallelFor(std::size_t{0}, apps.size(), 1,
                              [&ctx, &apps](std::size_t a) {
                                  ctx.characterizations().get(*apps[a]);
                              });
-
-    // Declare the whole campaign up front (4x4 cells x chips) so the
-    // status file shows a true completion fraction from snapshot one.
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(std::size(techniques) * kNumVoltageEnvs *
-                          static_cast<std::uint64_t>(chips));
 
     for (const Technique &tech : techniques) {
         for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
@@ -75,12 +65,11 @@ main()
             // One task per chip (each drives its own chip's models);
             // per-chip tallies merge serially in chip order.
             const auto perChip = globalPool().parallelMap(
-                chips, [&ctx, &caps, &chipProgress](std::size_t chip) {
-                    const OutcomeTally local = ctx.adaptApps(
-                        chip, caps, AdaptScheme::FuzzyDyn);
-                    chipProgress.tick();
-                    return local;
+                chips, [&ctx, &caps](std::size_t chip) {
+                    return ctx.adaptApps(chip, caps,
+                                         AdaptScheme::FuzzyDyn);
                 });
+            reporter.addChips(chips);
             OutcomeTally cell{};
             for (const OutcomeTally &local : perChip)
                 for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)

@@ -59,18 +59,11 @@ runAtThreads(const ExperimentConfig &cfg, std::size_t threads)
 
     ctx.novarPerf(app);   // untimed prewarm of the shared caches
 
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(static_cast<std::uint64_t>(cfg.chips));
-
     const auto t2 = std::chrono::steady_clock::now();
     auto runs = globalPool().parallelMap(
         static_cast<std::size_t>(cfg.chips), [&](std::size_t chip) {
-            AppRunResult r =
-                ctx.runApp(chip, 0, app, EnvironmentKind::TS_ASV,
-                           AdaptScheme::ExhDyn);
-            chipProgress.tick();
-            return r;
+            return ctx.runApp(chip, 0, app, EnvironmentKind::TS_ASV,
+                              AdaptScheme::ExhDyn);
         });
     const auto t3 = std::chrono::steady_clock::now();
 
@@ -138,10 +131,18 @@ main()
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.chips = benchChips(32);
 
+    // Every pipeline run, timed or overhead pair, feeds the footer
+    // throughput.
+    const auto run = [&](std::size_t threads) {
+        ScalingRun r = runAtThreads(cfg, threads);
+        reporter.addChips(r.runs.size());
+        return r;
+    };
+
     const std::vector<std::size_t> threadCounts = {1, 2, 4, 8};
     std::vector<ScalingRun> results;
     for (std::size_t n : threadCounts)
-        results.push_back(runAtThreads(cfg, n));
+        results.push_back(run(n));
 
     bool identical = true;
     for (std::size_t i = 1; i < results.size(); ++i) {
@@ -187,7 +188,7 @@ main()
     const Overhead tracing = measureOverhead([&](bool enabled) {
         tracer.setEnabled(enabled);
         const std::size_t before = tracer.eventCount();
-        const double wallS = runAtThreads(cfg, 1).wallS;
+        const double wallS = run(1).wallS;
         const std::size_t recorded = tracer.eventCount() - before;
         EVAL_ASSERT(enabled || recorded == 0,
                     "disabled tracer recorded span events");
@@ -210,41 +211,5 @@ main()
     reporter.metric("span_overhead_pct", tracing.pct);
     reporter.metric("span_events", static_cast<double>(spanEvents));
 
-    // Metrics-sampler overhead: the same single-thread pipeline with
-    // live telemetry off and on, budgeted at ≤2% (DESIGN.md Sec 5f).
-    // A private sampler instance (own status file, 20x the default
-    // sampling rate) keeps the measurement independent of any
-    // EVAL_STATUS_OUT-driven global sampler, and over-stresses the
-    // budget rather than flattering it.
-    constexpr double kSamplerBudgetPct = 2.0; // DESIGN.md Sec 5f
-    const std::string overheadStatus =
-        "parallel_scaling.overhead.status.json";
-    MetricsSampler sampler;
-    SamplerConfig samplerCfg;
-    samplerCfg.tool = "parallel_scaling_overhead";
-    samplerCfg.statusPath = overheadStatus;
-    samplerCfg.intervalMs = 25;
-    sampler.configure(samplerCfg);
-    const Overhead sampling = measureOverhead([&](bool enabled) {
-        if (enabled)
-            sampler.start();
-        const double wallS = runAtThreads(cfg, 1).wallS;
-        sampler.stop();
-        return wallS;
-    });
-    EVAL_ASSERT(sampler.published() >= 2,
-                "sampler published too few snapshots");
-    std::remove(overheadStatus.c_str());
-
-    std::printf("metrics sampler overhead: %.2f%% (%llu snapshots, "
-                "budget %.0f%% + %.2f%% measured noise)\n",
-                sampling.pct,
-                static_cast<unsigned long long>(sampler.published()),
-                kSamplerBudgetPct, sampling.noisePct);
-    EVAL_ASSERT(sampling.pct <= kSamplerBudgetPct + sampling.noisePct,
-                "metrics sampler overhead exceeds the enabled budget");
-    reporter.metric("sampler_overhead_pct", sampling.pct);
-    reporter.metric("sampler_snapshots",
-                    static_cast<double>(sampler.published()));
     return identical ? 0 : 1;
 }

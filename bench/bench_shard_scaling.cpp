@@ -91,8 +91,7 @@ main(int argc, char **argv)
     const std::string base = "bench_shard_scaling.out";
     std::filesystem::remove_all(base);
 
-    // Monolithic reference: runMonolithic declares + ticks the
-    // "chips" tracker itself.
+    // Monolithic reference.
     const std::string monoDir = base + "/mono";
     const auto monoStart = std::chrono::steady_clock::now();
     const CampaignAccumulator mono = runMonolithic(campaign);
@@ -100,6 +99,7 @@ main(int argc, char **argv)
                              std::chrono::steady_clock::now() -
                              monoStart)
                              .count();
+    reporter.addChips(chips);
     if (!writeMergedOutputs(mono, monoDir, /*binarySnapshots=*/true))
         EVAL_FATAL("cannot write monolithic reference outputs");
     const std::string refSnap =
@@ -109,9 +109,6 @@ main(int argc, char **argv)
     std::printf("monolithic: %llu chips in %.2fs (digest %.0f)\n",
                 static_cast<unsigned long long>(chips), monoS,
                 mono.digest());
-
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
 
     double wall1 = 0.0;
     for (std::uint32_t shards : {1u, 2u, 4u}) {
@@ -125,17 +122,14 @@ main(int argc, char **argv)
         s.workerArgv = {Subprocess::selfExePath(), "--shard-worker",
                         dir};
 
-        chipProgress.addTotal(chips);
         const auto start = std::chrono::steady_clock::now();
         const int rc = runShardSupervisor(s);
         const double wallS = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() -
                                  start)
                                  .count();
-        // The workers ticked their own (per-process) trackers; credit
-        // the completed population to this process's tracker so the
-        // footer throughput covers the forked stages too.
-        chipProgress.tick(chips);
+        // The footer throughput covers the forked stages too.
+        reporter.addChips(chips);
         if (rc != 0)
             EVAL_FATAL("sharded run (", shards, " shards) failed: ",
                        rc);

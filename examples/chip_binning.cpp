@@ -13,7 +13,6 @@
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 
 using namespace eval;
 
@@ -38,9 +37,6 @@ main()
     {
         AppRunResult base, adapted;
     };
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(static_cast<std::uint64_t>(cfg.chips));
     const auto perChip = globalPool().parallelMap(
         static_cast<std::size_t>(cfg.chips), [&](std::size_t chip) {
             BinRun run;
@@ -50,7 +46,6 @@ main()
             run.adapted = ctx.runApp(chip, 0, app,
                                      EnvironmentKind::TS_ASV_Q_FU,
                                      AdaptScheme::FuzzyDyn);
-            chipProgress.tick();
             return run;
         });
 

@@ -43,13 +43,6 @@
  *   --manifest=FILE    write a run-provenance manifest (git SHA, build
  *                      flags, seed, stage wall times, peak RSS);
  *                      default from EVAL_MANIFEST, "" disables
- *   --status-out=FILE  publish live status snapshots (progress,
- *                      chips/sec, ETA, RSS, stats) to FILE every
- *                      --status-interval-ms (default 500) via
- *                      rename-into-place; watch with eval_top.
- *                      --status-prom=FILE adds Prometheus text
- *                      exposition.  Defaults from EVAL_STATUS_OUT /
- *                      EVAL_STATUS_PROM / EVAL_STATUS_INTERVAL_MS.
  * With any of these flags present the command defaults to `run`.
  * All telemetry files are registered with ExitFlush, so they are
  * written even when the run dies via fatal()/uncaught exception.
@@ -62,12 +55,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
 #include "exec/subprocess.hh"
-#include "obs/metrics_sampler.hh"
 #include "util/logging.hh"
 #include "core/retiming.hh"
 #include "shard/supervisor.hh"
@@ -343,20 +334,6 @@ cmdFig13(const ArgParser &args)
             envInt("EVAL_SHARD_ABORT_SHARD", 0));
         if (abortAfter > 0 && abortShard == w.spec.index)
             w.killAfterChips = abortAfter;
-
-        // Fleet view: unless the user pointed --status-out somewhere,
-        // publish this worker's live status under DIR/status/ where
-        // `eval_top DIR/status` tails the whole fleet.
-        if (!MetricsSampler::global().running()) {
-            std::error_code ec;
-            std::filesystem::create_directories(shardStatusDir(outDir),
-                                                ec);
-            SamplerConfig sampler;
-            sampler.tool = "eval_cli.fig13";
-            sampler.statusPath = shardStatusPath(outDir, w.spec.index);
-            MetricsSampler::global().configure(sampler);
-            MetricsSampler::global().start();
-        }
         return runShardWorker(w);
     }
 
@@ -481,14 +458,6 @@ main(int argc, char **argv)
     const char *manifestEnv = std::getenv("EVAL_MANIFEST");
     const std::string manifestOut = args.getString(
         "manifest", manifestEnv ? manifestEnv : "manifest.json");
-    const char *statusEnv = std::getenv("EVAL_STATUS_OUT");
-    const std::string statusOut =
-        args.getString("status-out", statusEnv ? statusEnv : "");
-    const char *promEnv = std::getenv("EVAL_STATUS_PROM");
-    const std::string statusProm =
-        args.getString("status-prom", promEnv ? promEnv : "");
-    const std::int64_t statusIntervalMs = args.getInt(
-        "status-interval-ms", envInt("EVAL_STATUS_INTERVAL_MS", 500));
     // --threads=N overrides EVAL_THREADS / hardware concurrency (0 =
     // auto); results do not depend on the thread count.
     const std::int64_t threadsArg = args.getInt("threads", 0);
@@ -509,23 +478,6 @@ main(int argc, char **argv)
         RunManifest::global().setOutput("trace_spans", spansOut);
     if (!profileOut.empty())
         RunManifest::global().setOutput("span_profile", profileOut);
-
-    // Live telemetry: start the sampler before the command runs so
-    // eval_top can watch the whole campaign (DESIGN.md Sec 5f).
-    if (!statusOut.empty() || !statusProm.empty()) {
-        SamplerConfig sampler;
-        sampler.tool = "eval_cli";
-        sampler.statusPath = statusOut;
-        sampler.promPath = statusProm;
-        sampler.intervalMs = statusIntervalMs > 0
-                                 ? static_cast<std::uint64_t>(
-                                       statusIntervalMs)
-                                 : 500;
-        MetricsSampler::global().configure(sampler);
-        MetricsSampler::global().start();
-        if (!statusOut.empty())
-            RunManifest::global().setOutput("status", statusOut);
-    }
 
     // Telemetry survives fatal()/uncaught exceptions: the flush runs
     // from the atexit/terminate hooks, and runNow() below makes the
@@ -554,8 +506,7 @@ main(int argc, char **argv)
 
     // With observability flags but no command, default to `run`.
     const bool observing = !statsOut.empty() || !traceOut.empty() ||
-                           !spansOut.empty() || !profileOut.empty() ||
-                           !statusOut.empty();
+                           !spansOut.empty() || !profileOut.empty();
     if (args.positional().empty() && !observing)
         return usage();
     const std::string cmd =
@@ -584,10 +535,6 @@ main(int argc, char **argv)
     RunManifest::global().addStage(
         cmd, static_cast<double>(traceNowNs() - cmdStart) / 1e9);
 
-    // Stop the sampler (joins the thread, publishes the final
-    // snapshot, removes its ExitFlush closure) before the blanket
-    // flush.
-    MetricsSampler::global().stop();
     ExitFlush::global().runNow();
 
     for (const std::string &key : args.unusedKeys())

@@ -12,12 +12,11 @@
 #        scripts/check.sh --coverage [build-dir]
 #        scripts/check.sh --bench-track [build-dir]
 #        scripts/check.sh --perf-smoke [build-dir]
-#        scripts/check.sh --obs-smoke [build-dir]
 #        scripts/check.sh --shard-smoke [build-dir]
 #        scripts/check.sh --prof-smoke [build-dir]
 #
 # --tsan (or CHECK_TSAN=1) configures with -DEVAL_TSAN=ON and runs the
-# concurrency-sensitive test subset (exec, stats, core, cmp, obs)
+# concurrency-sensitive test subset (exec, stats, core, cmp, lint)
 # under ThreadSanitizer instead of the full Werror build.
 #
 # --asan / --ubsan (or CHECK_ASAN=1 / CHECK_UBSAN=1) configure with
@@ -58,14 +57,6 @@
 # (perf-report.md / perf-report.json in the build dir).  See
 # TESTING.md "Perf smoke".
 #
-# --obs-smoke (or CHECK_OBS_SMOKE=1) is the live-telemetry end-to-end
-# check: it runs a fast bench with EVAL_STATUS_OUT set, polls the
-# status file through `eval_top --once --json` while the bench runs
-# (every readable frame must parse and carry a monotone seq — the
-# rename-into-place contract), then asserts the final snapshot is
-# marked final with every tracker at 100% and that at least two
-# snapshots were published over the run.
-#
 # --prof-smoke (or CHECK_PROF_SMOKE=1) is the span-profiling
 # end-to-end check (DESIGN.md §5j): a fast 2-shard fig13 with tracing
 # must leave one merged Perfetto timeline plus a fleet profile.json
@@ -102,7 +93,6 @@ case "${1:-}" in
   --coverage) mode="coverage"; shift ;;
   --bench-track) mode="bench-track"; shift ;;
   --perf-smoke) mode="perf-smoke"; shift ;;
-  --obs-smoke) mode="obs-smoke"; shift ;;
   --shard-smoke) mode="shard-smoke"; shift ;;
   --prof-smoke) mode="prof-smoke"; shift ;;
 esac
@@ -114,7 +104,6 @@ esac
 [[ "${CHECK_COVERAGE:-0}" == "1" ]] && mode="coverage"
 [[ "${CHECK_BENCH_TRACK:-0}" == "1" ]] && mode="bench-track"
 [[ "${CHECK_PERF_SMOKE:-0}" == "1" ]] && mode="perf-smoke"
-[[ "${CHECK_OBS_SMOKE:-0}" == "1" ]] && mode="obs-smoke"
 [[ "${CHECK_SHARD_SMOKE:-0}" == "1" ]] && mode="shard-smoke"
 [[ "${CHECK_PROF_SMOKE:-0}" == "1" ]] && mode="prof-smoke"
 
@@ -125,7 +114,7 @@ if [[ "$mode" == "tsan" ]]; then
     # Exercise the parallel layer for real: the determinism test and the
     # stats test both fan out on multi-thread pools.
     EVAL_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'exec_|stats_|core_|cmp_|obs_|lint_'
+        -R 'exec_|stats_|core_|cmp_|lint_'
     echo "check.sh: TSan tests passed"
     exit 0
 fi
@@ -286,82 +275,6 @@ if [[ "$mode" == "perf-smoke" ]]; then
         --json "$build_dir/perf-report.json" \
         --gate
     echo "check.sh: perf smoke passed (report: $build_dir/perf-report.md)"
-    exit 0
-fi
-
-if [[ "$mode" == "obs-smoke" ]]; then
-    build_dir="${1:-$repo_root/build-check}"
-    bench="${OBS_SMOKE_BENCH:-bench_cmp_mixes}"
-
-    cmake -B "$build_dir" -S "$repo_root"
-    build_dir="$(cd "$build_dir" && pwd)" # bench runs from a scratch cwd
-    cmake --build "$build_dir" -j"$(nproc)" --target "$bench" eval_top
-
-    top_bin="$build_dir/tools/eval_top/eval_top"
-    run_dir="$build_dir/obs-smoke"
-    rm -rf "$run_dir" && mkdir -p "$run_dir"
-    status="$run_dir/status.json"
-
-    (cd "$run_dir" && EVAL_FAST=1 EVAL_MANIFEST= \
-        EVAL_STATUS_OUT="$status" EVAL_STATUS_INTERVAL_MS=50 \
-        "$build_dir/bench/$bench" > bench.stdout 2>&1) &
-    bench_pid=$!
-
-    # Tail the status file through the dashboard while the bench runs.
-    # Every readable frame must parse (eval_top exits 0) and carry a
-    # seq no lower than the previous one: rename-into-place means a
-    # reader never sees a torn or stale-after-fresh document.
-    last_seq=0
-    observed=0
-    while kill -0 "$bench_pid" 2>/dev/null; do
-        if [[ -f "$status" ]]; then
-            if ! frame="$("$top_bin" --once --json "$status")"; then
-                echo "check.sh: ERROR eval_top could not read $status"
-                kill "$bench_pid" 2>/dev/null || true
-                exit 1
-            fi
-            seq_now="$(sed -n 's/^ *"seq": \([0-9][0-9]*\),*$/\1/p' \
-                       <<< "$frame" | head -n1)"
-            if [[ -n "$seq_now" ]]; then
-                if (( seq_now < last_seq )); then
-                    echo "check.sh: ERROR status seq went backwards" \
-                         "($last_seq -> $seq_now)"
-                    kill "$bench_pid" 2>/dev/null || true
-                    exit 1
-                fi
-                if (( seq_now > last_seq )); then
-                    observed=$((observed + 1))
-                fi
-                last_seq="$seq_now"
-            fi
-        fi
-        sleep 0.05
-    done
-    wait "$bench_pid"
-
-    # The exit path publishes one last snapshot: final=true, every
-    # tracker complete.  seq counts every published sample, so the
-    # ">= 2 snapshots" gate reads it straight off the final frame.
-    final_frame="$("$top_bin" --once --json "$status")"
-    final_seq="$(sed -n 's/^ *"seq": \([0-9][0-9]*\),*$/\1/p' \
-                 <<< "$final_frame" | head -n1)"
-    if ! grep -q '"final": true' <<< "$final_frame"; then
-        echo "check.sh: ERROR final status snapshot not marked final"
-        exit 1
-    fi
-    if grep '"fraction":' <<< "$final_frame" \
-            | grep -qv '"fraction": 1\.0'; then
-        echo "check.sh: ERROR a tracker finished below 100%:"
-        grep -B3 '"fraction":' <<< "$final_frame"
-        exit 1
-    fi
-    if [[ -z "$final_seq" ]] || (( final_seq < 2 )); then
-        echo "check.sh: ERROR only ${final_seq:-0} snapshots published" \
-             "(want >= 2: periodic samples plus the final flush)"
-        exit 1
-    fi
-    echo "check.sh: obs smoke passed ($final_seq snapshots published," \
-         "$observed distinct frames observed live, status: $status)"
     exit 0
 fi
 

@@ -1,7 +1,6 @@
 #include "core/characterization.hh"
 
 #include "arch/core.hh"
-#include "obs/progress.hh"
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
 
@@ -61,15 +60,6 @@ CharacterizationCache::characterize(const AppProfile &profile)
         profile.phases.empty() ? std::vector<PhaseSpec>{PhaseSpec{}}
                                : profile.phases;
 
-    // Characterization dominates a cold start (two Core::run probes
-    // per phase), so report it phase by phase — otherwise the status
-    // file shows nothing moving until the cache is warm.  Ticks are
-    // observational only; the characterization itself never reads
-    // them back.
-    static ProgressTracker &progress =
-        ProgressRegistry::global().tracker("characterize.phases");
-    progress.addTotal(numPhases);
-
     for (std::size_t p = 0; p < numPhases; ++p) {
         PhaseData data;
         data.weight = script[p].weight;
@@ -106,7 +96,6 @@ CharacterizationCache::characterize(const AppProfile &profile)
             data.chr.act.rho[i] = fullStats.rho(id);
         }
         app.phases.push_back(data);
-        progress.tick();
     }
     return app;
 }

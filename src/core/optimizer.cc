@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "exec/thread_pool.hh"
 #include "stats/stat_registry.hh"
@@ -44,7 +45,8 @@ std::shared_ptr<const ExhaustiveOptimizer::KnobCandidates>
 ExhaustiveOptimizer::candidates(double vddNominal)
 {
     std::lock_guard<std::mutex> lock(candMutex_);
-    if (!cand_ || cand_->vddNominal != vddNominal) {
+    if (!cand_ ||
+        std::not_equal_to<double>{}(cand_->vddNominal, vddNominal)) {
         auto built = std::make_shared<KnobCandidates>();
         built->vddNominal = vddNominal;
         built->vdds = knobs_.vddCandidates(vddNominal);

@@ -6,7 +6,6 @@
 
 #include "kernels/alpha_power.hh"
 #include "kernels/power_kernels.hh"
-#include "util/config.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 
@@ -71,28 +70,24 @@ mixKey(const std::uint64_t (&words)[N])
     return h;
 }
 
-/** -1 = follow EVAL_THERMAL_CACHE, otherwise the forced setting. */
-std::atomic<int> thermalCacheOverride{-1};
+/** The memo switch: on unless setThermalCacheEnabled(false). */
+std::atomic<bool> thermalCacheOn{true};
 
 } // namespace
 
 void
 setThermalCacheEnabled(bool enabled)
 {
-    // eval-lint: allow(atomics-relaxed) independent on/off override; readers
-    // only ever see 0/1/-1 and no other memory is published with it.
-    thermalCacheOverride.store(enabled ? 1 : 0, std::memory_order_relaxed);
+    // eval-lint: allow(atomics-relaxed) independent on/off switch; no
+    // other memory is published with it.
+    thermalCacheOn.store(enabled, std::memory_order_relaxed);
 }
 
 bool
 thermalCacheEnabled()
 {
     // eval-lint: allow(atomics-relaxed) single flag with no associated payload.
-    const int forced = thermalCacheOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    static const bool enabled = envBool("EVAL_THERMAL_CACHE", true);
-    return enabled;
+    return thermalCacheOn.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

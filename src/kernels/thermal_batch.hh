@@ -19,9 +19,9 @@
  *    value a recomputation would produce — results stay independent
  *    of hit/miss history and thread count.
  *
- * The memo is controlled by EVAL_THERMAL_CACHE (default on; it is
- * exact-bit, so the golden record is unaffected) and by
- * setThermalCacheEnabled for tests.
+ * The memo is on by default (it is exact-bit, so the golden record is
+ * unaffected); setThermalCacheEnabled switches it for tests and the
+ * differential tier.
  */
 
 #pragma once
@@ -68,7 +68,7 @@ struct ThermalLane
 void solveThermalLanes(const ProcessParams &params, std::uint64_t salt,
                        ThermalLane *lanes, std::size_t n, double thC);
 
-/** EVAL_THERMAL_CACHE override (tests save/restore around this). */
+/** Memo switch, default on (tests save/restore around this). */
 void setThermalCacheEnabled(bool enabled);
 bool thermalCacheEnabled();
 

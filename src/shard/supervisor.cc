@@ -6,7 +6,6 @@
 
 #include "exec/subprocess.hh"
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "shard/trace_merge.hh"
 #include "shard/worker.hh"
 #include "trace/span_tracer.hh"
@@ -204,9 +203,6 @@ runMonolithic(const CampaignConfig &campaign)
         static_cast<std::uint64_t>(campaign.experiment.chips);
     ExperimentContext ctx(campaign.experiment);
 
-    ProgressTracker &progress = ProgressRegistry::global().declareTotal(
-        "chips", campaign.fingerprint() + "#mono", total);
-
     // Same block-wise fan-out/fold/evict loop as the shard worker
     // (minus checkpoints), so even the reference path runs with
     // bounded memory — and the identical fold order makes "same
@@ -220,11 +216,9 @@ runMonolithic(const CampaignConfig &campaign)
             static_cast<std::size_t>(blockEnd - cursor);
         const auto results = globalPool().parallelMap(
             blockSize, [&](std::size_t i) {
-                ChipCampaignResult r = runCampaignChip(
+                return runCampaignChip(
                     ctx, campaign,
                     static_cast<std::size_t>(cursor) + i);
-                progress.tick();
-                return r;
             });
         for (std::size_t i = 0; i < blockSize; ++i)
             acc.addChip(cursor + i, results[i]);

@@ -6,7 +6,6 @@
 #include <filesystem>
 
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "util/logging.hh"
 #include "valid/checkpoint.hh"
 #include "valid/snapshot.hh"
@@ -26,13 +25,6 @@ shardFile(const std::string &outDir, std::uint32_t shardIndex,
         .string();
 }
 
-/** The tracker run-id: one declaration per (campaign, shard). */
-std::string
-progressRunId(const std::string &fingerprint, const ShardSpec &spec)
-{
-    return fingerprint + "#shard=" + formatShardSpec(spec);
-}
-
 } // namespace
 
 std::string
@@ -45,20 +37,6 @@ std::string
 shardCheckpointPath(const std::string &outDir, std::uint32_t shardIndex)
 {
     return shardFile(outDir, shardIndex, ".ckpt.snap");
-}
-
-std::string
-shardStatusDir(const std::string &outDir)
-{
-    return (fs::path(outDir) / "status").string();
-}
-
-std::string
-shardStatusPath(const std::string &outDir, std::uint32_t shardIndex)
-{
-    return (fs::path(shardStatusDir(outDir)) /
-            ("shard-" + std::to_string(shardIndex) + ".json"))
-        .string();
 }
 
 CampaignAccumulator
@@ -174,18 +152,6 @@ runShardWorker(const ShardWorkerOptions &opts)
     // manufactured lazily one block at a time.
     ExperimentContext ctx(opts.campaign.experiment);
 
-    // Progress: totals dedupe by (tracker, run id) so a resumed
-    // re-registration cannot double-count the range; the checkpointed
-    // prefix counts as done only when this process has not already
-    // ticked it live.
-    const std::string runId = progressRunId(fp, spec);
-    ProgressRegistry &registry = ProgressRegistry::global();
-    const bool tickedBefore = registry.hasDeclared("chips", runId);
-    ProgressTracker &progress =
-        registry.declareTotal("chips", runId, range.count());
-    if (cursor > range.begin && !tickedBefore)
-        progress.tick(cursor - range.begin);
-
     const std::uint64_t blockChips =
         std::max<std::uint64_t>(1, opts.checkpointEvery);
     std::uint64_t processed = 0;
@@ -199,11 +165,9 @@ runShardWorker(const ShardWorkerOptions &opts)
         // (slot writes + ordered accumulation, PR 2 discipline).
         const auto results = globalPool().parallelMap(
             blockSize, [&](std::size_t i) {
-                ChipCampaignResult r = runCampaignChip(
+                return runCampaignChip(
                     ctx, opts.campaign,
                     static_cast<std::size_t>(cursor) + i);
-                progress.tick();
-                return r;
             });
         for (std::size_t i = 0; i < blockSize; ++i)
             acc.addChip(cursor + i, results[i]);

@@ -61,10 +61,6 @@ std::string shardResultPath(const std::string &outDir,
                             std::uint32_t shardIndex);
 std::string shardCheckpointPath(const std::string &outDir,
                                 std::uint32_t shardIndex);
-/** Per-shard status JSON (eval_top fleet view tails this dir). */
-std::string shardStatusDir(const std::string &outDir);
-std::string shardStatusPath(const std::string &outDir,
-                            std::uint32_t shardIndex);
 
 /**
  * Load shard @p shardIndex's completed result for @p campaign.

@@ -273,38 +273,6 @@ StatRegistry::csv() const
     return table.str();
 }
 
-std::vector<std::pair<std::string, double>>
-StatRegistry::flat() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(stats_.size());
-    const auto push = [&out](const std::string &key, double v) {
-        if (std::isfinite(v))
-            out.emplace_back(key, v);
-    };
-    for (const auto &[name, s] : stats_) {
-        std::visit(
-            [&push, &name = name](const auto &stat) {
-                using T = std::decay_t<decltype(stat)>;
-                if constexpr (std::is_same_v<T, Counter>) {
-                    push(name, static_cast<double>(stat.value()));
-                } else if constexpr (std::is_same_v<T, Gauge>) {
-                    push(name, stat.value());
-                } else {
-                    push(name + ".count",
-                         static_cast<double>(stat.count()));
-                    push(name + ".mean", stat.mean());
-                    push(name + ".p50", stat.quantile(0.5));
-                    push(name + ".p95", stat.quantile(0.95));
-                    push(name + ".p99", stat.quantile(0.99));
-                }
-            },
-            *s);
-    }
-    return out;
-}
-
 namespace {
 
 bool

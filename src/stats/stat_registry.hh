@@ -247,13 +247,6 @@ class StatRegistry
      *  name,type,count,value,mean,min,max,p50,p90,p95,p99. */
     std::string csv() const;
 
-    /** Flat numeric view for live-telemetry snapshots: one
-     *  (dotted-name, value) pair per scalar, in name order.  Counters
-     *  and gauges emit their value; histograms emit
-     *  name.count/.mean/.p50/.p95/.p99.  Non-finite values are
-     *  skipped. */
-    std::vector<std::pair<std::string, double>> flat() const;
-
     bool writeJson(const std::string &path) const;
     bool writeCsv(const std::string &path) const;
 

@@ -107,8 +107,8 @@ class ThermalModel
      * Each lane freezes independently at exactly the step the scalar
      * solver would have stopped at, so @p out[i] is bit-identical to
      * the corresponding solveSubsystem call.  Solves are memoized on
-     * the exact input bits (EVAL_THERMAL_CACHE, default on; hits are
-     * exact-bit so the golden record is unaffected).
+     * the exact input bits (default on, setThermalCacheEnabled; hits
+     * are exact-bit so the golden record is unaffected).
      */
     void solveMany(const SubsystemThermalRequest *requests,
                    SubsystemThermalState *out, std::size_t n,

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "stats/stat_registry.hh"
-#include "util/config.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 
@@ -56,8 +55,8 @@ doubleBits(double v)
     return bits;
 }
 
-/** -1 = follow EVAL_PE_CACHE, otherwise the forced 0/1 setting. */
-std::atomic<int> peCacheOverride{-1};
+/** The memo switch: on unless setPeCacheEnabled(false). */
+std::atomic<bool> peCacheOn{true};
 
 /**
  * The eval/hit counters, registered once and shared by the cached
@@ -84,20 +83,16 @@ struct PeCounters
 void
 setPeCacheEnabled(bool enabled)
 {
-    // eval-lint: allow(atomics-relaxed) independent on/off override; readers
-    // only ever see 0/1/-1 and no other memory is published with it.
-    peCacheOverride.store(enabled ? 1 : 0, std::memory_order_relaxed);
+    // eval-lint: allow(atomics-relaxed) independent on/off switch; no
+    // other memory is published with it.
+    peCacheOn.store(enabled, std::memory_order_relaxed);
 }
 
 bool
 peCacheEnabled()
 {
     // eval-lint: allow(atomics-relaxed) single flag with no associated payload.
-    const int forced = peCacheOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    static const bool enabled = envBool("EVAL_PE_CACHE", true);
-    return enabled;
+    return peCacheOn.load(std::memory_order_relaxed);
 }
 
 namespace {

@@ -48,10 +48,10 @@ class StageErrorModel
      * scans re-evaluate identical points across phases and retune
      * cycles, and knob values come from a discrete grid, so exact-bit
      * keys hit without perturbing any result (a hit returns the very
-     * value a recomputation would).  Set EVAL_PE_CACHE=0 (or call
-     * setPeCacheEnabled(false)) to disable.  The delay scale is
-     * always PeSurface::scaleExact, so benches, library callers and
-     * the golden record share one numeric path.
+     * value a recomputation would).  setPeCacheEnabled(false)
+     * disables it.  The delay scale is always PeSurface::scaleExact,
+     * so benches, library callers and the golden record share one
+     * numeric path.
      */
     double errorRatePerAccess(double clockPeriod,
                               const OperatingConditions &op) const;
@@ -104,9 +104,9 @@ double processorErrorRate(const std::vector<double> &perAccessRates,
                           const std::vector<double> &rho);
 
 /**
- * Runtime override of the PE memo cache (default: EVAL_PE_CACHE env,
- * on when unset).  Used by the differential-testing driver to prove
- * the cache-on/cache-off bit-identity contract within one process.
+ * Switch the PE memo cache (default on).  Used by the
+ * differential-testing driver to prove the cache-on/cache-off
+ * bit-identity contract within one process.
  * Cached entries are keyed per model instance, so re-enabling after a
  * disabled run cannot serve stale values.
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -108,7 +109,8 @@ Histogram::add(double x, double weight)
 void
 Histogram::merge(const Histogram &other)
 {
-    EVAL_ASSERT(lo_ == other.lo_ && hi_ == other.hi_ &&
+    const std::equal_to<double> same;
+    EVAL_ASSERT(same(lo_, other.lo_) && same(hi_, other.hi_) &&
                     counts_.size() == other.counts_.size(),
                 "histogram merge requires identical bin layout");
     for (std::size_t i = 0; i < counts_.size(); ++i)

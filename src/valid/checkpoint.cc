@@ -1,6 +1,7 @@
 #include "valid/checkpoint.hh"
 
 #include <cstdio>
+#include <functional>
 
 #include "util/logging.hh"
 #include "valid/snapshot.hh"
@@ -56,7 +57,8 @@ checkpointFromPayload(const JsonValue &payload)
 
     const double expect = payload.at("integrity").asDouble();
     const double got = accumulatorDigest(cp.accumulator);
-    if (expect != got)
+    // Any differing digest is rejected, a NaN one included.
+    if (!std::equal_to<double>{}(expect, got))
         throw SnapshotError(
             "shard checkpoint integrity digest mismatch (stored " +
             formatExactDouble(expect) + ", recomputed " +

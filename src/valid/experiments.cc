@@ -6,7 +6,6 @@
 #include "core/environment.hh"
 #include "core/optimizer.hh"
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "util/logging.hh"
 #include "valid/serializers.hh"
 #include "variation/chip.hh"
@@ -161,14 +160,9 @@ runSweepCell(ExperimentContext &ctx,
              EnvironmentKind env, AdaptScheme scheme)
 {
     const auto chips = static_cast<std::size_t>(ctx.config().chips);
-    static ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(chips);
     const auto perChip = globalPool().parallelMap(
         chips, [&](std::size_t chip) {
-            SweepCell cell = runChipCell(ctx, apps, chip, env, scheme);
-            chipProgress.tick();
-            return cell;
+            return runChipCell(ctx, apps, chip, env, scheme);
         });
     SweepCell total;
     for (const SweepCell &c : perChip) {
@@ -294,19 +288,12 @@ runFig13Micro(const ExperimentTweaks &tweaks)
 
     // The FU+Queue technique row of Figure 13 across the four voltage
     // environments.
-    static ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(
-        kNumVoltageEnvs * static_cast<std::uint64_t>(ctx.config().chips));
     for (const VoltageEnv &env : fig13VoltageEnvs()) {
         const EnvCapabilities caps = fig13Caps(env);
         const auto perChip = globalPool().parallelMap(
             static_cast<std::size_t>(ctx.config().chips),
             [&](std::size_t chip) {
-                const OutcomeTally local =
-                    ctx.adaptApps(chip, caps, AdaptScheme::FuzzyDyn);
-                chipProgress.tick();
-                return local;
+                return ctx.adaptApps(chip, caps, AdaptScheme::FuzzyDyn);
             });
         OutcomeTally outcomes{};
         for (const OutcomeTally &local : perChip)

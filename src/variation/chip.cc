@@ -1,7 +1,6 @@
 #include "variation/chip.hh"
 
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -66,19 +65,12 @@ ChipFactory::manufacture(std::size_t count)
     // Reserve the id range up front, then fill the batch in parallel;
     // each task owns its slot.  (Chip has no default constructor, so
     // the map produces heap chips that are then moved into place.)
-    // Progress ticks are observational only — never read back by the
-    // manufacturing path (DESIGN.md Sec 5f).
-    static ProgressTracker &progress =
-        ProgressRegistry::global().tracker("manufacture");
-    progress.addTotal(count);
     const std::uint64_t base = nextId_;
     nextId_ += count;
     auto made = globalPool().parallelMap(
         count, [this, base](std::size_t i) {
-            auto chip = std::make_unique<Chip>(
+            return std::make_unique<Chip>(
                 manufactureChip(base + static_cast<std::uint64_t>(i)));
-            progress.tick();
-            return chip;
         });
     std::vector<Chip> chips;
     chips.reserve(count);

@@ -55,7 +55,7 @@ TEST(LintBaseline, LoadSkipsCommentsAndBlanks)
         "# header comment\n"
         "\n"
         "det-entropy\tsrc/a.cc\t12\n"
-        "num-float-eq\tsrc/b.cc\t3\n");
+        "det-unordered\tsrc/b.cc\t3\n");
     std::string error;
     const Baseline b = loadBaseline(path, &error);
     fs::remove(path);
@@ -89,7 +89,7 @@ TEST(LintBaseline, ApplyPartitionsFreshBaselinedStale)
 {
     const std::vector<Diagnostic> diags = {
         {"src/a.cc", 12, "det-entropy", "old hit"},
-        {"src/b.cc", 3, "num-float-eq", "new hit"},
+        {"src/b.cc", 3, "det-unordered", "new hit"},
     };
     Baseline b;
     b.loaded = true;
@@ -108,7 +108,7 @@ TEST(LintBaseline, RenderRoundTripsThroughLoad)
 {
     const std::vector<Diagnostic> diags = {
         {"src/a.cc", 12, "det-entropy", "msg"},
-        {"src/b.cc", 3, "num-float-eq", "msg"},
+        {"src/b.cc", 3, "det-unordered", "msg"},
     };
     const fs::path path = writeTemp("eval_lint_baseline_rt.txt",
                                     renderBaseline(diags));

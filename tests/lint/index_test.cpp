@@ -89,7 +89,7 @@ TEST(LintIndex, CatchSiteTypeDropsQualifiers)
 TEST(LintIndex, AtomicsRecordEveryMemoryOrderSpelling)
 {
     const FileIndex idx = buildFileIndex(
-        "src/obs/x.cc",
+        "src/stats/x.cc",
         "void f(std::atomic<int> &a) {\n"
         "    a.fetch_add(1, std::memory_order_relaxed);\n"
         "    a.load(std::memory_order::acquire);\n"

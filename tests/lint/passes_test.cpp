@@ -223,14 +223,14 @@ TEST(LintPasses, RelaxedAtomicNeedsAllowanceOrCountersOnly)
         "    c.load(std::memory_order_acquire);\n" // ordered: fine
         "}\n";
     ProjectIndex bare;
-    bare.files.push_back(buildFileIndex("src/obs/x.cc", body));
+    bare.files.push_back(buildFileIndex("src/stats/x.cc", body));
     EXPECT_EQ(
         countRule(run(bare, LayersManifest{}, false), "atomics-relaxed"),
         1);
 
     ProjectIndex marked;
     marked.files.push_back(buildFileIndex(
-        "src/obs/x.cc",
+        "src/stats/x.cc",
         "// eval-lint: counters-only monotone ticks, test fixture\n" +
             body));
     EXPECT_EQ(

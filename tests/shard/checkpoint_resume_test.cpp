@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "exec/thread_pool.hh"
+#include "shard/campaign.hh"
 #include "shard/worker.hh"
 #include "valid/checkpoint.hh"
 #include "valid/snapshot.hh"
@@ -143,6 +145,71 @@ TEST(CheckpointResumeTest, CorruptCheckpointIsRejectedCleanly)
                   static_cast<std::streamsize>(good.size()));
     }
     EXPECT_EQ(runShardWorker(resume), kShardExitOk);
+}
+
+/** A checkpoint over chips [4, 6) whose (env 0, NoChange) tally is
+ *  bumped by @p bump. */
+ShardCheckpoint
+smallCheckpoint(std::uint64_t bump)
+{
+    CampaignAccumulator acc(4);
+    for (std::uint64_t chip = 4; chip < 6; ++chip) {
+        ChipCampaignResult r;
+        for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
+            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+                r.outcomes[e][o] = chip + e + o;
+        if (chip == 4)
+            r.outcomes[0][0] += bump;
+        acc.addChip(chip, r);
+    }
+    ShardCheckpoint cp;
+    cp.campaignFingerprint = "edited-tally";
+    cp.shardCount = 2;
+    cp.shardIndex = 1;
+    cp.rangeBegin = 4;
+    cp.rangeEnd = 8;
+    cp.nextChip = 6;
+    cp.accumulator = acc.toPayload();
+    return cp;
+}
+
+/** checkpointFromSnapshot's SnapshotError message ("" if accepted). */
+std::string
+rejection(const JsonValue &snapshot)
+{
+    try {
+        checkpointFromSnapshot(snapshot);
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CheckpointResumeTest, EditedTallyFailsTheIntegrityDigest)
+{
+    const JsonValue honest = toSnapshot(smallCheckpoint(0));
+    EXPECT_EQ(rejection(honest), "");
+
+    // Edit one outcome count but keep the stored digest: the payload
+    // still parses, so only the digest compare can catch it.
+    JsonValue payload =
+        snapshotPayload(honest, "shard_checkpoint",
+                        kShardCheckpointVersion);
+    payload.set("accumulator", smallCheckpoint(1).accumulator);
+    const JsonValue edited = makeSnapshot(
+        "shard_checkpoint", kShardCheckpointVersion, payload);
+    EXPECT_NE(rejection(edited).find("integrity digest mismatch"),
+              std::string::npos)
+        << rejection(edited);
+
+    // A NaN stored digest equals nothing, itself included.
+    payload = snapshotPayload(honest, "shard_checkpoint",
+                              kShardCheckpointVersion);
+    payload.set("integrity", std::nan(""));
+    EXPECT_NE(rejection(makeSnapshot("shard_checkpoint",
+                                     kShardCheckpointVersion, payload))
+                  .find("integrity digest mismatch"),
+              std::string::npos);
 }
 
 TEST(CheckpointResumeTest, MismatchedCheckpointsAreRefused)

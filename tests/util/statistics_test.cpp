@@ -167,6 +167,22 @@ TEST(HistogramDeath, DegenerateRangeIsRejected)
     EXPECT_DEATH({ Histogram h(0.0, 1.0, 0); }, "bins > 0");
 }
 
+TEST(HistogramDeath, MergeRequiresIdenticalBinLayout)
+{
+    Histogram base(0.0, 10.0, 5);
+    base.add(1.0);
+    Histogram same(0.0, 10.0, 5);
+    same.add(9.0);
+    base.merge(same);
+    EXPECT_DOUBLE_EQ(base.totalWeight(), 2.0);
+
+    // Same bin count, shifted edges: the bins mean different things.
+    const Histogram otherLo(1.0, 10.0, 5);
+    const Histogram otherHi(0.0, 11.0, 5);
+    EXPECT_DEATH(base.merge(otherLo), "identical bin layout");
+    EXPECT_DEATH(base.merge(otherHi), "identical bin layout");
+}
+
 TEST(SampleSet, EmptyPercentileIsZeroNotNan)
 {
     SampleSet s;

@@ -109,8 +109,10 @@ blameSpans(const std::vector<Entry> &history, std::size_t priorCount)
     }
     std::sort(blames.begin(), blames.end(),
               [](const SpanBlame &a, const SpanBlame &b) {
-                  if (a.deltaMs != b.deltaMs)
-                      return a.deltaMs > b.deltaMs;
+                  if (a.deltaMs > b.deltaMs)
+                      return true;
+                  if (a.deltaMs < b.deltaMs)
+                      return false;
                   return a.span < b.span;
               });
     if (blames.size() > 3)

@@ -16,9 +16,9 @@
  *       new / noise / improvement / regression and render a report.
  *
  * Two metrics carry a gating direction: `wall_clock_s` is
- * lower-is-better, `throughput_chips_per_s` (the live-telemetry
- * chips/sec figure, see src/obs/) is higher-is-better.  The domain
- * metrics (frequencies, speedups, ...) are informational: whether
+ * lower-is-better, `throughput_chips_per_s` (chips simulated per
+ * wall second, see BenchReporter::addChips) is higher-is-better.  The
+ * domain metrics (frequencies, speedups, ...) are informational: whether
  * "bigger" is better depends on the metric, and correctness of those
  * values is the golden tests' job, not benchtrack's.
  *

@@ -21,7 +21,7 @@
  * itself is all-zero deltas and exits 0, gated or not.
  *
  * The core is a library so tests can drive render/diff in-process
- * (mirrors the benchtrack/eval_top layout).  Parsing reuses
+ * (mirrors the benchtrack layout).  Parsing reuses
  * shard/trace_merge.hh, so eval_prof accepts exactly what the tracer
  * writes and what the fleet merge emits.
  */

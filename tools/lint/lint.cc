@@ -46,8 +46,7 @@ classify(const std::string &relPath)
     ps.inSrc = startsWith(relPath, "src/");
     ps.timingExempt = startsWith(relPath, "src/util/random") ||
                       startsWith(relPath, "src/util/logging") ||
-                      startsWith(relPath, "src/trace/") ||
-                      startsWith(relPath, "src/obs/");
+                      startsWith(relPath, "src/trace/");
     ps.iostreamExempt = startsWith(relPath, "src/util/logging");
     return ps;
 }
@@ -177,38 +176,6 @@ ruleDetSharedRng(const Ctx &ctx)
     }
 }
 
-// A floating literal (1.0, .5, 2e-3, 1.5e8f) adjacent to == or !=.
-const std::regex floatEqRe(
-    R"((==|!=)\s*[+-]?((\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?)"
-    R"(|((\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fFlL]?\s*(==|!=))");
-
-void
-ruleNumFloatEq(const Ctx &ctx)
-{
-    const std::string &code = ctx.scan.code;
-    std::set<int> seen;
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), floatEqRe);
-         it != std::sregex_iterator(); ++it) {
-        const int line = lineOf(ctx.scan, it->position());
-        if (!seen.insert(line).second)
-            continue;
-        ctx.emit(it->position(), "num-float-eq",
-                 "exact floating-point equality comparison; compare "
-                 "against a tolerance or restructure to integer state");
-    }
-}
-
-void
-ruleNumFloatNarrow(const Ctx &ctx)
-{
-    if (!ctx.scope.inSrc)
-        return;
-    for (std::size_t pos : findTokens(ctx.scan.code, "float", false))
-        ctx.emit(pos, "num-float-narrow",
-                 "'float' on a model path narrows double precision; "
-                 "the model is double-throughout");
-}
-
 const std::regex pragmaOnceRe(R"(^[ \t]*#[ \t]*pragma[ \t]+once\b)");
 
 void
@@ -315,41 +282,6 @@ ruleObsSpanLeak(const Ctx &ctx)
                          "' outside src/trace; use the RAII ScopedSpan "
                          "so every span closes in the scope that "
                          "opened it");
-}
-
-void
-ruleObsProgressUnits(const Ctx &ctx)
-{
-    // Every parallel fan-out in bench/ is user-visible work: it must
-    // tick a ProgressTracker so the status file (and eval_top) can
-    // show completion, throughput, and ETA for the run.  A fan-out
-    // whose progress is reported elsewhere carries an audited
-    // suppression.
-    if (!startsWith(ctx.relPath, "bench/"))
-        return;
-    const std::string &code = ctx.scan.code;
-    static const char *entries[] = {"parallelFor", "parallelMap"};
-    for (const char *entry : entries) {
-        for (std::size_t pos : findTokens(code, entry, true)) {
-            const std::size_t open = code.find('(', pos);
-            const std::size_t close = matchParen(code, open);
-            if (close == open)
-                continue; // unbalanced (partial file); nothing to scan
-            const std::string body = code.substr(open, close - open);
-            // A fan-out call site passes a lambda; a region without
-            // one is the pool's own declaration/definition.
-            if (body.find('[') == std::string::npos)
-                continue;
-            if (!findTokens(body, "tick", true).empty())
-                continue;
-            ctx.emit(pos, "obs-progress-units",
-                     std::string(entry) +
-                         " body in bench/ never calls "
-                         "ProgressTracker::tick; fan-outs must report "
-                         "progress so status files show completion and "
-                         "throughput (see src/obs/progress.hh)");
-        }
-    }
 }
 
 const std::regex sizedVec(R"(vector\s*<[^;{}()]*>\s+\w+\s*\()");
@@ -508,13 +440,10 @@ runFileRules(const Ctx &ctx)
     ruleDetWallclock(ctx);
     ruleDetUnordered(ctx);
     ruleDetSharedRng(ctx);
-    ruleNumFloatEq(ctx);
-    ruleNumFloatNarrow(ctx);
     ruleHygPragmaOnce(ctx);
     ruleHygUsingNamespace(ctx);
     ruleHygIostream(ctx);
     ruleObsSpanLeak(ctx);
-    ruleObsProgressUnits(ctx);
     rulePerfHotAlloc(ctx);
     ruleAtomicsHotRmw(ctx);
 }
@@ -635,7 +564,7 @@ ruleCatalog()
     static const std::vector<RuleInfo> catalog = {
         {"det-entropy",
          "no rand()/srand()/std::random_device/time()/gettimeofday "
-         "outside src/util/random, src/util/logging, src/trace, src/obs"},
+         "outside src/util/random, src/util/logging, src/trace"},
         {"det-wallclock",
          "no std::chrono clock reads on src/ model paths (timing "
          "belongs to src/trace spans or logging timestamps)"},
@@ -649,10 +578,6 @@ ruleCatalog()
          "parallelFor/parallelMap lambdas must not mutate or "
          "accumulate into by-reference captures order-dependently; "
          "write per-index slots or merge after the fan-out"},
-        {"num-float-eq",
-         "no ==/!= against floating-point literals"},
-        {"num-float-narrow",
-         "no 'float' in src/ (the model is double-throughout)"},
         {"lay-edge",
          "every cross-module include under src/ needs a `uses` edge "
          "or per-file exception in tools/lint/layers.toml (never "
@@ -689,9 +614,6 @@ ruleCatalog()
         {"obs-span-leak",
          "spans are RAII-only: no heap/pointer/reference ScopedSpan "
          "and no raw begin/end span calls outside src/trace"},
-        {"obs-progress-units",
-         "every parallelFor/parallelMap in bench/ must tick a "
-         "ProgressTracker (or carry an audited suppression)"},
         {"perf-hot-alloc",
          "no heap allocation (new, malloc, make_unique/shared, "
          "std::function, unreserved push_back, sized vector locals) in "

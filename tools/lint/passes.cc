@@ -369,8 +369,7 @@ passDeterminismFlow(const ProjectIndex &index,
     // re-arranging a shared object from inside a parallel body makes
     // the result depend on the schedule.  Slot-indexed writes
     // (out[i] = ...) never match; neither do CampaignAccumulator-
-    // style merge folds (merge happens serially after the fan-out) or
-    // ProgressTracker ticks (relaxed counters off the results path).
+    // style merge folds (merge happens serially after the fan-out).
     static const char *mutators[] = {
         "push_back", "emplace_back", "push_front", "emplace_front",
         "emplace",   "insert",       "erase",      "clear",

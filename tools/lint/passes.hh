@@ -21,7 +21,7 @@
  *  - atomics audit (atomics-relaxed): every memory_order_relaxed in
  *    src/ needs an audited inline allowance, unless the file carries
  *    the `eval-lint: counters-only <why>` marker (monotone counters
- *    off the model path, e.g. src/obs/progress.hh).
+ *    off the model path, e.g. src/stats/stat_registry.hh).
  *  - determinism data-flow (det-par-capture): a lambda passed to
  *    parallelFor/parallelMap that captures by reference and then
  *    grows/mutates the captured object order-dependently

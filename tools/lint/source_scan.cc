@@ -51,7 +51,10 @@ scanSource(const std::string &in)
                           prefix == "UR" || prefix == "LR";
                 }
                 if (raw) {
-                    rawDelim = ")";
+                    // clear()+push_back, not = ")": GCC 12 flags the
+                    // literal assignment with a false -Wrestrict.
+                    rawDelim.clear();
+                    rawDelim.push_back(')');
                     for (std::size_t j = i + 1;
                          j < in.size() && in[j] != '('; ++j)
                         rawDelim.push_back(in[j]);
