@@ -45,7 +45,6 @@ main()
                 }
                 return runs;
             });
-        reporter.addChips(perChip.size());
         RunningStats fr, perf, pe;
         for (const auto &runs : perChip) {
             for (const AppRunResult &r : runs) {

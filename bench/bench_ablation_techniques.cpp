@@ -85,7 +85,6 @@ main()
                 }
                 return freqs;
             });
-        reporter.addChips(perChip.size());
         RunningStats freq;
         for (const auto &freqs : perChip)
             for (double f : freqs)

@@ -47,7 +47,6 @@ main()
                     CmpSystem cmp(ctx, chip);
                     return cmp.runMix(mix, env, scheme);
                 });
-            reporter.addChips(perChip.size());
             RunningStats tput, power, th, throttle;
             for (const CmpRunResult &res : perChip) {
                 tput.add(res.throughputRel);

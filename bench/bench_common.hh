@@ -15,8 +15,9 @@
  * Observability (DESIGN.md "Observability"): every bench constructs a
  * BenchReporter, which prints one machine-readable JSON footer line
  * ("BENCH_JSON {...}") with the bench name, wall-clock seconds, peak
- * RSS, and its key metrics.  The reporter also honours:
- *   EVAL_BENCH_JSON=path   append the footer line to a file
+ * RSS, and its key metrics.  Nothing gates on the footer: perfbench/
+ * is the one performance measurement (TESTING.md "Measuring
+ * performance").  The reporter also honours:
  *   EVAL_STATS_OUT=path    dump the stat registry (JSON, or CSV when
  *                          the path ends in .csv) on exit
  *   EVAL_TRACE_OUT=path    record and export the decision trace
@@ -24,19 +25,12 @@
  *                          Chrome/Perfetto trace_event JSON
  *   EVAL_PROFILE_OUT=path  export the aggregated span profile
  *                          (profile.json schema, DESIGN.md Sec 5j);
- *                          either span env enables the tracer, and
- *                          the footer gains a compact span_self_ms
- *                          map benchtrack uses for regression blame
+ *                          either span env enables the tracer
  *   EVAL_MANIFEST=path     write the run-provenance manifest
  *                          (default <bench>.manifest.json; set empty
  *                          to disable)
  * The telemetry dump is registered with ExitFlush at construction, so
  * files survive fatal()/uncaught-exception exits mid-bench.
- *
- * Benches that simulate whole chips credit them with
- * BenchReporter::addChips; the reporter divides that count by wall
- * time into a throughput_chips_per_s footer metric, which benchtrack
- * gates as higher-is-better.
  */
 
 #pragma once
@@ -146,27 +140,12 @@ class BenchReporter
         metrics_.emplace_back(key, "\"" + value + "\"");
     }
 
-    /** Credit @p n simulated chips to the throughput footer metric. */
-    void
-    addChips(std::uint64_t n)
-    {
-        chips_ += n;
-    }
-
     ~BenchReporter()
     {
         const double wallS =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start_)
                 .count();
-
-        // Per-chip throughput, so a wall-clock gate cannot hide
-        // per-chip regressions when chip counts change (benchtrack
-        // gates this higher-is-better).
-        if (chips_ > 0 && wallS > 0.0) {
-            metric("throughput_chips_per_s",
-                   static_cast<double>(chips_) / wallS);
-        }
 
         std::string json = "{\"bench\": \"" + name_ +
                            "\", \"wall_clock_s\": ";
@@ -178,26 +157,6 @@ class BenchReporter
         if (!spansPath_.empty())
             json += ", \"trace_spans\": \"" + spansPath_ + "\"";
 
-        // Compact per-span self-time map (top spans by self time, in
-        // ms) when tracing ran: benchtrack ingests it and names the
-        // culprit spans when the wall-clock gate trips.
-        if (SpanTracer::global().enabled()) {
-            const auto spans = SpanTracer::global().selfTimeByName();
-            std::string spanJson;
-            std::size_t emitted = 0;
-            for (const auto &[span, selfNs] : spans) {
-                if (emitted == 8)
-                    break;
-                std::snprintf(buf, sizeof(buf), "%.3f",
-                              static_cast<double>(selfNs) / 1e6);
-                spanJson += (emitted ? ", \"" : "\"") + span +
-                            "\": " + buf;
-                ++emitted;
-            }
-            if (!spanJson.empty())
-                json += ", \"span_self_ms\": {" + spanJson + "}";
-        }
-
         json += ", \"metrics\": {";
         for (std::size_t i = 0; i < metrics_.size(); ++i) {
             json += (i ? ", \"" : "\"") + metrics_[i].first +
@@ -205,18 +164,6 @@ class BenchReporter
         }
         json += "}}\n";
         std::fputs(("BENCH_JSON " + json).c_str(), stdout);
-
-        // The file gets the bare object so it is valid JSONL.
-        const std::string jsonPath = envString("EVAL_BENCH_JSON", "");
-        if (!jsonPath.empty()) {
-            if (std::FILE *f = std::fopen(jsonPath.c_str(), "a")) {
-                std::fputs(json.c_str(), f);
-                std::fclose(f);
-            } else {
-                warn("cannot append bench footer to '", jsonPath, "'");
-            }
-            RunManifest::global().setOutput("bench_json", jsonPath);
-        }
 
         RunManifest::global().addStage(name_, wallS);
         // Normal exit: flush every registered closure (ours included)
@@ -231,7 +178,6 @@ class BenchReporter
     std::string profilePath_;
     std::string manifestPath_;
     int flushId_ = 0;
-    std::uint64_t chips_ = 0;
     std::vector<std::pair<std::string, std::string>> metrics_;
 };
 

@@ -19,7 +19,6 @@ main()
     ExperimentContext ctx(benchConfig(16));
     const SweepResult sweep =
         runEnvironmentSweep(ctx, figureEnvironments(), allSchemes());
-    reporter.addChips(static_cast<std::uint64_t>(ctx.config().chips));
 
     printEnvironmentFigure(sweep,
                            "Figure 12: power per processor (W)",

@@ -69,7 +69,6 @@ main()
                     return ctx.adaptApps(chip, caps,
                                          AdaptScheme::FuzzyDyn);
                 });
-            reporter.addChips(chips);
             OutcomeTally cell{};
             for (const OutcomeTally &local : perChip)
                 for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)

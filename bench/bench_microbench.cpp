@@ -4,12 +4,18 @@
  * for the paper's runtime claims: the fuzzy controller routines take
  * ~6us per invocation on the managed CPU (Sec 4.3.3), which makes
  * phase-granularity adaptation essentially free.
+ *
+ * The PE and thermal kernels each have an Exact case (memo switched
+ * off, so every call runs the full evaluation) and a MemoHit case
+ * (memo on and one repeated key, so every call after the first is an
+ * exact-bit memo hit).  Each case restores the memo switch it found.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hh"
 #include "core/eval.hh"
+#include "kernels/thermal_batch.hh"
 
 namespace eval {
 namespace {
@@ -87,33 +93,80 @@ BM_ExhaustiveFullInvocation(benchmark::State &state)
 }
 BENCHMARK(BM_ExhaustiveFullInvocation);
 
-void
-BM_ThermalSolve(benchmark::State &state)
+const StageErrorModel &
+icacheErrorModel()
 {
+    return sharedContext()
+        .coreModel(0, 0)
+        .subsystem(SubsystemId::Icache)
+        .errorModel(false);
+}
+
+void
+BM_ThermalSolve(benchmark::State &state, bool memo)
+{
+    // One subsystem's Eq 6-9 fixed-point solve.
     ExperimentContext &ctx = sharedContext();
     const ThermalModel &thermal = *ctx.thermalModel();
     const auto &power =
         ctx.powerParams()[static_cast<std::size_t>(SubsystemId::IntALU)];
+    const bool memoWas = thermalCacheEnabled();
+    setThermalCacheEnabled(memo);
     for (auto _ : state) {
         benchmark::DoNotOptimize(thermal.solveSubsystem(
             power, SubsystemId::IntALU, 0.15, 1.1, 0.0, 4.5e9, 0.7,
             65.0));
     }
+    setThermalCacheEnabled(memoWas);
 }
-BENCHMARK(BM_ThermalSolve);
+BENCHMARK_CAPTURE(BM_ThermalSolve, Exact, false);
+BENCHMARK_CAPTURE(BM_ThermalSolve, MemoHit, true);
 
 void
-BM_ErrorRateQuery(benchmark::State &state)
+BM_ErrorRateQuery(benchmark::State &state, bool memo)
 {
-    ExperimentContext &ctx = sharedContext();
-    const CoreSystemModel &core = ctx.coreModel(0, 0);
-    const StageErrorModel &model =
-        core.subsystem(SubsystemId::Icache).errorModel(false);
+    // Each thread has its own PE memo, so MemoHit stays a
+    // thread-local hit at any thread count.
+    const StageErrorModel &model = icacheErrorModel();
     const OperatingConditions op{1.0, 0.0, 70.0};
+    const bool memoWas = peCacheEnabled();
+    setPeCacheEnabled(memo);
     for (auto _ : state)
         benchmark::DoNotOptimize(model.errorRatePerAccess(2.4e-10, op));
+    setPeCacheEnabled(memoWas);
 }
-BENCHMARK(BM_ErrorRateQuery);
+BENCHMARK_CAPTURE(BM_ErrorRateQuery, Exact, false);
+BENCHMARK_CAPTURE(BM_ErrorRateQuery, MemoHit, true)->Threads(1)->Threads(4);
+
+void
+BM_MaxFrequencyQuery(benchmark::State &state)
+{
+    // The Freq algorithm's inner query: the highest frequency whose
+    // PE stays within a budget.
+    const StageErrorModel &model = icacheErrorModel();
+    const OperatingConditions op{1.0, 0.0, 70.0};
+    const double budgets[] = {0.0, 1e-6, 1e-4, 1e-2};
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            model.maxFrequencyForErrorRate(budgets[i++ % 4], op));
+    }
+}
+BENCHMARK(BM_MaxFrequencyQuery);
+
+void
+BM_PathPopulationBuild(benchmark::State &state)
+{
+    // Manufacturing-time cost of one subsystem's timing paths.
+    const Chip &chip = sharedContext().chip(0);
+    std::uint64_t stream = 0x2000;
+    for (auto _ : state) {
+        Rng rng = chip.forkRng(stream++);
+        benchmark::DoNotOptimize(buildPathPopulation(
+            chip, 0, SubsystemId::Icache, PathPopulationParams{}, rng));
+    }
+}
+BENCHMARK(BM_PathPopulationBuild);
 
 void
 BM_TraceGeneration(benchmark::State &state)
@@ -164,21 +217,6 @@ BM_CounterContended(benchmark::State &state)
         counter.inc();
 }
 BENCHMARK(BM_CounterContended)->Threads(1)->Threads(4);
-
-void
-BM_ErrorRateQueryCached(benchmark::State &state)
-{
-    // Same PE query from several threads: each thread has its own
-    // memo cache, so the steady state is a thread-local hit.
-    ExperimentContext &ctx = sharedContext();
-    const CoreSystemModel &core = ctx.coreModel(0, 0);
-    const StageErrorModel &model =
-        core.subsystem(SubsystemId::Icache).errorModel(false);
-    const OperatingConditions op{1.0, 0.0, 70.0};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(model.errorRatePerAccess(2.4e-10, op));
-}
-BENCHMARK(BM_ErrorRateQueryCached)->Threads(4);
 
 void
 BM_ScopedSpanDisabled(benchmark::State &state)

@@ -131,18 +131,10 @@ main()
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.chips = benchChips(32);
 
-    // Every pipeline run, timed or overhead pair, feeds the footer
-    // throughput.
-    const auto run = [&](std::size_t threads) {
-        ScalingRun r = runAtThreads(cfg, threads);
-        reporter.addChips(r.runs.size());
-        return r;
-    };
-
     const std::vector<std::size_t> threadCounts = {1, 2, 4, 8};
     std::vector<ScalingRun> results;
     for (std::size_t n : threadCounts)
-        results.push_back(run(n));
+        results.push_back(runAtThreads(cfg, n));
 
     bool identical = true;
     for (std::size_t i = 1; i < results.size(); ++i) {
@@ -188,7 +180,7 @@ main()
     const Overhead tracing = measureOverhead([&](bool enabled) {
         tracer.setEnabled(enabled);
         const std::size_t before = tracer.eventCount();
-        const double wallS = run(1).wallS;
+        const double wallS = runAtThreads(cfg, 1).wallS;
         const std::size_t recorded = tracer.eventCount() - before;
         EVAL_ASSERT(enabled || recorded == 0,
                     "disabled tracer recorded span events");

@@ -5,10 +5,9 @@
  * workers, the production protocol — plus the monolithic reference,
  * and fails loudly unless every merged.snap / merged.stats.json is
  * byte-identical across all of them (the differential property, at
- * bench scale, on every CI run that gates throughput).
+ * bench scale; `scripts/check.sh --shard-smoke` runs it in CI).
  *
- * Footer metrics: wall seconds per shard count, fork-speedup ratios,
- * and throughput_chips_per_s for the benchtrack gate.
+ * Footer metrics: wall seconds per shard count and fork-speedup ratios.
  *
  * The acceptance-scale run is the same binary at population size:
  *   EVAL_CHIPS=100000 ./bench_shard_scaling
@@ -99,7 +98,6 @@ main(int argc, char **argv)
                              std::chrono::steady_clock::now() -
                              monoStart)
                              .count();
-    reporter.addChips(chips);
     if (!writeMergedOutputs(mono, monoDir, /*binarySnapshots=*/true))
         EVAL_FATAL("cannot write monolithic reference outputs");
     const std::string refSnap =
@@ -128,8 +126,6 @@ main(int argc, char **argv)
                                  std::chrono::steady_clock::now() -
                                  start)
                                  .count();
-        // The footer throughput covers the forked stages too.
-        reporter.addChips(chips);
         if (rc != 0)
             EVAL_FATAL("sharded run (", shards, " shards) failed: ",
                        rc);

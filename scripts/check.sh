@@ -10,8 +10,6 @@
 #        scripts/check.sh --lint [build-dir]
 #        scripts/check.sh --tidy [build-dir]
 #        scripts/check.sh --coverage [build-dir]
-#        scripts/check.sh --bench-track [build-dir]
-#        scripts/check.sh --perf-smoke [build-dir]
 #        scripts/check.sh --shard-smoke [build-dir]
 #        scripts/check.sh --prof-smoke [build-dir]
 #
@@ -44,27 +42,17 @@
 # gcovr, enforcing the ratchet threshold below.  Degrades to a warning
 # if gcovr is not installed.
 #
-# --bench-track (or CHECK_BENCH_TRACK=1) builds the benches and the
-# benchtrack CLI, runs a fast bench set (EVAL_FAST=1) capturing their
-# BENCH_JSON footers, ingests them into bench/history/, and emits a
-# regression report (bench-report.md / bench-report.json in the build
-# dir).  Fails when a gated metric (wall_clock_s) regresses more than
-# the noise threshold vs the recent history window.  See TESTING.md
-# "Tracking bench regressions".
-#
-# --perf-smoke (or CHECK_PERF_SMOKE=1) runs a fast kernel-sensitive
-# bench set once and gates it with benchtrack against bench/history
-# (perf-report.md / perf-report.json in the build dir).  See
-# TESTING.md "Perf smoke".
+# No mode gates performance: `python3 perfbench/run.py` with the
+# bounds in BENCHMARK.json is the one performance measurement (see
+# TESTING.md "Measuring performance").
 #
 # --prof-smoke (or CHECK_PROF_SMOKE=1) is the span-profiling
 # end-to-end check (DESIGN.md §5j): a fast 2-shard fig13 with tracing
 # must leave one merged Perfetto timeline plus a fleet profile.json
 # behind, with non-zero characterize.app and arch.core_run buckets
-# and no pe.eval bucket; eval_prof tree/flame must render it and a
-# self-compare `diff --gate` must exit 0; then a synthetic +20% wall-clock
-# regression with one grown span, fed through benchtrack, must trip
-# the gate AND render a Blame section naming that span.
+# and no pe.eval bucket; eval_prof tree/flame/diff must render it.
+# Then bench_parallel_scaling (EVAL_FAST=1) must hold its thread
+# bit-identity and tracer-overhead assertions.
 #
 # --shard-smoke (or CHECK_SHARD_SMOKE=1) is the sharded-campaign
 # end-to-end drill: it runs a small 2-shard fig13 with a crash
@@ -72,9 +60,9 @@
 # before the next -- the harshest torn state), asserts the supervisor
 # fails, resumes with --resume, and byte-compares the merged outputs
 # against both an uninterrupted 2-shard run and the monolithic
-# reference.  Then it runs bench_shard_scaling (EVAL_FAST=1) and
-# gates its throughput against bench/history via benchtrack.  See
-# TESTING.md "Shard equivalence".
+# reference.  Then bench_shard_scaling (EVAL_FAST=1) re-proves the
+# byte-identity at shards {1,2,4}.  See TESTING.md "Shard
+# equivalence".
 
 set -euo pipefail
 
@@ -91,8 +79,6 @@ case "${1:-}" in
   --lint)     mode="lint";     shift ;;
   --tidy)     mode="tidy";     shift ;;
   --coverage) mode="coverage"; shift ;;
-  --bench-track) mode="bench-track"; shift ;;
-  --perf-smoke) mode="perf-smoke"; shift ;;
   --shard-smoke) mode="shard-smoke"; shift ;;
   --prof-smoke) mode="prof-smoke"; shift ;;
 esac
@@ -102,8 +88,6 @@ esac
 [[ "${CHECK_LINT:-0}" == "1" ]] && mode="lint"
 [[ "${CHECK_TIDY:-0}" == "1" ]] && mode="tidy"
 [[ "${CHECK_COVERAGE:-0}" == "1" ]] && mode="coverage"
-[[ "${CHECK_BENCH_TRACK:-0}" == "1" ]] && mode="bench-track"
-[[ "${CHECK_PERF_SMOKE:-0}" == "1" ]] && mode="perf-smoke"
 [[ "${CHECK_SHARD_SMOKE:-0}" == "1" ]] && mode="shard-smoke"
 [[ "${CHECK_PROF_SMOKE:-0}" == "1" ]] && mode="prof-smoke"
 
@@ -210,85 +194,16 @@ if [[ "$mode" == "coverage" ]]; then
     exit 0
 fi
 
-if [[ "$mode" == "bench-track" ]]; then
-    build_dir="${1:-$repo_root/build-check}"
-    # Fast, representative bench set; override with BENCH_TRACK_SET.
-    bench_set=(${BENCH_TRACK_SET:-bench_fig01_vats bench_fig10_frequency \
-               bench_area_overhead bench_parallel_scaling})
-    history_dir="${BENCH_TRACK_HISTORY:-$repo_root/bench/history}"
-
-    cmake -B "$build_dir" -S "$repo_root"
-    build_dir="$(cd "$build_dir" && pwd)" # benches run from a scratch cwd
-    cmake --build "$build_dir" -j"$(nproc)" --target benchtrack \
-        "${bench_set[@]}"
-
-    # Run each bench in a scratch dir (benches drop manifest.json and
-    # telemetry beside themselves) and keep the raw stdout: benchtrack
-    # parses the BENCH_JSON footer straight out of it.
-    run_dir="$build_dir/bench-track"
-    rm -rf "$run_dir" && mkdir -p "$run_dir"
-    for bench in "${bench_set[@]}"; do
-        echo "check.sh: running $bench"
-        (cd "$run_dir" && EVAL_FAST=1 "$build_dir/bench/$bench" \
-            > "$bench.stdout")
-    done
-
-    "$build_dir/tools/benchtrack/benchtrack" ingest \
-        --history "$history_dir" "$run_dir"/*.stdout
-    "$build_dir/tools/benchtrack/benchtrack" report \
-        --history "$history_dir" \
-        --window "${BENCH_TRACK_WINDOW:-5}" \
-        --threshold "${BENCH_TRACK_THRESHOLD:-10}" \
-        --markdown "$build_dir/bench-report.md" \
-        --json "$build_dir/bench-report.json" \
-        --gate
-    echo "check.sh: bench tracking passed" \
-         "(report: $build_dir/bench-report.md)"
-    exit 0
-fi
-
-if [[ "$mode" == "perf-smoke" ]]; then
-    build_dir="${1:-$repo_root/build-check}"
-    # Fast kernel-sensitive set; override with PERF_SMOKE_SET.
-    bench_set=(${PERF_SMOKE_SET:-bench_inner_loop bench_fig01_vats})
-
-    cmake -B "$build_dir" -S "$repo_root"
-    build_dir="$(cd "$build_dir" && pwd)" # benches run from a scratch cwd
-    cmake --build "$build_dir" -j"$(nproc)" --target benchtrack \
-        "${bench_set[@]}"
-
-    history_dir="${BENCH_TRACK_HISTORY:-$repo_root/bench/history}"
-    run_dir="$build_dir/perf-smoke"
-    rm -rf "$run_dir" && mkdir -p "$run_dir"
-    for bench in "${bench_set[@]}"; do
-        echo "check.sh: running $bench"
-        (cd "$run_dir" && EVAL_FAST=1 \
-            "$build_dir/bench/$bench" > "$bench.stdout")
-    done
-    "$build_dir/tools/benchtrack/benchtrack" ingest \
-        --history "$history_dir" "$run_dir"/*.stdout
-    "$build_dir/tools/benchtrack/benchtrack" report \
-        --history "$history_dir" \
-        --window "${BENCH_TRACK_WINDOW:-5}" \
-        --threshold "${BENCH_TRACK_THRESHOLD:-10}" \
-        --markdown "$build_dir/perf-report.md" \
-        --json "$build_dir/perf-report.json" \
-        --gate
-    echo "check.sh: perf smoke passed (report: $build_dir/perf-report.md)"
-    exit 0
-fi
-
 if [[ "$mode" == "prof-smoke" ]]; then
     build_dir="${1:-$repo_root/build-check}"
 
     cmake -B "$build_dir" -S "$repo_root"
     build_dir="$(cd "$build_dir" && pwd)" # runs happen in scratch dirs
     cmake --build "$build_dir" -j"$(nproc)" --target eval_cli \
-        eval_prof benchtrack
+        eval_prof bench_parallel_scaling
 
     cli="$build_dir/examples/eval_cli"
     prof="$build_dir/tools/eval_prof/eval_prof"
-    bt="$build_dir/tools/benchtrack/benchtrack"
     run_dir="$build_dir/prof-smoke"
     rm -rf "$run_dir" && mkdir -p "$run_dir"
 
@@ -331,56 +246,37 @@ if [[ "$mode" == "prof-smoke" ]]; then
         exit 1
     fi
 
-    # 2. eval_prof must render the fleet profile, and a self-compare
-    #    diff has nothing to gate on.
+    # 2. eval_prof must render the fleet profile; a self-compare diff
+    #    must succeed.
     echo "check.sh: prof smoke -- eval_prof tree/flame/diff"
     "$prof" tree "$profile" > /dev/null
     "$prof" tree "$profile" --bottom-up --top=10 > /dev/null
     "$prof" flame "$profile" --out="$run_dir/stacks.txt"
     [[ -s "$run_dir/stacks.txt" ]]
-    "$prof" diff "$profile" "$profile" --gate > /dev/null
+    "$prof" diff "$profile" "$profile" > /dev/null
 
-    # 3. Blame drill: four steady footers, then a +20% wall-clock
-    #    entry where one span's self time grew to match.  The gate
-    #    must trip (exit 1) and the report must blame that span.
-    echo "check.sh: prof smoke -- benchtrack blame drill"
-    hist="$run_dir/history"
-    footers="$run_dir/footers.jsonl"
-    for _ in 1 2 3 4; do
-        printf '%s\n' '{"bench": "prof_smoke", "wall_clock_s": 10.0, "span_self_ms": {"fig13.sweep": 8000.0, "optimizer.choose": 1500.0}}'
-    done > "$footers"
-    printf '%s\n' '{"bench": "prof_smoke", "wall_clock_s": 12.0, "span_self_ms": {"fig13.sweep": 8100.0, "optimizer.choose": 3400.0}}' \
-        >> "$footers"
-    "$bt" ingest --history "$hist" "$footers" > /dev/null
-    if "$bt" report --history "$hist" \
-        --markdown "$run_dir/blame.md" --gate > /dev/null; then
-        echo "check.sh: ERROR benchtrack missed the +20% regression"
+    # 3. bench_parallel_scaling asserts that every thread count gives
+    #    bit-identical results and that tracing costs at most 3% of
+    #    the untraced wall time; it exits non-zero when either fails.
+    echo "check.sh: prof smoke -- bench_parallel_scaling"
+    (cd "$run_dir" && EVAL_FAST=1 EVAL_MANIFEST= \
+        "$build_dir/bench/bench_parallel_scaling" \
+        > parallel_scaling.stdout) || {
+        echo "check.sh: ERROR bench_parallel_scaling failed"
+        cat "$run_dir/parallel_scaling.stdout"
         exit 1
-    fi
-    if ! grep -q '^## Blame: prof_smoke' "$run_dir/blame.md"; then
-        echo "check.sh: ERROR blame section missing from report"
-        cat "$run_dir/blame.md"
-        exit 1
-    fi
-    if ! grep -A6 '^## Blame: prof_smoke' "$run_dir/blame.md" \
-            | grep -q 'optimizer.choose'; then
-        echo "check.sh: ERROR blame did not name the grown span"
-        cat "$run_dir/blame.md"
-        exit 1
-    fi
-    echo "check.sh: prof smoke passed" \
-         "(fleet profile: $profile, blame: $run_dir/blame.md)"
+    }
+    echo "check.sh: prof smoke passed (fleet profile: $profile)"
     exit 0
 fi
 
 if [[ "$mode" == "shard-smoke" ]]; then
     build_dir="${1:-$repo_root/build-check}"
-    history_dir="${BENCH_TRACK_HISTORY:-$repo_root/bench/history}"
 
     cmake -B "$build_dir" -S "$repo_root"
     build_dir="$(cd "$build_dir" && pwd)" # runs happen in scratch dirs
     cmake --build "$build_dir" -j"$(nproc)" --target eval_cli \
-        benchtrack bench_shard_scaling
+        bench_shard_scaling
 
     cli="$build_dir/examples/eval_cli"
     run_dir="$build_dir/shard-smoke"
@@ -438,27 +334,15 @@ if [[ "$mode" == "shard-smoke" ]]; then
     echo "check.sh: shard smoke -- merged outputs bit-identical" \
          "(resumed == uninterrupted == monolithic)"
 
-    # 4. Throughput history: bench_shard_scaling re-proves the
-    #    identity at shards {1,2,4} and reports chips/s; benchtrack
-    #    gates it against the recent history window like the other
-    #    tracked benches.
+    # 4. bench_shard_scaling re-proves the byte-identity at shards
+    #    {1,2,4}; it exits non-zero on any mismatch.
     bench_dir="$build_dir/shard-smoke-bench"
     rm -rf "$bench_dir" && mkdir -p "$bench_dir"
     echo "check.sh: running bench_shard_scaling"
     (cd "$bench_dir" && EVAL_FAST=1 EVAL_MANIFEST= \
         "$build_dir/bench/bench_shard_scaling" \
         > bench_shard_scaling.stdout)
-    "$build_dir/tools/benchtrack/benchtrack" ingest \
-        --history "$history_dir" "$bench_dir"/*.stdout
-    "$build_dir/tools/benchtrack/benchtrack" report \
-        --history "$history_dir" \
-        --window "${BENCH_TRACK_WINDOW:-5}" \
-        --threshold "${BENCH_TRACK_THRESHOLD:-10}" \
-        --markdown "$build_dir/shard-bench-report.md" \
-        --json "$build_dir/shard-bench-report.json" \
-        --gate
-    echo "check.sh: shard smoke passed" \
-         "(report: $build_dir/shard-bench-report.md)"
+    echo "check.sh: shard smoke passed"
     exit 0
 fi
 

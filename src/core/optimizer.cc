@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 
-#include "exec/thread_pool.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
@@ -296,28 +295,18 @@ CoreOptimizer::freqForConfig(const CoreSystemModel &core,
 
     double fNormal = 0.0;
     double fLowSlope = 0.0;
-
-    // The per-subsystem Freq queries are independent const scans, so
-    // fan them out; every task writes its own slot (the FU task its
-    // own two locals), and the min-reduction below runs serially, so
-    // the result is bit-identical to the serial loop.
-    globalPool().parallelFor(0, kNumSubsystems, 1, [&](std::size_t i) {
+    double minRest = 1e30;
+    for (std::size_t i = 0; i < kNumSubsystems; ++i) {
         const auto id = static_cast<SubsystemId>(i);
         const double alphaF = phase.act.alpha[i];
 
         if (caps_.fuReplication && id == fuId) {
             fNormal = sub_.maxFrequency(core, id, false, alphaF, thC);
             fLowSlope = sub_.maxFrequency(core, id, true, alphaF, thC);
-            return;
+            continue;
         }
         const bool alt = smallQueue && id == queueId;
         fmaxOut[i] = sub_.maxFrequency(core, id, alt, alphaF, thC);
-    });
-
-    double minRest = 1e30;
-    for (std::size_t i = 0; i < kNumSubsystems; ++i) {
-        if (caps_.fuReplication && static_cast<SubsystemId>(i) == fuId)
-            continue;
         minRest = std::min(minRest, fmaxOut[i]);
     }
 
@@ -397,17 +386,15 @@ CoreOptimizer::choose(const CoreSystemModel &core,
     const PerfInputs &perfIn =
         smallQueue ? phase.perfSmall : phase.perfFull;
     for (int guard = 0; guard < 40; ++guard) {
-        // Independent per-subsystem Power queries: fan out, then fold
-        // the per-slot answers into op serially (op is read by every
-        // task via usesAlternate, so tasks must not write it).
+        // Every Power query reads op (via usesAlternate), so all of
+        // them run before any answer is folded into op.
         std::array<std::optional<SubsystemKnobs>, kNumSubsystems> picks;
-        globalPool().parallelFor(0, kNumSubsystems, 1,
-                                 [&](std::size_t i) {
+        for (std::size_t i = 0; i < kNumSubsystems; ++i) {
             const auto id = static_cast<SubsystemId>(i);
             const bool alt = core.usesAlternate(id, op);
             picks[i] = sub_.minimizePower(core, id, alt, op.freq,
                                           phase.act.alpha[i], thC);
-        });
+        }
         for (std::size_t i = 0; i < kNumSubsystems; ++i) {
             const auto id = static_cast<SubsystemId>(i);
             if (picks[i]) {

@@ -5,8 +5,7 @@
  * type/compiler/flags, sanitizer mode, seed, thread count, a hash of
  * the experiment configuration, per-stage wall times, peak RSS, and
  * the paths of every telemetry artifact the run produced.  A bench
- * number without its manifest is unreproducible; benchtrack
- * (tools/benchtrack) and humans both start from this file.
+ * number without its manifest is unreproducible.
  *
  * Schema (stable member order, schema_version bumps on change; the
  * golden test tests/golden/manifest_schema_test.cpp pins it):
@@ -76,7 +75,7 @@ class RunManifest
     void addStage(const std::string &name, double wallS);
 
     /** Record a telemetry artifact this run wrote ("stats",
-     *  "decision_trace", "trace_spans", "bench_json", ...). */
+     *  "decision_trace", "trace_spans", ...). */
     void setOutput(const std::string &key, const std::string &path);
 
     std::string json() const;

@@ -389,22 +389,6 @@ SpanTracer::writeProfileJson(const std::string &path) const
     return ok;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
-SpanTracer::selfTimeByName() const
-{
-    std::map<std::string, std::uint64_t> byName;
-    for (const ProfileBucket &b : snapshotProfile())
-        byName[b.name] += b.selfNs;
-    std::vector<std::pair<std::string, std::uint64_t>> out(
-        byName.begin(), byName.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
-                  return std::tie(b.second, a.first) <
-                         std::tie(a.second, b.first);
-              });
-    return out;
-}
-
 namespace trace_detail {
 
 bool

@@ -162,13 +162,6 @@ class SpanTracer
     /** Write profileJson() to @p path; false on I/O failure. */
     bool writeProfileJson(const std::string &path) const;
 
-    /** Total self ns per span NAME (buckets with the same leaf name
-     *  under different parents fold together), sorted by self time
-     *  descending then name.  Feeds the compact `span_self_ms` bench
-     *  footer. */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    selfTimeByName() const;
-
     /** Innermost open span name on the calling thread ("" if none). */
     static const char *currentSpanName();
 };

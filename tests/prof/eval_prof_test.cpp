@@ -1,8 +1,11 @@
 /** Tests for eval_prof: tree/bottom-up rendering, collapsed-stack
- *  flamegraph output, and profile diff (ordering, gate semantics,
+ *  flamegraph output, and profile diff (ordering, new paths,
  *  self-compare). */
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
 
 #include "eval_prof.hh"
 
@@ -13,7 +16,6 @@ using prof::DiffRow;
 using prof::collapsedStacks;
 using prof::diffProfiles;
 using prof::formatNs;
-using prof::hasRegression;
 using prof::renderDiff;
 using prof::renderTree;
 using prof::runEvalProf;
@@ -98,7 +100,7 @@ TEST(EvalProfFlame, CollapsedStacksEmitSelfMicroseconds)
     EXPECT_EQ(collapsedStacks(p).find("root;hot "), std::string::npos);
 }
 
-TEST(EvalProfDiff, SelfCompareIsAllZeroAndNeverGates)
+TEST(EvalProfDiff, SelfCompareIsAllZero)
 {
     const SpanProfile p = sampleProfile();
     const std::vector<DiffRow> rows = diffProfiles(p, p);
@@ -107,10 +109,9 @@ TEST(EvalProfDiff, SelfCompareIsAllZeroAndNeverGates)
         EXPECT_EQ(row.deltaSelfNs, 0);
         EXPECT_EQ(row.oldCount, row.newCount);
     }
-    EXPECT_FALSE(hasRegression(rows, 0.0));
 }
 
-TEST(EvalProfDiff, SortsByAbsoluteDeltaAndGatesOnGrowth)
+TEST(EvalProfDiff, SortsByAbsoluteDelta)
 {
     SpanProfile before = sampleProfile();
     SpanProfile after = sampleProfile();
@@ -121,17 +122,14 @@ TEST(EvalProfDiff, SortsByAbsoluteDeltaAndGatesOnGrowth)
     EXPECT_EQ(rows[0].path, "root;hot");
     EXPECT_EQ(rows[0].deltaSelfNs, 3000000);
     EXPECT_EQ(rows[1].path, "root;cold");
-    EXPECT_TRUE(hasRegression(rows, 10.0));
-    EXPECT_FALSE(hasRegression(rows, 70.0));
-    // Shrinking self time is never a regression (hot improved when
-    // diffing the other way; it sorts first on |delta|).
+    // Diffing the other way, hot shrank; it still sorts first on
+    // |delta|.
     const std::vector<DiffRow> improved = diffProfiles(after, before);
     ASSERT_EQ(improved[0].path, "root;hot");
-    EXPECT_FALSE(hasRegression(
-        std::vector<DiffRow>{improved[0]}, 0.0));
+    EXPECT_EQ(improved[0].deltaSelfNs, -3000000);
 }
 
-TEST(EvalProfDiff, NewPathsAreMarkedButNeverGate)
+TEST(EvalProfDiff, NewPathsAreMarked)
 {
     SpanProfile before = sampleProfile();
     SpanProfile after = sampleProfile();
@@ -145,7 +143,6 @@ TEST(EvalProfDiff, NewPathsAreMarkedButNeverGate)
     const std::vector<DiffRow> rows = diffProfiles(before, after);
     EXPECT_EQ(rows[0].path, "root;fresh");
     EXPECT_NE(renderDiff(rows, 0).find("(new)"), std::string::npos);
-    EXPECT_FALSE(hasRegression(rows, 10.0));
 }
 
 TEST(EvalProfDiff, RenderCapsRows)
@@ -163,6 +160,20 @@ TEST(EvalProfCli, UsageAndMissingFileExitTwo)
     EXPECT_EQ(runEvalProf({"tree", "/nonexistent/profile.json"}), 2);
     EXPECT_EQ(runEvalProf({"diff", "/nonexistent/a", "/nonexistent/b"}),
               2);
+
+    // diff is a reading tool with no gate: the removed gate flags are
+    // unknown options, so a script still passing them fails loudly.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "eval_prof_cli.json")
+            .string();
+    {
+        std::ofstream out(path);
+        out << profileToJson(sampleProfile());
+    }
+    EXPECT_EQ(runEvalProf({"diff", path, path}), 0);
+    EXPECT_EQ(runEvalProf({"diff", path, path, "--gate"}), 2);
+    EXPECT_EQ(runEvalProf({"diff", path, path, "--threshold=5"}), 2);
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /** Tests for span profile aggregation: (parent-path, name) bucket
  *  counts, inclusive vs self time attribution, exactness under ring
- *  eviction, multi-thread fold, selfTimeByName, and the profile.json
- *  export schema consumed by tools/eval_prof and the shard merge. */
+ *  eviction, multi-thread fold, and the profile.json export schema
+ *  consumed by tools/eval_prof and the shard merge. */
 
 #include <gtest/gtest.h>
 
@@ -177,44 +177,6 @@ TEST_F(SpanProfileTest, ThreadsFoldIntoSharedBuckets)
               static_cast<std::uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(inner->count,
               static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
-TEST_F(SpanProfileTest, SelfTimeByNameFoldsAcrossParents)
-{
-    SpanTracer &tracer = SpanTracer::global();
-    tracer.setEnabled(true);
-    {
-        ScopedSpan a("ctx.a");
-        ScopedSpan leaf("shared.leaf");
-        spinFor(std::chrono::microseconds(100));
-    }
-    {
-        ScopedSpan b("ctx.b");
-        ScopedSpan leaf("shared.leaf");
-        spinFor(std::chrono::microseconds(100));
-    }
-    tracer.setEnabled(false);
-
-    const auto byName = tracer.selfTimeByName();
-    std::uint64_t leafSelf = 0;
-    bool found = false;
-    for (const auto &[name, selfNs] : byName) {
-        if (name == "shared.leaf") {
-            leafSelf = selfNs;
-            found = true;
-        }
-    }
-    ASSERT_TRUE(found);
-
-    const auto buckets = tracer.snapshotProfile();
-    const ProfileBucket *underA = findBucket(buckets, "ctx.a;shared.leaf");
-    const ProfileBucket *underB = findBucket(buckets, "ctx.b;shared.leaf");
-    ASSERT_NE(underA, nullptr);
-    ASSERT_NE(underB, nullptr);
-    EXPECT_EQ(leafSelf, underA->selfNs + underB->selfNs);
-    // Sorted by self time descending.
-    for (std::size_t i = 1; i < byName.size(); ++i)
-        EXPECT_GE(byName[i - 1].second, byName[i].second);
 }
 
 TEST_F(SpanProfileTest, ProfileJsonMatchesSchemaAndSnapshot)

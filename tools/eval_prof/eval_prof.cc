@@ -239,8 +239,7 @@ usage()
         stderr,
         "usage: eval_prof tree PROFILE [--bottom-up] [--top=N]\n"
         "       eval_prof flame PROFILE [--out=FILE]\n"
-        "       eval_prof diff OLD NEW [--top=N] [--threshold=PCT] "
-        "[--gate]\n");
+        "       eval_prof diff OLD NEW [--top=N]\n");
     return 2;
 }
 
@@ -366,21 +365,6 @@ renderDiff(const std::vector<DiffRow> &rows, int topN)
     return out;
 }
 
-bool
-hasRegression(const std::vector<DiffRow> &rows, double thresholdPct)
-{
-    for (const DiffRow &row : rows) {
-        if (row.oldSelfNs == 0 || row.deltaSelfNs <= 0)
-            continue;
-        const double pct = 100.0 *
-                           static_cast<double>(row.deltaSelfNs) /
-                           static_cast<double>(row.oldSelfNs);
-        if (pct > thresholdPct)
-            return true;
-    }
-    return false;
-}
-
 int
 runEvalProf(const std::vector<std::string> &args)
 {
@@ -390,20 +374,14 @@ runEvalProf(const std::vector<std::string> &args)
 
     std::vector<std::string> positional;
     bool bottomUp = false;
-    bool gate = false;
     int topN = 0;
-    double thresholdPct = 10.0;
     std::string outFile;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (a == "--bottom-up") {
             bottomUp = true;
-        } else if (a == "--gate") {
-            gate = true;
         } else if (a.rfind("--top=", 0) == 0) {
             topN = std::atoi(a.c_str() + 6);
-        } else if (a.rfind("--threshold=", 0) == 0) {
-            thresholdPct = std::atof(a.c_str() + 12);
         } else if (a.rfind("--out=", 0) == 0) {
             outFile = a.substr(6);
         } else if (a.rfind("--", 0) == 0) {
@@ -457,13 +435,6 @@ runEvalProf(const std::vector<std::string> &args)
             diffProfiles(oldProfile, newProfile);
         std::fputs(renderDiff(rows, topN > 0 ? topN : 20).c_str(),
                    stdout);
-        if (gate && hasRegression(rows, thresholdPct)) {
-            std::fprintf(stderr,
-                         "eval_prof: self-time regression beyond "
-                         "%.1f%%\n",
-                         thresholdPct);
-            return 1;
-        }
         return 0;
     }
     return usage();

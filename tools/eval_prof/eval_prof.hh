@@ -10,18 +10,15 @@
  *   eval_prof flame PROFILE [--out=FILE]
  *       collapsed-stack lines ("a;b;c <self_us>") in Brendan Gregg's
  *       flamegraph.pl / speedscope format
- *   eval_prof diff OLD NEW [--top=N] [--threshold=PCT] [--gate]
+ *   eval_prof diff OLD NEW [--top=N]
  *       per-span self-time deltas, largest absolute change first.
- *       With --gate, exit 1 when any span's self time grew more than
- *       PCT percent (default 10; spans absent from OLD never gate —
- *       new code gets one free pass, growth does not)
+ *       A reading tool, not a gate: perfbench/ is the one
+ *       performance measurement
  *
- * Exit codes: 0 ok, 1 gated regression (diff --gate only), 2 usage
- * or unreadable/malformed profile.  `diff` of a profile against
- * itself is all-zero deltas and exits 0, gated or not.
+ * Exit codes: 0 ok, 2 usage or unreadable/malformed profile.
  *
- * The core is a library so tests can drive render/diff in-process
- * (mirrors the benchtrack layout).  Parsing reuses
+ * The core is a library so tests can drive render/diff in-process.
+ * Parsing reuses
  * shard/trace_merge.hh, so eval_prof accepts exactly what the tracer
  * writes and what the fleet merge emits.
  */
@@ -67,11 +64,6 @@ std::vector<DiffRow> diffProfiles(const SpanProfile &oldProfile,
 
 /** Render @p rows as a table; @p topN > 0 caps the rows. */
 std::string renderDiff(const std::vector<DiffRow> &rows, int topN);
-
-/** Whether any row regressed beyond @p thresholdPct percent of its
- *  old self time (rows with oldSelfNs == 0 never gate). */
-bool hasRegression(const std::vector<DiffRow> &rows,
-                   double thresholdPct);
 
 /** CLI entry point; returns the process exit code. */
 int runEvalProf(const std::vector<std::string> &args);
