@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared driver for the figure/table benches: runs the (environment x
- * scheme x application x chip) sweep of Sec 6 and aggregates the
- * relative frequency / performance / power metrics.
+ * Shared plumbing for the figure/table benches: the BenchReporter
+ * footer and telemetry hooks, and the bench chip-count/config
+ * conventions.  The experiments themselves live in core
+ * (ExperimentContext::sweep for Figures 10-12, adaptApps for Fig 13).
  *
  * Conventions (DESIGN.md Sec 5): EVAL_CHIPS overrides the per-bench
  * default chip count (the paper uses 100); EVAL_SEED, EVAL_APPS and
@@ -37,7 +38,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -201,178 +201,6 @@ benchConfig(int defaultChips)
     RunManifest::global().setSeed(cfg.seed);
     RunManifest::global().setConfig(cfg.fingerprint());
     return cfg;
-}
-
-/** Aggregated metric set over (chip, app) samples. */
-struct SweepCell
-{
-    RunningStats freqRel;
-    RunningStats perfRel;
-    RunningStats powerW;
-    std::map<RetuneOutcome, std::uint64_t> outcomes;
-    std::uint64_t invocations = 0;
-};
-
-/** Results of a full environment sweep. */
-struct SweepResult
-{
-    /** [environment][scheme] */
-    std::map<std::string, SweepCell> cells;
-    SweepCell baseline;
-    SweepCell novar;
-
-    static std::string
-    key(EnvironmentKind env, AdaptScheme scheme)
-    {
-        return std::string(environmentName(env)) + "/" +
-               adaptSchemeName(scheme);
-    }
-};
-
-/** The six managed environment groups of Figures 10-12. */
-inline std::vector<EnvironmentKind>
-figureEnvironments()
-{
-    return {EnvironmentKind::TS,          EnvironmentKind::TS_ASV,
-            EnvironmentKind::TS_ASV_ABB,  EnvironmentKind::TS_ASV_Q,
-            EnvironmentKind::TS_ASV_Q_FU, EnvironmentKind::ALL};
-}
-
-inline std::vector<AdaptScheme>
-allSchemes()
-{
-    return {AdaptScheme::Static, AdaptScheme::FuzzyDyn,
-            AdaptScheme::ExhDyn};
-}
-
-/** One chip's sweep samples: [app][baseline, novar, managed...]. */
-struct ChipSweepRuns
-{
-    std::vector<AppRunResult> base;
-    std::vector<AppRunResult> novar;
-    /** [app * numManaged + (env, scheme) flat index] */
-    std::vector<AppRunResult> managed;
-};
-
-/**
- * Run the Figure 10-12 sweep.  Each application runs on one core of
- * each chip (core rotates so all four quadrants are exercised).
- *
- * Chips fan out across the global thread pool (one task per chip —
- * each task drives its own per-chip core models; the shared context
- * caches are internally synchronized).  The per-chip samples are then
- * folded into the RunningStats serially in chip order, so the sweep
- * result is bit-identical for every thread count.
- */
-inline SweepResult
-runEnvironmentSweep(ExperimentContext &ctx,
-                    const std::vector<EnvironmentKind> &envs,
-                    const std::vector<AdaptScheme> &schemes,
-                    bool progress = true)
-{
-    SweepResult result;
-    const auto apps = ctx.selectedApps();
-    const int chips = ctx.config().chips;
-    const std::size_t numManaged = envs.size() * schemes.size();
-
-    // Prewarm the shared caches (characterizations, NoVar reference)
-    // serially so parallel chip tasks do not duplicate that work on
-    // their first miss.
-    for (const AppProfile *app : apps)
-        ctx.novarPerf(*app);
-
-    const auto perChip = globalPool().parallelMap(
-        static_cast<std::size_t>(chips), [&](std::size_t chip) {
-            ChipSweepRuns runs;
-            runs.base.resize(apps.size());
-            runs.novar.resize(apps.size());
-            runs.managed.resize(apps.size() * numManaged);
-            for (std::size_t a = 0; a < apps.size(); ++a) {
-                const AppProfile &app = *apps[a];
-                const std::size_t core = (chip + a) % 4;
-                runs.base[a] = ctx.runApp(chip, core, app,
-                                          EnvironmentKind::Baseline,
-                                          AdaptScheme::Static);
-                runs.novar[a] = ctx.runApp(chip, core, app,
-                                           EnvironmentKind::NoVar,
-                                           AdaptScheme::Static);
-                std::size_t m = a * numManaged;
-                for (EnvironmentKind env : envs)
-                    for (AdaptScheme scheme : schemes)
-                        runs.managed[m++] =
-                            ctx.runApp(chip, core, app, env, scheme);
-            }
-            if (progress && !isQuiet()) {
-                std::fprintf(stderr, "[bench] chip %zu/%d done\n",
-                             chip + 1, chips);
-            }
-            return runs;
-        });
-
-    // Serial accumulation in chip order: RunningStats additions follow
-    // exactly the order the serial sweep would use.
-    for (int chip = 0; chip < chips; ++chip) {
-        const ChipSweepRuns &runs = perChip[chip];
-        for (std::size_t a = 0; a < apps.size(); ++a) {
-            const AppRunResult &base = runs.base[a];
-            result.baseline.freqRel.add(base.freqRel);
-            result.baseline.perfRel.add(base.perfRel);
-            result.baseline.powerW.add(base.powerW);
-
-            const AppRunResult &nv = runs.novar[a];
-            result.novar.freqRel.add(nv.freqRel);
-            result.novar.perfRel.add(nv.perfRel);
-            result.novar.powerW.add(nv.powerW);
-
-            std::size_t m = a * numManaged;
-            for (EnvironmentKind env : envs) {
-                for (AdaptScheme scheme : schemes) {
-                    const AppRunResult &r = runs.managed[m++];
-                    SweepCell &cell =
-                        result.cells[SweepResult::key(env, scheme)];
-                    cell.freqRel.add(r.freqRel);
-                    cell.perfRel.add(r.perfRel);
-                    cell.powerW.add(r.powerW);
-                    for (RetuneOutcome o : r.outcomes) {
-                        ++cell.outcomes[o];
-                        ++cell.invocations;
-                    }
-                }
-            }
-        }
-    }
-    return result;
-}
-
-/** Print one Figure 10/11/12-style table for the chosen metric. */
-inline void
-printEnvironmentFigure(const SweepResult &sweep, const std::string &title,
-                       const std::string &metricName,
-                       RunningStats SweepCell::*metric, int precision = 3)
-{
-    TablePrinter table(title);
-    table.header({"environment", "Static", "Fuzzy-Dyn", "Exh-Dyn"});
-    for (EnvironmentKind env : figureEnvironments()) {
-        std::vector<std::string> row{environmentName(env)};
-        for (AdaptScheme scheme : allSchemes()) {
-            const auto it =
-                sweep.cells.find(SweepResult::key(env, scheme));
-            row.push_back(it == sweep.cells.end()
-                              ? "-"
-                              : formatDouble((it->second.*metric).mean(),
-                                             precision));
-        }
-        table.row(row);
-    }
-    table.row({"Baseline (ref)",
-               formatDouble((sweep.baseline.*metric).mean(), precision),
-               "", ""});
-    table.row({"NoVar (ref)",
-               formatDouble((sweep.novar.*metric).mean(), precision), "",
-               ""});
-    table.print();
-    std::printf("samples per cell: %zu (%s)\n\n",
-                sweep.baseline.freqRel.count(), metricName.c_str());
 }
 
 } // namespace eval

@@ -8,13 +8,15 @@
  *                   [--env TS+ASV+Q+FU] [--scheme fuzzy|exh|static]
  *       one adaptation run with per-subsystem detail
  *   eval_cli sweep  [--chips N] [--envs TS,TS+ASV,...]
- *       a mini Figure 10/11/12 table
+ *       a mini Figure 10/11/12 table: ExperimentContext::sweep (the
+ *       loop the benches and goldens run) under Fuzzy-Dyn over the
+ *       selected apps
  *   eval_cli record --app gcc --ops 100000 --out trace.trc
  *   eval_cli replay --trace trace.trc [--insts 50000]
  *   eval_cli fig13  [--chips N] [--seed S] [--apps gzip,swim,applu]
  *                   [--sim-insts K] [--scheme fuzzy|exh] [--out DIR]
  *                   [--shards N] [--in-process] [--resume]
- *                   [--checkpoint-every K] [--text-snapshots]
+ *                   [--checkpoint-every K]
  *       the sharded Figure 13 population campaign.  With --shards N
  *       the process becomes a supervisor that re-execs itself once
  *       per shard (--shard=i/N workers, concurrent, each with its own
@@ -223,25 +225,17 @@ cmdSweep(const ArgParser &args)
     const auto envNames = splitCsvList(
         args.getString("envs", "TS,TS+ASV,TS+ASV+Q+FU"));
 
+    std::vector<SweepKey> keys;
+    for (const std::string &name : envNames)
+        keys.push_back({parseEnv(name), AdaptScheme::FuzzyDyn});
+    const std::vector<SweepCell> cells = ctx.sweep(keys);
+
     TablePrinter table("sweep (Fuzzy-Dyn, suite mean)");
     table.header({"environment", "fR", "PerfR", "power (W)"});
-    const auto apps = ctx.selectedApps();
-    for (const std::string &name : envNames) {
-        const EnvironmentKind env = parseEnv(name);
-        RunningStats fr, pr, pw;
-        for (int chip = 0; chip < cfg.chips; ++chip) {
-            for (std::size_t a = 0; a < apps.size(); a += 4) {
-                const AppRunResult r = ctx.runApp(
-                    chip, (chip + a) % 4, *apps[a], env,
-                    AdaptScheme::FuzzyDyn);
-                fr.add(r.freqRel);
-                pr.add(r.perfRel);
-                pw.add(r.powerW);
-            }
-        }
-        table.row({name, formatDouble(fr.mean(), 3),
-                   formatDouble(pr.mean(), 3),
-                   formatDouble(pw.mean(), 1)});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        table.row({envNames[i], formatDouble(cells[i].freqRel, 3),
+                   formatDouble(cells[i].perfRel, 3),
+                   formatDouble(cells[i].powerW, 1)});
     }
     table.print();
     return 0;
@@ -312,7 +306,6 @@ cmdFig13(const ArgParser &args)
     const auto checkpointEvery = static_cast<std::uint64_t>(
         args.getInt("checkpoint-every", 16));
     const bool resume = args.getBool("resume", false);
-    const bool binary = !args.getBool("text-snapshots", false);
     const std::string shardArg = args.getString("shard", "");
 
     if (!shardArg.empty()) {
@@ -324,7 +317,6 @@ cmdFig13(const ArgParser &args)
         w.outDir = outDir;
         w.checkpointEvery = checkpointEvery;
         w.resume = resume;
-        w.binarySnapshots = binary;
 
         // Crash-injection hook for check.sh --shard-smoke: SIGKILL
         // the selected shard after K chips, before its checkpoint.
@@ -346,7 +338,6 @@ cmdFig13(const ArgParser &args)
         s.outDir = outDir;
         s.checkpointEvery = checkpointEvery;
         s.resume = resume;
-        s.binarySnapshots = binary;
 
         // Fleet telemetry: --trace-spans/--profile-out name the
         // MERGED outputs of a sharded run; the per-shard files live
@@ -385,8 +376,6 @@ cmdFig13(const ArgParser &args)
                             "--manifest="};
             if (resume)
                 s.workerArgv.push_back("--resume");
-            if (!binary)
-                s.workerArgv.push_back("--text-snapshots");
         }
         const int rc = runShardSupervisor(s);
         if (rc != 0) {
@@ -404,7 +393,7 @@ cmdFig13(const ArgParser &args)
 
     // Monolithic reference path: same outputs, no sharding machinery.
     const CampaignAccumulator acc = runMonolithic(campaign);
-    if (!writeMergedOutputs(acc, outDir, binary))
+    if (!writeMergedOutputs(acc, outDir))
         return 1;
     std::printf("fig13: %d chips monolithic -> %s, %s "
                 "(digest %.0f)\n",

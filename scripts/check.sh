@@ -14,8 +14,8 @@
 #        scripts/check.sh --prof-smoke [build-dir]
 #
 # --tsan (or CHECK_TSAN=1) configures with -DEVAL_TSAN=ON and runs the
-# concurrency-sensitive test subset (exec, stats, core, cmp, lint)
-# under ThreadSanitizer instead of the full Werror build.
+# concurrency-sensitive test subset (exec, stats, core, cmp) under
+# ThreadSanitizer instead of the full Werror build.
 #
 # --asan / --ubsan (or CHECK_ASAN=1 / CHECK_UBSAN=1) configure with
 # -DEVAL_ASAN=ON / -DEVAL_UBSAN=ON and run the tier-1 suite under
@@ -25,13 +25,10 @@
 #
 # --lint (or CHECK_LINT=1) builds the eval-lint analyzer (tools/lint),
 # self-tests it against the fixture corpus (the violating tree MUST
-# fail, the clean tree MUST pass, the baseline demo tree MUST fail
-# only on its fresh finding), then lints the real tree against the
+# fail, the clean tree MUST pass), then lints the real tree against the
 # layering manifest (tools/lint/layers.toml).  Writes lint-report.json
 # and lint.sarif into the build dir; CI uploads the SARIF to code
-# scanning and keeps the JSON as a failure artifact.  If
-# tools/lint/baseline.txt exists it is applied, so adopting a new pass
-# never requires fixing every historical finding at once.
+# scanning and keeps the JSON as a failure artifact.
 #
 # --tidy (or CHECK_TIDY=1) runs clang-tidy over src/ with the curated
 # .clang-tidy config, using the build dir's compile_commands.json.
@@ -98,7 +95,7 @@ if [[ "$mode" == "tsan" ]]; then
     # Exercise the parallel layer for real: the determinism test and the
     # stats test both fan out on multi-thread pools.
     EVAL_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'exec_|stats_|core_|cmp_|lint_'
+        -R 'exec_|stats_|core_|cmp_'
     echo "check.sh: TSan tests passed"
     exit 0
 fi
@@ -125,37 +122,20 @@ if [[ "$mode" == "lint" ]]; then
     lint_bin="$build_dir/tools/lint/eval_lint"
 
     # Self-test the gate before trusting it: the violating fixture
-    # corpus must fail (exit 1), the clean corpus must pass (exit 0),
-    # and the baseline demo tree must fail only on its fresh finding.
+    # corpus must fail (exit 1), the clean corpus must pass (exit 0).
     if "$lint_bin" --root "$repo_root/tests/lint/fixtures/violating" \
         > /dev/null; then
         echo "check.sh: ERROR eval-lint passed the violating fixture corpus"
         exit 1
     fi
     "$lint_bin" --root "$repo_root/tests/lint/fixtures/clean" > /dev/null
-    baseline_tree="$repo_root/tests/lint/fixtures/baseline"
-    if "$lint_bin" --root "$baseline_tree" \
-        --baseline "$baseline_tree/baseline.txt" > /dev/null; then
-        echo "check.sh: ERROR eval-lint ignored the fresh finding" \
-             "in the baseline demo tree"
-        exit 1
-    fi
-    "$lint_bin" --root "$baseline_tree" \
-        --baseline "$baseline_tree/baseline-all.txt" > /dev/null
 
     # The real tree (fixtures excluded: they are violating on purpose).
-    # An optional tools/lint/baseline.txt grandfathers historical
-    # findings during incremental adoption of a new pass.
-    lint_args=(--root "$repo_root"
-               --exclude tests/lint/fixtures
-               --json "$build_dir/lint-report.json"
-               --sarif "$build_dir/lint.sarif")
-    if [[ -f "$repo_root/tools/lint/baseline.txt" ]]; then
-        lint_args+=(--baseline "$repo_root/tools/lint/baseline.txt")
-    fi
     # No explicit paths: a path-scoped run skips the stale-manifest
     # checks (lay-unused-edge), and the merge gate must include them.
-    "$lint_bin" "${lint_args[@]}"
+    "$lint_bin" --root "$repo_root" --exclude tests/lint/fixtures \
+        --json "$build_dir/lint-report.json" \
+        --sarif "$build_dir/lint.sarif"
     echo "check.sh: eval-lint clean" \
          "(report: $build_dir/lint-report.json, sarif: $build_dir/lint.sarif)"
     exit 0

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/perf_model.hh"
+#include "exec/thread_pool.hh"
 #include "stats/decision_trace.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
@@ -615,6 +616,67 @@ ExperimentContext::adaptApps(std::size_t chipIndex,
         }
     }
     return tally;
+}
+
+namespace {
+
+/** Add one app run to a sweep cell's running sums. */
+void
+addRun(SweepCell &sum, const AppRunResult &r)
+{
+    sum.freqRel += r.freqRel;
+    sum.perfRel += r.perfRel;
+    sum.powerW += r.powerW;
+    for (RetuneOutcome o : r.outcomes)
+        ++sum.outcomes[static_cast<std::size_t>(o)];
+    ++sum.runs;
+}
+
+} // namespace
+
+std::vector<SweepCell>
+ExperimentContext::sweep(const std::vector<SweepKey> &cells)
+{
+    const auto apps = selectedApps();
+    // The NoVar reference runs on the shared ideal model, which
+    // serializes; warm it before the fan-out.
+    for (const AppProfile *app : apps)
+        novarPerf(*app);
+
+    const auto perChip = globalPool().parallelMap(
+        numChips(), [&](std::size_t chip) {
+            std::vector<SweepCell> sums(cells.size());
+            for (std::size_t a = 0; a < apps.size(); ++a) {
+                const std::size_t coreIdx = (chip + a) % 4;
+                for (std::size_t c = 0; c < cells.size(); ++c) {
+                    addRun(sums[c],
+                           runApp(chip, coreIdx, *apps[a], cells[c].env,
+                                  cells[c].scheme));
+                }
+            }
+            return sums;
+        });
+
+    std::vector<SweepCell> total(cells.size());
+    for (const std::vector<SweepCell> &sums : perChip) {
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            total[c].freqRel += sums[c].freqRel;
+            total[c].perfRel += sums[c].perfRel;
+            total[c].powerW += sums[c].powerW;
+            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+                total[c].outcomes[o] += sums[c].outcomes[o];
+            total[c].runs += sums[c].runs;
+        }
+    }
+    for (SweepCell &cell : total) {
+        if (cell.runs == 0)
+            continue;
+        const double n = static_cast<double>(cell.runs);
+        cell.freqRel /= n;
+        cell.perfRel /= n;
+        cell.powerW /= n;
+    }
+    return total;
 }
 
 } // namespace eval

@@ -4,6 +4,9 @@
  * bench: manufacture chips, characterize workloads, run an application
  * on a core under an environment + adaptation scheme, and report the
  * relative frequency / performance / power metrics of Figures 10-12.
+ * ExperimentContext::sweep is the one Figure 10-12 loop (benches,
+ * goldens and eval_cli all call it); adaptApps is the one Figure 13
+ * unit.
  */
 
 #pragma once
@@ -80,6 +83,26 @@ struct AppRunResult
     double pePerInstr = 0.0;
     /** Controller outcomes, one per *new-phase* invocation (Fig 13). */
     std::vector<RetuneOutcome> outcomes;
+};
+
+/** One (environment, scheme) cell of the Figure 10-12 sweep.  For
+ *  Baseline and NoVar the scheme is ignored (pass Static). */
+struct SweepKey
+{
+    EnvironmentKind env;
+    AdaptScheme scheme;
+};
+
+/** Means of one sweep cell over every (chip, app) run. */
+struct SweepCell
+{
+    double freqRel = 0.0;
+    double perfRel = 0.0;
+    double powerW = 0.0;
+    /** Fresh-retune outcomes of the dynamic schemes (Static: none). */
+    OutcomeTally outcomes{};
+    /** Samples behind the means: chips x selected apps. */
+    std::uint64_t runs = 0;
 };
 
 /** Experiment-wide configuration. */
@@ -213,6 +236,17 @@ class ExperimentContext
     OutcomeTally adaptApps(std::size_t chipIndex,
                            const EnvCapabilities &caps,
                            AdaptScheme scheme);
+
+    /**
+     * The Figure 10-12 sweep: every selected app on every chip (app a
+     * on core (chip + a) % 4) under each of @p cells, returned in
+     * @p cells order.  Chips fan out on globalPool(); per-chip sums
+     * are taken in app order and folded in chip order before the
+     * division by `runs`, so the result is bit-identical for every
+     * thread count, and a cell's result does not depend on which
+     * other cells run beside it.
+     */
+    std::vector<SweepCell> sweep(const std::vector<SweepKey> &cells);
 
   private:
     struct EnvRun

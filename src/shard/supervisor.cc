@@ -70,14 +70,12 @@ mergeShardResults(const CampaignConfig &campaign, std::uint32_t shards,
 
 bool
 writeMergedOutputs(const CampaignAccumulator &merged,
-                   const std::string &outDir, bool binarySnapshots)
+                   const std::string &outDir)
 {
     std::error_code ec;
     fs::create_directories(outDir, ec);
-    const JsonValue snap = merged.toSnapshot();
-    const std::string snapBytes =
-        binarySnapshots ? encodeBinary(snap) : snap.dump(2) + "\n";
-    return writeFileAtomic(mergedSnapshotPath(outDir), snapBytes) &&
+    return writeFileAtomic(mergedSnapshotPath(outDir),
+                           encodeBinary(merged.toSnapshot())) &&
            writeFileAtomic(mergedStatsPath(outDir), merged.statsJson());
 }
 
@@ -111,7 +109,6 @@ runShardSupervisor(const ShardSupervisorOptions &opts)
             w.outDir = opts.outDir;
             w.checkpointEvery = opts.checkpointEvery;
             w.resume = opts.resume;
-            w.binarySnapshots = opts.binarySnapshots;
             int rc;
             if (opts.traceSpans) {
                 // Scope the global tracer to this shard so the
@@ -179,8 +176,7 @@ runShardSupervisor(const ShardSupervisorOptions &opts)
     try {
         const CampaignAccumulator merged =
             mergeShardResults(opts.campaign, opts.shards, opts.outDir);
-        if (!writeMergedOutputs(merged, opts.outDir,
-                                opts.binarySnapshots))
+        if (!writeMergedOutputs(merged, opts.outDir))
             return kShardExitConfig;
     } catch (const SnapshotError &e) {
         warn("cannot merge shard results: ", e.what());

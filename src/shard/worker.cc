@@ -190,8 +190,7 @@ runShardWorker(const ShardWorkerOptions &opts)
         const ShardCheckpoint cp{fp,          spec.index, spec.count,
                                  range.begin, range.end,  cursor,
                                  acc.toPayload()};
-        if (!writeCheckpointFile(ckptPath, cp,
-                                 opts.binarySnapshots)) {
+        if (!writeCheckpointFile(ckptPath, cp)) {
             warn("shard ", formatShardSpec(spec),
                  ": cannot write checkpoint");
             return kShardExitConfig;
@@ -209,7 +208,7 @@ runShardWorker(const ShardWorkerOptions &opts)
     const ShardCheckpoint done{fp,          spec.index, spec.count,
                                range.begin, range.end,  range.end,
                                acc.toPayload()};
-    if (!writeCheckpointFile(resultPath, done, opts.binarySnapshots)) {
+    if (!writeCheckpointFile(resultPath, done)) {
         warn("shard ", formatShardSpec(spec),
              ": cannot write result");
         return kShardExitConfig;

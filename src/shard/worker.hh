@@ -44,7 +44,6 @@ struct ShardWorkerOptions
      *  (a block's chips stay resident until its fold completes). */
     std::uint64_t checkpointEvery = 16;
     bool resume = false;
-    bool binarySnapshots = true;
 
     /** Test hook: stop gracefully (exit 3, checkpoint intact) once
      *  this many chips were processed this invocation; 0 = off. */

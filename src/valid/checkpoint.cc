@@ -106,14 +106,13 @@ checkpointFromSnapshot(const JsonValue &snapshot)
 }
 
 bool
-writeCheckpointFile(const std::string &path, const ShardCheckpoint &cp,
-                    bool binary)
+writeCheckpointFile(const std::string &path, const ShardCheckpoint &cp)
 {
     // Temp-in-same-directory + rename: the final name either holds
     // the previous complete checkpoint or the new complete one,
     // never a prefix.  (writeSnapshotFile itself is not atomic.)
     const std::string tmp = path + ".tmp";
-    if (!writeSnapshotFile(tmp, toSnapshot(cp), binary))
+    if (!writeSnapshotFile(tmp, toSnapshot(cp)))
         return false;
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("cannot rename checkpoint into place: ", path);

@@ -60,7 +60,7 @@ ShardCheckpoint checkpointFromSnapshot(const JsonValue &snapshot);
  * false with a warn on IO failure, mirroring writeSnapshotFile.
  */
 bool writeCheckpointFile(const std::string &path,
-                         const ShardCheckpoint &cp, bool binary);
+                         const ShardCheckpoint &cp);
 
 /** Read + validate a checkpoint file; throws SnapshotError (with the
  *  offending path in the message) on any corruption. */

@@ -122,66 +122,6 @@ runOptimizerDecisions(const ExperimentTweaks &tweaks)
 
 // -- sweep_micro / paper_headline ---------------------------------------
 
-/** Mean run metrics of one (environment, scheme) over chips x apps. */
-struct SweepCell
-{
-    double freqRel = 0.0;
-    double perfRel = 0.0;
-    double powerW = 0.0;
-    OutcomeTally outcomes{};
-    std::uint64_t runs = 0;
-};
-
-/** One chip's contribution; merged serially in chip order so the
- *  accumulated doubles are independent of the thread count. */
-SweepCell
-runChipCell(ExperimentContext &ctx,
-            const std::vector<const AppProfile *> &apps,
-            std::size_t chip, EnvironmentKind env, AdaptScheme scheme)
-{
-    SweepCell cell;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const std::size_t coreIdx = (chip + a) % 4;
-        const AppRunResult r =
-            ctx.runApp(chip, coreIdx, *apps[a], env, scheme);
-        cell.freqRel += r.freqRel;
-        cell.perfRel += r.perfRel;
-        cell.powerW += r.powerW;
-        for (RetuneOutcome o : r.outcomes)
-            ++cell.outcomes[static_cast<std::size_t>(o)];
-        ++cell.runs;
-    }
-    return cell;
-}
-
-SweepCell
-runSweepCell(ExperimentContext &ctx,
-             const std::vector<const AppProfile *> &apps,
-             EnvironmentKind env, AdaptScheme scheme)
-{
-    const auto chips = static_cast<std::size_t>(ctx.config().chips);
-    const auto perChip = globalPool().parallelMap(
-        chips, [&](std::size_t chip) {
-            return runChipCell(ctx, apps, chip, env, scheme);
-        });
-    SweepCell total;
-    for (const SweepCell &c : perChip) {
-        total.freqRel += c.freqRel;
-        total.perfRel += c.perfRel;
-        total.powerW += c.powerW;
-        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-            total.outcomes[o] += c.outcomes[o];
-        total.runs += c.runs;
-    }
-    if (total.runs > 0) {
-        const double n = static_cast<double>(total.runs);
-        total.freqRel /= n;
-        total.perfRel /= n;
-        total.powerW /= n;
-    }
-    return total;
-}
-
 void
 addCellMetrics(GoldenFile &golden, const std::string &tag,
                const SweepCell &cell, double relEps)
@@ -214,16 +154,6 @@ runSweepMicro(const ExperimentTweaks &tweaks)
 {
     GoldenFile golden("sweep_micro");
     ExperimentContext ctx(microConfig(1, 3, {"gzip", "swim"}, tweaks));
-    const auto apps = ctx.selectedApps();
-    for (const AppProfile *app : apps)
-        ctx.novarPerf(*app);
-
-    const SweepCell baseline = runSweepCell(
-        ctx, apps, EnvironmentKind::Baseline, AdaptScheme::Static);
-    addCellMetrics(golden, "baseline", baseline, 0.0);
-    const SweepCell novar = runSweepCell(
-        ctx, apps, EnvironmentKind::NoVar, AdaptScheme::Static);
-    addCellMetrics(golden, "novar", novar, 0.0);
 
     const std::pair<EnvironmentKind, const char *> envs[] = {
         {EnvironmentKind::TS, "ts"},
@@ -234,9 +164,21 @@ runSweepMicro(const ExperimentTweaks &tweaks)
         {AdaptScheme::FuzzyDyn, "fuzzy"},
         {AdaptScheme::ExhDyn, "exh"},
     };
+    std::vector<SweepKey> keys = {
+        {EnvironmentKind::Baseline, AdaptScheme::Static},
+        {EnvironmentKind::NoVar, AdaptScheme::Static},
+    };
+    for (const auto &env : envs)
+        for (const auto &scheme : schemes)
+            keys.push_back({env.first, scheme.first});
+    const std::vector<SweepCell> cells = ctx.sweep(keys);
+
+    addCellMetrics(golden, "baseline", cells[0], 0.0);
+    addCellMetrics(golden, "novar", cells[1], 0.0);
+    std::size_t c = 2;
     for (const auto &[env, envTag] : envs) {
         for (const auto &[scheme, schemeTag] : schemes) {
-            const SweepCell cell = runSweepCell(ctx, apps, env, scheme);
+            const SweepCell &cell = cells[c++];
             const std::string tag =
                 std::string(envTag) + "_" + schemeTag;
             addCellMetrics(golden, tag, cell, 0.0);
@@ -258,16 +200,14 @@ runPaperHeadline(const ExperimentTweaks &tweaks)
     GoldenFile golden("paper_headline");
     ExperimentContext ctx(
         microConfig(1, 4, {"gzip", "mcf", "swim", "applu"}, tweaks));
-    const auto apps = ctx.selectedApps();
-    for (const AppProfile *app : apps)
-        ctx.novarPerf(*app);
-
-    const SweepCell baseline = runSweepCell(
-        ctx, apps, EnvironmentKind::Baseline, AdaptScheme::Static);
-    const SweepCell novar = runSweepCell(
-        ctx, apps, EnvironmentKind::NoVar, AdaptScheme::Static);
-    const SweepCell preferred = runSweepCell(
-        ctx, apps, EnvironmentKind::TS_ASV_Q_FU, AdaptScheme::FuzzyDyn);
+    const std::vector<SweepCell> cells = ctx.sweep({
+        {EnvironmentKind::Baseline, AdaptScheme::Static},
+        {EnvironmentKind::NoVar, AdaptScheme::Static},
+        {EnvironmentKind::TS_ASV_Q_FU, AdaptScheme::FuzzyDyn},
+    });
+    const SweepCell &baseline = cells[0];
+    const SweepCell &novar = cells[1];
+    const SweepCell &preferred = cells[2];
 
     addCellMetrics(golden, "baseline", baseline, kRelEps);
     addCellMetrics(golden, "novar", novar, kRelEps);

@@ -275,17 +275,14 @@ decodeBinary(std::string_view bytes)
 }
 
 bool
-writeSnapshotFile(const std::string &path, const JsonValue &snapshot,
-                  bool binary)
+writeSnapshotFile(const std::string &path, const JsonValue &snapshot)
 {
-    std::ofstream out(path, binary ? std::ios::binary | std::ios::trunc
-                                   : std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
         warn("cannot open snapshot file for writing: ", path);
         return false;
     }
-    const std::string bytes =
-        binary ? encodeBinary(snapshot) : snapshot.dump(2);
+    const std::string bytes = encodeBinary(snapshot);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
     if (!out.good()) {
@@ -303,15 +300,7 @@ readSnapshotFile(const std::string &path)
         throw SnapshotError("cannot open snapshot file: " + path);
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string bytes = buf.str();
-    if (bytes.size() >= 4 && std::memcmp(bytes.data(), "EVSB", 4) == 0)
-        return decodeBinary(bytes);
-    try {
-        return JsonValue::parse(bytes);
-    } catch (const JsonParseError &e) {
-        throw SnapshotError("snapshot file " + path +
-                            " is neither binary nor JSON: " + e.what());
-    }
+    return decodeBinary(buf.str());
 }
 
 std::uint64_t

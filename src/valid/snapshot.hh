@@ -61,10 +61,10 @@ std::string encodeBinary(const JsonValue &value);
 /** Decode encodeBinary output; throws SnapshotError on corruption. */
 JsonValue decodeBinary(std::string_view bytes);
 
-/** Write/read snapshots to disk.  writeFile returns false (with a
- *  warn) on IO failure; readFile throws SnapshotError. */
-bool writeSnapshotFile(const std::string &path, const JsonValue &snapshot,
-                       bool binary);
+/** Write/read binary snapshots on disk.  writeFile returns false
+ *  (with a warn) on IO failure; readFile throws SnapshotError,
+ *  including on a file that is not a binary snapshot. */
+bool writeSnapshotFile(const std::string &path, const JsonValue &snapshot);
 JsonValue readSnapshotFile(const std::string &path);
 
 /** FNV-1a over a byte string: the digest primitive used to pin large

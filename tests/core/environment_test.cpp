@@ -1,8 +1,11 @@
 /** Integration tests for Table 1 environments and the run driver. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/environment.hh"
+#include "exec/thread_pool.hh"
 
 namespace eval {
 namespace {
@@ -140,6 +143,83 @@ TEST_F(EnvironmentTest, NamesRoundTrip)
     EXPECT_STREQ(environmentName(EnvironmentKind::TS_ASV_Q_FU),
                  "TS+ASV+Q+FU");
     EXPECT_STREQ(adaptSchemeName(AdaptScheme::FuzzyDyn), "Fuzzy-Dyn");
+}
+
+// ---------------------------------------------------------------------
+// ExperimentContext::sweep, the one Figure 10-12 loop.
+// ---------------------------------------------------------------------
+
+/** Four chips: with fewer, a fold that followed the thread schedule
+ *  instead of chip order still rounded to the same bits. */
+ExperimentConfig
+sweepConfig()
+{
+    ExperimentConfig cfg;
+    cfg.chips = 4;
+    cfg.simInsts = 60000;
+    cfg.apps = {"gzip", "swim"};
+    return cfg;
+}
+
+const SweepKey kStaticCell{EnvironmentKind::TS_ASV, AdaptScheme::Static};
+const SweepKey kFuzzyCell{EnvironmentKind::TS_ASV_Q_FU,
+                          AdaptScheme::FuzzyDyn};
+
+/** sweep(@p keys) on a fresh context over a @p threads-wide pool. */
+std::vector<SweepCell>
+freshSweep(const std::vector<SweepKey> &keys, std::size_t threads)
+{
+    setGlobalThreads(threads);
+    ExperimentContext context(sweepConfig());
+    std::vector<SweepCell> cells = context.sweep(keys);
+    setGlobalThreads(1);
+    return cells;
+}
+
+void
+expectBitIdentical(const SweepCell &a, const SweepCell &b)
+{
+    EXPECT_EQ(a.freqRel, b.freqRel);
+    EXPECT_EQ(a.perfRel, b.perfRel);
+    EXPECT_EQ(a.powerW, b.powerW);
+    EXPECT_EQ(a.outcomes, b.outcomes);
+    EXPECT_EQ(a.runs, b.runs);
+}
+
+TEST(Sweep, BitIdenticalAcrossThreadCounts)
+{
+    const auto serial = freshSweep({kStaticCell, kFuzzyCell}, 1);
+    const auto parallel = freshSweep({kStaticCell, kFuzzyCell}, 4);
+    ASSERT_EQ(serial.size(), 2u);
+    ASSERT_EQ(parallel.size(), 2u);
+    for (std::size_t c = 0; c < serial.size(); ++c)
+        expectBitIdentical(serial[c], parallel[c]);
+}
+
+TEST(Sweep, CellsDoNotInteract)
+{
+    const auto both = freshSweep({kStaticCell, kFuzzyCell}, 1);
+    const auto alone = freshSweep({kFuzzyCell}, 1);
+    ASSERT_EQ(both.size(), 2u);
+    ASSERT_EQ(alone.size(), 1u);
+    expectBitIdentical(both[1], alone[0]);
+}
+
+TEST(Sweep, RunsAndOutcomeTallies)
+{
+    const auto cells = freshSweep({kStaticCell, kFuzzyCell}, 1);
+    ASSERT_EQ(cells.size(), 2u);
+    const ExperimentConfig cfg = sweepConfig();
+    const auto expectedRuns =
+        static_cast<std::uint64_t>(cfg.chips) * cfg.apps.size();
+    for (const SweepCell &cell : cells) {
+        EXPECT_EQ(cell.runs, expectedRuns);
+        EXPECT_GT(cell.freqRel, 0.0);
+        EXPECT_GT(cell.powerW, 0.0);
+    }
+    // Static runs are qualified once and never invoke the controller.
+    EXPECT_EQ(invocationCount(cells[0].outcomes), 0u);
+    EXPECT_GT(invocationCount(cells[1].outcomes), 0u);
 }
 
 } // namespace

@@ -67,7 +67,7 @@ class CheckpointFuzzTest : public ::testing::Test
         path_ = ::testing::TempDir() + "checkpoint_fuzz.snap";
         original_ = makeCheckpoint();
         ASSERT_TRUE(
-            writeCheckpointFile(path_, original_, /*binary=*/true));
+            writeCheckpointFile(path_, original_));
         good_ = fileBytes(path_);
         ASSERT_FALSE(good_.empty());
         refAccumulator_ = encodeBinary(original_.accumulator);
@@ -151,18 +151,18 @@ TEST_F(CheckpointFuzzTest, InvalidCoordinatesAreRejected)
     // be refused by the validator, not trusted downstream.
     ShardCheckpoint bad = original_;
     bad.nextChip = bad.rangeEnd + 1; // cursor past the range
-    ASSERT_TRUE(writeCheckpointFile(path_, bad, true));
+    ASSERT_TRUE(writeCheckpointFile(path_, bad));
     EXPECT_THROW(readCheckpointFile(path_), SnapshotError);
 
     bad = original_;
     bad.shardIndex = bad.shardCount; // index out of range
-    ASSERT_TRUE(writeCheckpointFile(path_, bad, true));
+    ASSERT_TRUE(writeCheckpointFile(path_, bad));
     EXPECT_THROW(readCheckpointFile(path_), SnapshotError);
 
     bad = original_;
     bad.rangeEnd = bad.rangeBegin - 1; // inverted range
     bad.nextChip = bad.rangeEnd;
-    ASSERT_TRUE(writeCheckpointFile(path_, bad, true));
+    ASSERT_TRUE(writeCheckpointFile(path_, bad));
     EXPECT_THROW(readCheckpointFile(path_), SnapshotError);
 }
 

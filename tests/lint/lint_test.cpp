@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lint.hh"
@@ -157,6 +158,20 @@ TEST(LintCorpus, IncludeLinesAreNotUnorderedFindings)
     // the declaration on line 11 may be reported.
     EXPECT_FALSE(hasFinding(diags, "src/model/bad_unordered.cc", 4,
                             "det-unordered"));
+}
+
+TEST(LintCorpus, OrderIsSortedByFileLineRule)
+{
+    const auto diags = lintFixtureTree("violating");
+    ASSERT_FALSE(diags.empty());
+    for (std::size_t i = 1; i < diags.size(); ++i) {
+        const auto &a = diags[i - 1];
+        const auto &b = diags[i];
+        EXPECT_LE(std::tie(a.file, a.line, a.rule),
+                  std::tie(b.file, b.line, b.rule))
+            << a.file << ":" << a.line << " vs " << b.file << ":"
+            << b.line;
+    }
 }
 
 // ---------------------------------------------------------------------------

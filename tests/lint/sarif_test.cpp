@@ -4,17 +4,14 @@
  * valid JSON (round-tripped through the repo's strict parser) and
  * carries the fields the SARIF 2.1.0 schema requires on this shape —
  * $schema/version, tool.driver with the full rule catalog, results
- * with ruleId/ruleIndex/message/locations, originalUriBaseIds, and
- * baselineState when a baseline is in play.
+ * with ruleId/ruleIndex/message/locations, and originalUriBaseIds.
  */
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
-#include "baseline.hh"
 #include "lint.hh"
 #include "sarif.hh"
 #include "valid/json_value.hh"
@@ -22,7 +19,6 @@
 namespace {
 
 using eval::JsonValue;
-using eval::lint::baselineKey;
 using eval::lint::Diagnostic;
 using eval::lint::ruleCatalog;
 using eval::lint::toSarif;
@@ -35,7 +31,7 @@ const std::vector<Diagnostic> kDiags = {
 TEST(LintSarif, DocumentShapeMatchesSarif210)
 {
     const JsonValue doc = JsonValue::parse(
-        toSarif(kDiags, nullptr, "file:///repo/"));
+        toSarif(kDiags, "file:///repo/"));
 
     EXPECT_EQ(doc.at("$schema").asString(),
               "https://json.schemastore.org/sarif-2.1.0.json");
@@ -60,8 +56,6 @@ TEST(LintSarif, DocumentShapeMatchesSarif210)
     EXPECT_EQ(r0.at("level").asString(), "error");
     EXPECT_EQ(r0.at("message").at("text").asString(),
               "rand() on a model path");
-    // No baseline in play: baselineState must be absent entirely.
-    EXPECT_FALSE(r0.has("baselineState"));
 
     const JsonValue &loc = r0.at("locations").asArray()[0];
     const JsonValue &phys = loc.at("physicalLocation");
@@ -75,7 +69,7 @@ TEST(LintSarif, DocumentShapeMatchesSarif210)
 TEST(LintSarif, RulesArrayMirrorsTheCatalogInOrder)
 {
     const JsonValue doc =
-        JsonValue::parse(toSarif({}, nullptr, "file:///repo/"));
+        JsonValue::parse(toSarif({}, "file:///repo/"));
     const auto &rules =
         doc.at("runs").asArray()[0].at("tool").at("driver").at("rules")
             .asArray();
@@ -92,7 +86,7 @@ TEST(LintSarif, RulesArrayMirrorsTheCatalogInOrder)
 TEST(LintSarif, RuleIndexPointsIntoTheRulesArray)
 {
     const JsonValue doc = JsonValue::parse(
-        toSarif(kDiags, nullptr, "file:///repo/"));
+        toSarif(kDiags, "file:///repo/"));
     const JsonValue &run = doc.at("runs").asArray()[0];
     const auto &rules =
         run.at("tool").at("driver").at("rules").asArray();
@@ -105,21 +99,9 @@ TEST(LintSarif, RuleIndexPointsIntoTheRulesArray)
     }
 }
 
-TEST(LintSarif, BaselineStateSplitsNewFromUnchanged)
-{
-    std::set<std::string> baselined = {baselineKey(kDiags[1])};
-    const JsonValue doc = JsonValue::parse(
-        toSarif(kDiags, &baselined, "file:///repo/"));
-    const auto &results =
-        doc.at("runs").asArray()[0].at("results").asArray();
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].at("baselineState").asString(), "new");
-    EXPECT_EQ(results[1].at("baselineState").asString(), "unchanged");
-}
-
 TEST(LintSarif, NoRootUriOmitsUriBaseIds)
 {
-    const JsonValue doc = JsonValue::parse(toSarif(kDiags, nullptr, ""));
+    const JsonValue doc = JsonValue::parse(toSarif(kDiags, ""));
     const JsonValue &run = doc.at("runs").asArray()[0];
     EXPECT_FALSE(run.has("originalUriBaseIds"));
     const JsonValue &artifact = run.at("results").asArray()[0]
@@ -135,7 +117,7 @@ TEST(LintSarif, MessagesWithSpecialCharactersStayValidJson)
         {"src/a b.cc", 0, "det-entropy",
          "quote \" backslash \\ newline \n tab \t control \x01 done"},
     };
-    const JsonValue doc = JsonValue::parse(toSarif(diags, nullptr, ""));
+    const JsonValue doc = JsonValue::parse(toSarif(diags, ""));
     const JsonValue &r =
         doc.at("runs").asArray()[0].at("results").asArray()[0];
     EXPECT_EQ(r.at("message").at("text").asString(),

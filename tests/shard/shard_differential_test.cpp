@@ -58,7 +58,7 @@ TEST(ShardDifferentialTest, MergedEqualsMonolithicAtEveryShardCount)
     const std::string monoDir =
         ::testing::TempDir() + "shard_diff_mono";
     fs::remove_all(monoDir);
-    ASSERT_TRUE(writeMergedOutputs(mono, monoDir, true));
+    ASSERT_TRUE(writeMergedOutputs(mono, monoDir));
     const std::string refSnap =
         readFileBytes(mergedSnapshotPath(monoDir));
     const std::string refStats =

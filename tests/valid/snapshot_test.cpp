@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -76,16 +77,25 @@ TEST(Snapshot, BinaryRejectsCorruption)
     EXPECT_THROW(decodeBinary(wrongVersion), SnapshotError);
 }
 
-TEST(Snapshot, FileRoundTripBothEncodings)
+TEST(Snapshot, FileRoundTripIsBinary)
 {
     const JsonValue snap = makeSnapshot("sample", 1, samplePayload());
-    for (bool binary : {false, true}) {
-        const std::string path = tempPath(
-            binary ? "snapshot_test.bin" : "snapshot_test.json");
-        ASSERT_TRUE(writeSnapshotFile(path, snap, binary));
-        EXPECT_EQ(readSnapshotFile(path), snap);
-        std::remove(path.c_str());
+    const std::string path = tempPath("snapshot_test.bin");
+    ASSERT_TRUE(writeSnapshotFile(path, snap));
+    EXPECT_EQ(readSnapshotFile(path), snap);
+    std::remove(path.c_str());
+}
+
+TEST(Snapshot, JsonSnapshotFileIsRejected)
+{
+    const JsonValue snap = makeSnapshot("sample", 1, samplePayload());
+    const std::string path = tempPath("snapshot_test.json");
+    {
+        std::ofstream out(path);
+        out << snap.dump(2);
     }
+    EXPECT_THROW(readSnapshotFile(path), SnapshotError);
+    std::remove(path.c_str());
 }
 
 TEST(Snapshot, ReadMissingFileThrows)

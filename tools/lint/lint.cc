@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <locale>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <tuple>
 
-#include "exec/thread_pool.hh"
-
-#include "baseline.hh"
 #include "index.hh"
 #include "layers.hh"
 #include "passes.hh"
@@ -463,8 +459,7 @@ sortDiags(std::vector<Diagnostic> &diags)
 // Engine
 // ---------------------------------------------------------------------------
 
-/** Everything phase 1 produces for one file; built in parallel, one
- *  task per file, then consumed serially by phase 2. */
+/** Everything phase 1 produces for one file; consumed by phase 2. */
 struct PerFile
 {
     std::string rel;
@@ -537,23 +532,6 @@ collectFiles(const std::filesystem::path &root, const std::string &relDir,
             it->path().lexically_relative(root).generic_string();
         out.push_back({it->path(), rel});
     }
-}
-
-/** Fill libstdc++'s ctype<char>::narrow cache for every character.
- *  The cache fills lazily, one unsynchronized byte per character,
- *  and std::regex reads it while compiling and while matching word
- *  boundaries; filled once here, pool threads only ever read it.
- *  (The lint regexes themselves are namespace-scope constants, built
- *  before main.) */
-void
-warmCtypeCache()
-{
-    char chars[256];
-    for (int i = 0; i < 256; ++i)
-        chars[i] = static_cast<char>(i);
-    char narrowed[256];
-    std::use_facet<std::ctype<char>>(std::locale())
-        .narrow(chars, chars + 256, '\0', narrowed);
 }
 
 } // namespace
@@ -740,20 +718,15 @@ runLint(const Options &opts, std::string *error)
                                }),
                 files.end());
 
-    // Phase 1 in parallel: scan, token rules, suppressions, index.
-    // parallelMap returns results in index order over the sorted file
-    // list, so the outcome is independent of the thread count.
-    const std::size_t jobs =
-        opts.jobs > 0 ? opts.jobs : eval::defaultThreads();
-    warmCtypeCache();
-    eval::ThreadPool pool(std::max<std::size_t>(jobs, 1));
-    std::vector<PerFile> scanned =
-        pool.parallelMap(files.size(), [&](std::size_t i) {
-            return scanOneFile(files[i].first, files[i].second);
-        });
-    for (const auto &pf : scanned)
-        if (!pf.readError.empty())
-            return fail(pf.readError);
+    // Phase 1: scan, token rules, suppressions, index, one file at a
+    // time in sorted path order.
+    std::vector<PerFile> scanned;
+    scanned.reserve(files.size());
+    for (const auto &[full, rel] : files) {
+        scanned.push_back(scanOneFile(full, rel));
+        if (!scanned.back().readError.empty())
+            return fail(scanned.back().readError);
+    }
 
     // Layering manifest: explicit path, else auto-discovery.
     fs::path manifestPath;

@@ -82,11 +82,6 @@ struct Options
      *  (e.g. "tests/lint/fixtures" when linting the real tree). */
     std::vector<std::string> excludes;
 
-    /** Worker threads for the file scan (phase 1).  0 = auto
-     *  (EVAL_THREADS or hardware concurrency).  Findings are
-     *  independent of the thread count. */
-    unsigned jobs = 0;
-
     /** Layering manifest.  Empty = auto-discover
      *  <root>/tools/lint/layers.toml, then <root>/layers.toml; when
      *  neither exists the layering and exception-contract passes are
@@ -100,7 +95,7 @@ struct Options
  * (layering, include cycles, exception contracts, atomics audit,
  * determinism data-flow) over the whole indexed tree.  Returns
  * findings sorted by (file, line, rule) so output is independent of
- * directory-iteration order and of Options::jobs.  On I/O failure
+ * directory-iteration order.  On I/O failure
  * (unreadable root, path, or file), returns empty and sets *error if
  * non-null.
  */

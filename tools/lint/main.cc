@@ -3,27 +3,21 @@
  * eval-lint command-line driver.
  *
  * Usage:
- *   eval_lint [--root DIR] [--exclude SUBSTR]... [--jobs N]
- *             [--layers FILE] [--baseline FILE | --write-baseline FILE]
+ *   eval_lint [--root DIR] [--exclude SUBSTR]... [--layers FILE]
  *             [--json FILE] [--sarif FILE] [--list-rules] [PATH...]
  *
  * PATHs are relative to --root (default: the current directory) and
- * default to src bench tests examples tools.  With --baseline, only
- * findings absent from the baseline file fail the run (exit 1);
- * baselined findings are still printed (marked) and exported to SARIF
- * as baselineState "unchanged".  Exit codes: 0 clean, 1 fresh
- * findings, 2 usage or I/O error.
+ * default to src bench tests examples tools.  Exit codes: 0 clean,
+ * 1 findings, 2 usage or I/O error.
  */
 
 #include "lint.hh"
 
-#include "baseline.hh"
 #include "sarif.hh"
 
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,9 +27,7 @@ int
 usage(std::ostream &out, int code)
 {
     out << "usage: eval_lint [--root DIR] [--exclude SUBSTR]...\n"
-           "                 [--jobs N] [--layers FILE]\n"
-           "                 [--baseline FILE | --write-baseline FILE]\n"
-           "                 [--json FILE] [--sarif FILE]\n"
+           "                 [--layers FILE] [--json FILE] [--sarif FILE]\n"
            "                 [--list-rules] [PATH...]\n"
            "\n"
            "Lints .cc/.cpp/.hh/.h files under each PATH (relative to\n"
@@ -45,18 +37,13 @@ usage(std::ostream &out, int code)
            "tools/lint/layers.toml, include cycles, exception\n"
            "contracts, atomics audit, determinism data-flow).\n"
            "\n"
-           "  --jobs N            parallel scan width (0 = auto)\n"
            "  --layers FILE       layering manifest (default:\n"
            "                      <root>/tools/lint/layers.toml, then\n"
            "                      <root>/layers.toml)\n"
-           "  --baseline FILE     accepted findings; only fresh ones\n"
-           "                      fail the run\n"
-           "  --write-baseline F  write the current findings as the\n"
-           "                      new baseline and exit 0\n"
            "  --json FILE         findings as JSON (CI artifact)\n"
            "  --sarif FILE        findings as SARIF 2.1.0\n"
            "\n"
-           "Exit: 0 clean, 1 fresh findings, 2 usage or I/O error.\n";
+           "Exit: 0 clean, 1 findings, 2 usage or I/O error.\n";
     return code;
 }
 
@@ -79,8 +66,6 @@ main(int argc, char **argv)
     opts.root = ".";
     std::string jsonPath;
     std::string sarifPath;
-    std::string baselinePath;
-    std::string writeBaselinePath;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -108,32 +93,11 @@ main(int argc, char **argv)
             if (!v)
                 return 2;
             opts.excludes.push_back(v);
-        } else if (arg == "--jobs") {
-            const char *v = value("--jobs");
-            if (!v)
-                return 2;
-            try {
-                opts.jobs = static_cast<unsigned>(std::stoul(v));
-            } catch (...) {
-                std::cerr << "eval-lint: --jobs wants a number, got '"
-                          << v << "'\n";
-                return 2;
-            }
         } else if (arg == "--layers") {
             const char *v = value("--layers");
             if (!v)
                 return 2;
             opts.layersFile = v;
-        } else if (arg == "--baseline") {
-            const char *v = value("--baseline");
-            if (!v)
-                return 2;
-            baselinePath = v;
-        } else if (arg == "--write-baseline") {
-            const char *v = value("--write-baseline");
-            if (!v)
-                return 2;
-            writeBaselinePath = v;
         } else if (arg == "--json") {
             const char *v = value("--json");
             if (!v)
@@ -151,11 +115,6 @@ main(int argc, char **argv)
             opts.paths.push_back(arg);
         }
     }
-    if (!baselinePath.empty() && !writeBaselinePath.empty()) {
-        std::cerr << "eval-lint: --baseline and --write-baseline are "
-                     "mutually exclusive\n";
-        return 2;
-    }
 
     std::string error;
     const auto diags = eval::lint::runLint(opts, &error);
@@ -164,45 +123,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!writeBaselinePath.empty()) {
-        if (!writeFile(writeBaselinePath,
-                       eval::lint::renderBaseline(diags))) {
-            std::cerr << "eval-lint: cannot write " << writeBaselinePath
-                      << '\n';
-            return 2;
-        }
-        std::cout << "eval-lint: baselined " << diags.size()
-                  << " finding" << (diags.size() == 1 ? "" : "s")
-                  << " to " << writeBaselinePath << '\n';
-        return 0;
-    }
-
-    eval::lint::BaselineSplit split;
-    const std::set<std::string> *baselinedKeys = nullptr;
-    std::set<std::string> baselinedKeySet;
-    if (!baselinePath.empty()) {
-        std::string blError;
-        const auto baseline =
-            eval::lint::loadBaseline(baselinePath, &blError);
-        if (!baseline.loaded) {
-            std::cerr << "eval-lint: " << blError << '\n';
-            return 2;
-        }
-        split = eval::lint::applyBaseline(diags, baseline);
-        for (const auto &d : split.baselined)
-            baselinedKeySet.insert(eval::lint::baselineKey(d));
-        baselinedKeys = &baselinedKeySet;
-    } else {
-        split.fresh = diags;
-    }
-
-    for (const auto &d : split.fresh)
+    for (const auto &d : diags)
         std::cout << eval::lint::formatDiagnostic(d) << '\n';
-    for (const auto &d : split.baselined)
-        std::cout << eval::lint::formatDiagnostic(d) << " (baselined)\n";
-    for (const auto &key : split.stale)
-        std::cerr << "eval-lint: stale baseline entry matches no "
-                     "finding: " << key << '\n';
 
     if (!jsonPath.empty() &&
         !writeFile(jsonPath, eval::lint::toJson(diags))) {
@@ -215,8 +137,7 @@ main(int argc, char **argv)
             std::filesystem::weakly_canonical(opts.root, ec);
         const std::string rootUri =
             ec ? "" : "file://" + canon.generic_string() + "/";
-        if (!writeFile(sarifPath, eval::lint::toSarif(diags, baselinedKeys,
-                                                      rootUri))) {
+        if (!writeFile(sarifPath, eval::lint::toSarif(diags, rootUri))) {
             std::cerr << "eval-lint: cannot write " << sarifPath << '\n';
             return 2;
         }
@@ -226,11 +147,7 @@ main(int argc, char **argv)
         std::cout << "eval-lint: clean\n";
     } else {
         std::cout << "eval-lint: " << diags.size() << " finding"
-                  << (diags.size() == 1 ? "" : "s");
-        if (!baselinePath.empty())
-            std::cout << " (" << split.fresh.size() << " fresh, "
-                      << split.baselined.size() << " baselined)";
-        std::cout << '\n';
+                  << (diags.size() == 1 ? "" : "s") << '\n';
     }
-    return eval::lint::exitCodeFor(split.fresh);
+    return eval::lint::exitCodeFor(diags);
 }

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "baseline.hh"
-
 namespace eval::lint {
 
 namespace {
@@ -37,9 +35,7 @@ jsonStr(const std::string &s)
 } // namespace
 
 std::string
-toSarif(const std::vector<Diagnostic> &diags,
-        const std::set<std::string> *baselinedKeys,
-        const std::string &rootUri)
+toSarif(const std::vector<Diagnostic> &diags, const std::string &rootUri)
 {
     const auto &rules = ruleCatalog();
     std::ostringstream out;
@@ -87,11 +83,6 @@ toSarif(const std::vector<Diagnostic> &diags,
             << "          \"level\": \"error\",\n"
             << "          \"message\": { \"text\": " << jsonStr(d.message)
             << " },\n";
-        if (baselinedKeys) {
-            const bool old = baselinedKeys->count(baselineKey(d)) > 0;
-            out << "          \"baselineState\": "
-                << (old ? "\"unchanged\"" : "\"new\"") << ",\n";
-        }
         out << "          \"locations\": [\n"
             << "            {\n"
             << "              \"physicalLocation\": {\n"

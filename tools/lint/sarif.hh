@@ -6,14 +6,11 @@
  * SARIF document: one run, the eval-lint driver with its full rule
  * catalog (so viewers can show help text for rules with no hits),
  * and one result per finding with a physical location relative to
- * SRCROOT.  When a baseline was applied, results carry
- * `baselineState` ("new" for fresh findings, "unchanged" for
- * baselined ones) so code-scanning UIs can hide the accepted debt.
+ * SRCROOT.
  */
 
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -21,15 +18,10 @@
 
 namespace eval::lint {
 
-/** Render @p diags as a SARIF 2.1.0 document.
- *
- *  @p baselinedKeys  baselineKey() strings of findings accepted by a
- *                    baseline file; when null no baselineState is
- *                    emitted at all (no baseline was in play).
- *  @p rootUri        absolute file:// URI of the lint root, used as
- *                    the SRCROOT originalUriBaseId ("" to omit). */
+/** Render @p diags as a SARIF 2.1.0 document.  @p rootUri is the
+ *  absolute file:// URI of the lint root, used as the SRCROOT
+ *  originalUriBaseId ("" to omit). */
 std::string toSarif(const std::vector<Diagnostic> &diags,
-                    const std::set<std::string> *baselinedKeys,
                     const std::string &rootUri);
 
 } // namespace eval::lint
