@@ -8,8 +8,8 @@
  * Organization follows the paper: technique sets {No opt, FU opt,
  * Queue opt, FU+Queue opt} x voltage environments {A: TS, B: TS+ABB,
  * C: TS+ASV, D: TS+ABB+ASV}.  Every cell runs the Fig 13 unit
- * (ExperimentContext::adaptApps) per chip, the same unit the sharded
- * campaign and the fig13_micro golden run.
+ * (ExperimentContext::adaptApps) per chip, the same unit the `eval_cli
+ * fig13` campaign and the fig13_micro golden run.
  */
 
 #include "bench_common.hh"

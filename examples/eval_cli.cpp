@@ -15,16 +15,13 @@
  *   eval_cli replay --trace trace.trc [--insts 50000]
  *   eval_cli fig13  [--chips N] [--seed S] [--apps gzip,swim,applu]
  *                   [--sim-insts K] [--scheme fuzzy|exh] [--out DIR]
- *                   [--shards N] [--in-process] [--resume]
- *                   [--checkpoint-every K]
- *       the sharded Figure 13 population campaign.  With --shards N
- *       the process becomes a supervisor that re-execs itself once
- *       per shard (--shard=i/N workers, concurrent, each with its own
- *       checkpoint in DIR); --resume skips completed shards and
- *       replays interrupted ones from their checkpoints.  Without
- *       --shards it runs the monolithic reference path.  Either way
- *       DIR ends up with byte-identical merged.snap +
- *       merged.stats.json (tests/shard/shard_differential_test).
+ *                   [--checkpoint-every K] [--resume]
+ *       the Figure 13 population campaign, in this process on the
+ *       worker pool.  It checkpoints DIR/campaign.ckpt.snap every K
+ *       chips and ends with merged.snap + merged.stats.json in DIR;
+ *       --resume continues from the checkpoint to byte-identical
+ *       outputs, and a corrupt or mismatched checkpoint exits 4
+ *       (tests/shard/checkpoint_resume_test).
  *
  * Observability flags (any command; see DESIGN.md "Observability"):
  *   --stats-out=FILE   dump the stat registry on exit (JSON, or CSV
@@ -32,16 +29,12 @@
  *   --trace-out=FILE   record every adaptation decision, export JSONL
  *   --trace-spans=FILE record a span timeline, export Chrome/Perfetto
  *                      trace_event JSON (open in ui.perfetto.dev);
- *                      default from EVAL_TRACE_SPANS.  For a sharded
- *                      fig13 run FILE becomes the MERGED fleet
- *                      timeline (one pid per shard)
+ *                      default from EVAL_TRACE_SPANS
  *   --profile-out=FILE export the span profile (exact per-span
  *                      count/inclusive/self times, profile.json
  *                      schema; analyze with eval_prof); default from
  *                      EVAL_PROFILE_OUT, else derived from
- *                      --trace-spans (FILE.profile.json).  For a
- *                      sharded fig13 run this is the merged fleet
- *                      profile
+ *                      --trace-spans (FILE.profile.json)
  *   --manifest=FILE    write a run-provenance manifest (git SHA, build
  *                      flags, seed, stage wall times, peak RSS);
  *                      default from EVAL_MANIFEST, "" disables
@@ -60,12 +53,9 @@
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
-#include "exec/subprocess.hh"
 #include "util/logging.hh"
 #include "core/retiming.hh"
 #include "shard/supervisor.hh"
-#include "shard/trace_merge.hh"
-#include "shard/worker.hh"
 #include "stats/stats.hh"
 #include "trace/exit_flush.hh"
 #include "trace/manifest.hh"
@@ -76,12 +66,6 @@
 using namespace eval;
 
 namespace {
-
-/** Set when a fig13 supervisor routes the span/profile outputs
- *  through the fleet merge: the generic exit-time writers must then
- *  leave those files alone (the merged timeline would be clobbered by
- *  the supervisor's own near-empty tracer). */
-bool gFleetOwnsSpans = false;
 
 /** The default profile path rides alongside the trace: x.json ->
  *  x.profile.json. */
@@ -98,8 +82,7 @@ deriveProfilePath(const std::string &spansPath)
 }
 
 /** Resolve --trace-spans / --profile-out (flags, env defaults, and
- *  the derived profile path).  Shared by main() and the fig13
- *  supervisor so both agree on where fleet telemetry lands. */
+ *  the derived profile path). */
 void
 spanOutputPaths(const ArgParser &args, std::string &spansOut,
                 std::string &profileOut)
@@ -277,9 +260,9 @@ cmdReplay(const ArgParser &args)
     return 0;
 }
 
-/** Campaign knobs shared by the fig13 worker/supervisor/monolithic
- *  paths.  Apps are pinned explicitly (not via EVAL_APPS) so every
- *  worker process of a sharded run resolves the same suite. */
+/** The fig13 campaign knobs.  Apps are pinned explicitly (not via
+ *  EVAL_APPS) so a --resume resolves the same suite, and with it the
+ *  same fingerprint, as the run it continues. */
 CampaignConfig
 fig13CampaignFrom(const ArgParser &args)
 {
@@ -301,105 +284,23 @@ fig13CampaignFrom(const ArgParser &args)
 int
 cmdFig13(const ArgParser &args)
 {
-    const CampaignConfig campaign = fig13CampaignFrom(args);
-    const std::string outDir = args.getString("out", "fig13-out");
-    const auto checkpointEvery = static_cast<std::uint64_t>(
+    CampaignLoopOptions opts;
+    opts.campaign = fig13CampaignFrom(args);
+    opts.outDir = args.getString("out", "fig13-out");
+    opts.checkpointEvery = static_cast<std::uint64_t>(
         args.getInt("checkpoint-every", 16));
-    const bool resume = args.getBool("resume", false);
-    const std::string shardArg = args.getString("shard", "");
+    opts.resume = args.getBool("resume", false);
 
-    if (!shardArg.empty()) {
-        // Worker mode: one shard of a supervised run.
-        ShardWorkerOptions w;
-        if (!parseShardSpec(shardArg, w.spec))
-            EVAL_FATAL("bad --shard '", shardArg, "' (want i/N)");
-        w.campaign = campaign;
-        w.outDir = outDir;
-        w.checkpointEvery = checkpointEvery;
-        w.resume = resume;
-
-        // Crash-injection hook for check.sh --shard-smoke: SIGKILL
-        // the selected shard after K chips, before its checkpoint.
-        const auto abortAfter = static_cast<std::uint64_t>(
-            envInt("EVAL_SHARD_ABORT_AFTER", 0));
-        const auto abortShard = static_cast<std::uint64_t>(
-            envInt("EVAL_SHARD_ABORT_SHARD", 0));
-        if (abortAfter > 0 && abortShard == w.spec.index)
-            w.killAfterChips = abortAfter;
-        return runShardWorker(w);
+    CampaignAccumulator acc;
+    const int rc = runCampaignLoop(opts, acc);
+    if (rc != kCampaignExitOk) {
+        warn("fig13 campaign failed (exit ", rc, ")");
+        return rc;
     }
-
-    const auto shards =
-        static_cast<std::uint32_t>(args.getInt("shards", 0));
-    if (shards > 0) {
-        ShardSupervisorOptions s;
-        s.campaign = campaign;
-        s.shards = shards;
-        s.outDir = outDir;
-        s.checkpointEvery = checkpointEvery;
-        s.resume = resume;
-
-        // Fleet telemetry: --trace-spans/--profile-out name the
-        // MERGED outputs of a sharded run; the per-shard files live
-        // under DIR/trace/.  The supervisor's own tracer output is
-        // suppressed (gFleetOwnsSpans) so the exit-time writer cannot
-        // clobber the merged timeline.
-        std::string spansOut;
-        std::string profileOut;
-        spanOutputPaths(args, spansOut, profileOut);
-        if (!spansOut.empty() || !profileOut.empty()) {
-            s.traceSpans = true;
-            s.mergedTraceOut = spansOut;
-            s.fleetProfileOut = profileOut;
-            gFleetOwnsSpans = true;
-        }
-
-        if (!args.getBool("in-process", false)) {
-            // Re-exec this binary once per shard; the supervisor
-            // appends --shard=i/N.  --manifest= keeps workers from
-            // fighting over the default manifest path.
-            s.workerArgv = {Subprocess::selfExePath(),
-                            "fig13",
-                            "--chips=" + std::to_string(
-                                campaign.experiment.chips),
-                            "--seed=" + std::to_string(
-                                campaign.experiment.seed),
-                            "--sim-insts=" + std::to_string(
-                                campaign.experiment.simInsts),
-                            "--apps=" + args.getString(
-                                "apps", "gzip,swim,applu"),
-                            "--scheme=" + args.getString(
-                                "scheme", "fuzzy"),
-                            "--out=" + outDir,
-                            "--checkpoint-every=" + std::to_string(
-                                checkpointEvery),
-                            "--manifest="};
-            if (resume)
-                s.workerArgv.push_back("--resume");
-        }
-        const int rc = runShardSupervisor(s);
-        if (rc != 0) {
-            warn("fig13 sharded run failed (exit ", rc,
-                 "); re-run with --resume to continue from the "
-                 "checkpoints");
-            return rc;
-        }
-        std::printf("fig13: %d chips across %u shards -> %s, %s\n",
-                    campaign.experiment.chips, shards,
-                    mergedSnapshotPath(outDir).c_str(),
-                    mergedStatsPath(outDir).c_str());
-        return 0;
-    }
-
-    // Monolithic reference path: same outputs, no sharding machinery.
-    const CampaignAccumulator acc = runMonolithic(campaign);
-    if (!writeMergedOutputs(acc, outDir))
-        return 1;
-    std::printf("fig13: %d chips monolithic -> %s, %s "
-                "(digest %.0f)\n",
-                campaign.experiment.chips,
-                mergedSnapshotPath(outDir).c_str(),
-                mergedStatsPath(outDir).c_str(), acc.digest());
+    std::printf("fig13: %d chips -> %s, %s (digest %.0f)\n",
+                opts.campaign.experiment.chips,
+                mergedSnapshotPath(opts.outDir).c_str(),
+                mergedStatsPath(opts.outDir).c_str(), acc.digest());
     return 0;
 }
 
@@ -475,17 +376,13 @@ main(int argc, char **argv)
         "eval_cli.telemetry",
         [statsOut, traceOut, spansOut, profileOut, manifestOut] {
             dumpObservability(statsOut, traceOut);
-            if (!gFleetOwnsSpans) {
-                if (!spansOut.empty() &&
-                    !SpanTracer::global().writeJson(spansOut)) {
-                    warn("failed to write span trace to ", spansOut);
-                }
-                if (!profileOut.empty() &&
-                    !SpanTracer::global().writeProfileJson(
-                        profileOut)) {
-                    warn("failed to write span profile to ",
-                         profileOut);
-                }
+            if (!spansOut.empty() &&
+                !SpanTracer::global().writeJson(spansOut)) {
+                warn("failed to write span trace to ", spansOut);
+            }
+            if (!profileOut.empty() &&
+                !SpanTracer::global().writeProfileJson(profileOut)) {
+                warn("failed to write span profile to ", profileOut);
             }
             if (!manifestOut.empty() &&
                 !RunManifest::global().write(manifestOut)) {

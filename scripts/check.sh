@@ -10,7 +10,6 @@
 #        scripts/check.sh --lint [build-dir]
 #        scripts/check.sh --tidy [build-dir]
 #        scripts/check.sh --coverage [build-dir]
-#        scripts/check.sh --shard-smoke [build-dir]
 #        scripts/check.sh --prof-smoke [build-dir]
 #
 # --tsan (or CHECK_TSAN=1) configures with -DEVAL_TSAN=ON and runs the
@@ -44,22 +43,12 @@
 # TESTING.md "Measuring performance").
 #
 # --prof-smoke (or CHECK_PROF_SMOKE=1) is the span-profiling
-# end-to-end check (DESIGN.md §5j): a fast 2-shard fig13 with tracing
-# must leave one merged Perfetto timeline plus a fleet profile.json
-# behind, with non-zero characterize.app and arch.core_run buckets
-# and no pe.eval bucket; eval_prof tree/flame/diff must render it.
-# Then bench_parallel_scaling (EVAL_FAST=1) must hold its thread
+# end-to-end check (DESIGN.md §5j): a fast traced fig13 must leave a
+# Perfetto timeline plus a profile.json behind, with non-zero
+# characterize.app and arch.core_run buckets and no pe.eval bucket;
+# eval_prof tree/flame/diff must render it.  Then
+# bench_parallel_scaling (EVAL_FAST=1) must hold its thread
 # bit-identity and tracer-overhead assertions.
-#
-# --shard-smoke (or CHECK_SHARD_SMOKE=1) is the sharded-campaign
-# end-to-end drill: it runs a small 2-shard fig13 with a crash
-# injected into shard 0 mid-run (SIGKILL after its first checkpoint,
-# before the next -- the harshest torn state), asserts the supervisor
-# fails, resumes with --resume, and byte-compares the merged outputs
-# against both an uninterrupted 2-shard run and the monolithic
-# reference.  Then bench_shard_scaling (EVAL_FAST=1) re-proves the
-# byte-identity at shards {1,2,4}.  See TESTING.md "Shard
-# equivalence".
 
 set -euo pipefail
 
@@ -76,7 +65,6 @@ case "${1:-}" in
   --lint)     mode="lint";     shift ;;
   --tidy)     mode="tidy";     shift ;;
   --coverage) mode="coverage"; shift ;;
-  --shard-smoke) mode="shard-smoke"; shift ;;
   --prof-smoke) mode="prof-smoke"; shift ;;
 esac
 [[ "${CHECK_TSAN:-0}" == "1" ]] && mode="tsan"
@@ -85,7 +73,6 @@ esac
 [[ "${CHECK_LINT:-0}" == "1" ]] && mode="lint"
 [[ "${CHECK_TIDY:-0}" == "1" ]] && mode="tidy"
 [[ "${CHECK_COVERAGE:-0}" == "1" ]] && mode="coverage"
-[[ "${CHECK_SHARD_SMOKE:-0}" == "1" ]] && mode="shard-smoke"
 [[ "${CHECK_PROF_SMOKE:-0}" == "1" ]] && mode="prof-smoke"
 
 if [[ "$mode" == "tsan" ]]; then
@@ -187,47 +174,44 @@ if [[ "$mode" == "prof-smoke" ]]; then
     run_dir="$build_dir/prof-smoke"
     rm -rf "$run_dir" && mkdir -p "$run_dir"
 
-    # 1. Fast 2-shard campaign with tracing on: the supervisor must
-    #    merge the per-shard traces/profiles into one fleet timeline
-    #    (--trace-spans) plus <trace-spans>.profile.json.
-    echo "check.sh: prof smoke -- 2-shard traced fig13"
+    # 1. Fast campaign with tracing on: the run must leave its
+    #    timeline (--trace-spans) plus <trace-spans>.profile.json.
+    echo "check.sh: prof smoke -- traced fig13"
     (cd "$run_dir" && "$cli" fig13 --chips=6 --seed=7 \
-        --sim-insts=20000 --apps=gzip,swim --scheme=exh --shards=2 \
-        --out=fleet --manifest= --trace-spans="$run_dir/fleet.json" \
+        --sim-insts=20000 --apps=gzip,swim --scheme=exh \
+        --out=fig13 --manifest= --trace-spans="$run_dir/fig13.json" \
         > fig13.stdout 2>&1) || {
-        echo "check.sh: ERROR traced sharded fig13 failed"
+        echo "check.sh: ERROR traced fig13 failed"
         cat "$run_dir/fig13.stdout"
         exit 1
     }
-    profile="$run_dir/fleet.profile.json"
-    for artifact in "$run_dir/fleet.json" "$profile" \
-        "$run_dir/fleet/trace/shard-0.json" \
-        "$run_dir/fleet/trace/profile-shard-1.json"; do
+    profile="$run_dir/fig13.profile.json"
+    for artifact in "$run_dir/fig13.json" "$profile"; do
         if [[ ! -s "$artifact" ]]; then
             echo "check.sh: ERROR missing telemetry artifact $artifact"
             exit 1
         fi
     done
 
-    # The fleet profile covers characterization (the largest
-    # cold-start layer) and counts every Core::run; per-access PE
-    # evaluations are counters, never spans, so no pe.eval bucket.
+    # The profile covers characterization (the largest cold-start
+    # layer) and counts every Core::run; per-access PE evaluations
+    # are counters, never spans, so no pe.eval bucket.
     buckets="$(tr -d ' \n' < "$profile")"
     for span in characterize.app arch.core_run; do
         if ! grep -qE "\"name\":\"$span\",\"count\":[1-9]" \
                 <<< "$buckets"; then
-            echo "check.sh: ERROR fleet profile has no $span bucket" \
+            echo "check.sh: ERROR profile has no $span bucket" \
                  "with a non-zero count"
             exit 1
         fi
     done
     if grep -q '"name":"pe.eval"' <<< "$buckets"; then
-        echo "check.sh: ERROR fleet profile has a pe.eval bucket"
+        echo "check.sh: ERROR profile has a pe.eval bucket"
         exit 1
     fi
 
-    # 2. eval_prof must render the fleet profile; a self-compare diff
-    #    must succeed.
+    # 2. eval_prof must render the profile; a self-compare diff must
+    #    succeed.
     echo "check.sh: prof smoke -- eval_prof tree/flame/diff"
     "$prof" tree "$profile" > /dev/null
     "$prof" tree "$profile" --bottom-up --top=10 > /dev/null
@@ -246,83 +230,7 @@ if [[ "$mode" == "prof-smoke" ]]; then
         cat "$run_dir/parallel_scaling.stdout"
         exit 1
     }
-    echo "check.sh: prof smoke passed (fleet profile: $profile)"
-    exit 0
-fi
-
-if [[ "$mode" == "shard-smoke" ]]; then
-    build_dir="${1:-$repo_root/build-check}"
-
-    cmake -B "$build_dir" -S "$repo_root"
-    build_dir="$(cd "$build_dir" && pwd)" # runs happen in scratch dirs
-    cmake --build "$build_dir" -j"$(nproc)" --target eval_cli \
-        bench_shard_scaling
-
-    cli="$build_dir/examples/eval_cli"
-    run_dir="$build_dir/shard-smoke"
-    rm -rf "$run_dir" && mkdir -p "$run_dir"
-    # Small but checkpoint-heavy: 6 chips / 2 shards gives each shard
-    # 3 chips, and --checkpoint-every=1 forces a checkpoint between
-    # every chip so the injected SIGKILL lands on a torn run with a
-    # usable prior checkpoint.  --manifest= silences the default
-    # manifest path (workers would race on it).
-    campaign=(fig13 --chips=6 --seed=7 --sim-insts=20000
-              --apps=gzip,swim --scheme=exh --checkpoint-every=1
-              --manifest=)
-
-    # 1. Crash drill: SIGKILL shard 0 after 2 chips (its second
-    #    checkpoint is never written).  The supervisor must report
-    #    the dead worker and fail.
-    echo "check.sh: shard smoke -- crash drill (SIGKILL shard 0)"
-    if (cd "$run_dir" && EVAL_SHARD_ABORT_AFTER=2 EVAL_SHARD_ABORT_SHARD=0 \
-        "$cli" "${campaign[@]}" --shards=2 --out=sharded \
-        > crash.stdout 2>&1); then
-        echo "check.sh: ERROR supervisor survived a SIGKILLed worker"
-        cat "$run_dir/crash.stdout"
-        exit 1
-    fi
-
-    # 2. Resume: shard 1's completed result is reused, shard 0 picks
-    #    up from its surviving checkpoint and finishes.
-    echo "check.sh: shard smoke -- resume after crash"
-    (cd "$run_dir" && "$cli" "${campaign[@]}" --shards=2 --out=sharded \
-        --resume > resume.stdout 2>&1) || {
-        echo "check.sh: ERROR resume after crash failed"
-        cat "$run_dir/resume.stdout"
-        exit 1
-    }
-
-    # 3. References: an uninterrupted 2-shard run and the monolithic
-    #    path.  All three merged outputs must be byte-identical --
-    #    the same bit-identity contract shard_differential_test
-    #    proves in-process, here across real fork/exec + crash/resume.
-    echo "check.sh: shard smoke -- uninterrupted + monolithic references"
-    (cd "$run_dir" && "$cli" "${campaign[@]}" --shards=2 --out=ref \
-        > ref.stdout 2>&1)
-    (cd "$run_dir" && "$cli" "${campaign[@]}" --out=mono \
-        > mono.stdout 2>&1)
-    for artifact in merged.snap merged.stats.json; do
-        for other in ref mono; do
-            if ! cmp -s "$run_dir/sharded/$artifact" \
-                       "$run_dir/$other/$artifact"; then
-                echo "check.sh: ERROR $artifact differs" \
-                     "(resumed sharded vs $other)"
-                exit 1
-            fi
-        done
-    done
-    echo "check.sh: shard smoke -- merged outputs bit-identical" \
-         "(resumed == uninterrupted == monolithic)"
-
-    # 4. bench_shard_scaling re-proves the byte-identity at shards
-    #    {1,2,4}; it exits non-zero on any mismatch.
-    bench_dir="$build_dir/shard-smoke-bench"
-    rm -rf "$bench_dir" && mkdir -p "$bench_dir"
-    echo "check.sh: running bench_shard_scaling"
-    (cd "$bench_dir" && EVAL_FAST=1 EVAL_MANIFEST= \
-        "$build_dir/bench/bench_shard_scaling" \
-        > bench_shard_scaling.stdout)
-    echo "check.sh: shard smoke passed"
+    echo "check.sh: prof smoke passed (profile: $profile)"
     exit 0
 fi
 

@@ -164,10 +164,10 @@ class ExperimentContext
     /**
      * Chip @p index, manufactured on first use.  Chip @p i is a pure
      * function of (seed, i), so lazy manufacture returns exactly the
-     * chip the old eager constructor held — but a shard worker
-     * walking a [begin, end) slice only ever materializes its own
-     * slice, bounding resident VariationMaps to the slice size
-     * (ROADMAP item 2 / DESIGN.md Sec 5h).
+     * chip the old eager constructor held — but the campaign loop
+     * walking the population block by block only ever materializes
+     * the current block, bounding resident VariationMaps to the
+     * block size (DESIGN.md Sec 5h).
      */
     const Chip &chip(std::size_t index);
 

@@ -81,20 +81,6 @@ CampaignAccumulator::addChip(std::uint64_t chipId,
     ++nextChip_;
 }
 
-void
-CampaignAccumulator::merge(const CampaignAccumulator &other)
-{
-    EVAL_ASSERT(other.firstChip_ == nextChip_,
-                "shard merge must preserve chip-id order "
-                "(other accumulator does not start where this ends)");
-    for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
-        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-            outcomes_[e][o] += other.outcomes_[e][o];
-    hist_.merge(other.hist_);
-    shares_.merge(other.shares_);
-    nextChip_ = other.nextChip_;
-}
-
 std::uint64_t
 CampaignAccumulator::outcomeCount(std::size_t env,
                                   RetuneOutcome outcome) const
@@ -144,22 +130,22 @@ CampaignAccumulator::fromPayload(const JsonValue &payload)
                             "good_shares"}) {
         if (!payload.has(key))
             throw SnapshotError(
-                std::string("shard accumulator payload missing '") +
+                std::string("campaign accumulator payload missing '") +
                 key + "'");
     }
     CampaignAccumulator acc(payload.at("first_chip").asUint());
     const std::uint64_t next = payload.at("next_chip").asUint();
     if (next < acc.firstChip_)
-        throw SnapshotError("shard accumulator range is inverted");
+        throw SnapshotError("campaign accumulator range is inverted");
 
     const auto &envs = payload.at("envs").asArray();
     if (envs.size() != kNumVoltageEnvs)
-        throw SnapshotError("shard accumulator env count mismatch");
+        throw SnapshotError("campaign accumulator env count mismatch");
     for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {
         const JsonValue &env = envs[e];
         if (!env.has("tag") ||
             env.at("tag").asString() != fig13VoltageEnvs()[e].tag)
-            throw SnapshotError("shard accumulator env tag mismatch");
+            throw SnapshotError("campaign accumulator env tag mismatch");
         const JsonValue &counts = env.at("outcomes");
         for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
             acc.outcomes_[e][o] = counts.at(outcomeKey(o)).asUint();
@@ -168,7 +154,7 @@ CampaignAccumulator::fromPayload(const JsonValue &payload)
     const auto &shares = payload.at("good_shares").asArray();
     if (shares.size() != next - acc.firstChip_)
         throw SnapshotError(
-            "shard accumulator sample count disagrees with its "
+            "campaign accumulator sample count disagrees with its "
             "chip range");
     for (const JsonValue &s : shares) {
         acc.shares_.add(s.asDouble());

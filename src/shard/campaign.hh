@@ -1,24 +1,17 @@
 /**
  * @file
- * The sharded Fig 13 population campaign: a per-chip unit of work
- * that is a pure function of (campaign config, chip id), and an
- * order-preserving mergeable accumulator over per-chip results.
+ * The Fig 13 population campaign: a per-chip unit of work that is a
+ * pure function of (campaign config, chip id), and an accumulator that
+ * folds per-chip results in chip-id order.
  *
- * Equivalence contract (proved by tests/shard/shard_differential_test
- * and enforced in CI by `check.sh --shard-smoke`): for any shard
- * count N,
- *
- *   merge(shard_0, shard_1, ..., shard_{N-1})  ==  monolithic run
- *
- * byte-for-byte, including the stats JSON and the snapshot digests.
- * The ingredients, each individually exact:
- *  - chip i is Rng::split-derived from (seed, i), so a fresh
- *    ExperimentContext inside any shard manufactures the same chip
- *    the monolithic context would (ChipFactory::manufactureAt);
- *  - per-chip tallies are u64 sums (exact, associative);
- *  - the chip-binning histogram only ever takes weight-1 samples, so
- *    bin-wise merge equals serial accumulation exactly;
- *  - the good-share SampleSet merge is an ordered append.
+ * Chip i is Rng::split-derived from (seed, i), so the unit's result
+ * does not depend on which thread ran it, how the chips were blocked,
+ * or whether the run was resumed from a checkpoint; the serial fold
+ * in chip order then makes the stats JSON and the snapshot digest
+ * byte-identical across thread counts and interruptions
+ * (tests/shard/checkpoint_resume_test).  Per-chip tallies are u64
+ * sums and the chip-binning histogram only takes weight-1 samples,
+ * so a resumed fold reproduces an uninterrupted one exactly.
  */
 
 #pragma once
@@ -41,8 +34,8 @@ struct CampaignConfig
     ExperimentConfig experiment;
     AdaptScheme scheme = AdaptScheme::FuzzyDyn;
 
-    /** Fingerprint of every result-changing knob; shard workers and
-     *  checkpoints refuse to mix fingerprints. */
+    /** Fingerprint of every result-changing knob; a resume refuses
+     *  a checkpoint with a different fingerprint. */
     std::string fingerprint() const;
 };
 
@@ -63,20 +56,17 @@ struct ChipCampaignResult
  * Run the campaign unit for one chip: ExperimentContext::adaptApps
  * under fig13Caps of each voltage env, env-major.  Pure in (campaign,
  * chip id): only per-chip caches of @p ctx are touched, so a fresh
- * context inside a shard worker reproduces the monolithic result
- * exactly.
+ * context after a resume reproduces the uninterrupted result exactly.
  */
 ChipCampaignResult runCampaignChip(ExperimentContext &ctx,
                                    const CampaignConfig &campaign,
                                    std::size_t chip);
 
 /**
- * Order-preserving mergeable accumulator over a contiguous chip-id
- * range.  addChip() must be fed chip ids in increasing order starting
- * at firstChip; merge() only accepts the accumulator that starts
- * exactly where this one ends, so any merge tree that type-checks
- * reproduces the one serial accumulation order (PR 2's bit-identity
- * property, lifted across process boundaries).
+ * Order-preserving accumulator over a contiguous chip-id range.
+ * addChip() must be fed chip ids in increasing order starting at
+ * firstChip, so every run reproduces the one serial accumulation
+ * order.
  */
 class CampaignAccumulator
 {
@@ -91,22 +81,20 @@ class CampaignAccumulator
     /** Fold in chip @p chipId's result; must be nextChip(). */
     void addChip(std::uint64_t chipId, const ChipCampaignResult &r);
 
-    /** Append @p other (which must start at nextChip()). */
-    void merge(const CampaignAccumulator &other);
-
     std::uint64_t outcomeCount(std::size_t env,
                                RetuneOutcome outcome) const;
     std::uint64_t envInvocations(std::size_t env) const;
     const Histogram &goodShareHistogram() const { return hist_; }
     const SampleSet &goodShares() const { return shares_; }
 
-    /** Serialize to / rebuild from a JSON payload (checkpoints and
-     *  shard results).  fromPayload throws SnapshotError on shape
-     *  violations. */
+    /** Serialize to / rebuild from a JSON payload (checkpoints).
+     *  fromPayload throws SnapshotError on shape violations. */
     JsonValue toPayload() const;
     static CampaignAccumulator fromPayload(const JsonValue &payload);
 
-    /** Wrap the payload in a "shard_result" snapshot envelope. */
+    /** Wrap the payload in a "shard_result" snapshot envelope (the
+     *  merged.snap format; the kind name predates the removal of
+     *  process sharding and is kept so the bytes stay the same). */
     JsonValue toSnapshot() const;
     static CampaignAccumulator fromSnapshot(const JsonValue &snapshot);
 
@@ -126,7 +114,8 @@ class CampaignAccumulator
      *  is serial, so it needs no atomics. */
     std::array<OutcomeTally, kNumVoltageEnvs> outcomes_{};
     /** Chip-binning curve: one weight-1 sample per chip at its
-     *  good-share (integer weights keep bin-wise merge exact). */
+     *  good-share (integer weights keep the rebuild from the shares
+     *  exact). */
     Histogram hist_;
     /** Per-chip good shares in chip order (exact tail percentiles). */
     SampleSet shares_;

@@ -1,87 +1,67 @@
 /**
  * @file
- * Shard supervisor: plans the population split, drives the workers
- * (in-process for tests/benches, fork/exec for real runs), and merges
- * the per-shard results into the monolithic-equivalent outputs.
+ * The one Fig 13 campaign loop: block fan-out over the global pool,
+ * serial fold in chip order, evict, and (optionally) checkpoint.
  *
- * Merging walks shards in index order; CampaignAccumulator::merge
- * refuses any other order, so the merged snapshot, stats JSON, and
- * digest are byte-identical to a monolithic run over the same chip
- * range — at any shard count, resumed or not.
+ * runMonolithic is the loop with no checkpoint directory; `eval_cli
+ * fig13` runs it with one, so an interrupted campaign resumes from
+ * its last block boundary to outputs byte-identical to an
+ * uninterrupted run.  (The file keeps its historical name: the
+ * frozen perfbench driver includes it for runMonolithic.)
+ *
+ * Exit codes: 0 done, 2 usage/config/IO error, 3 interrupted (the
+ * stopAfterChips hook), 4 corrupt or mismatched checkpoint (the
+ * "clean error" path for torn files — never a crash, never a silent
+ * restart).
  */
 
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "shard/campaign.hh"
 
 namespace eval {
 
-/** One supervised campaign run. */
-struct ShardSupervisorOptions
+constexpr int kCampaignExitOk = 0;
+constexpr int kCampaignExitConfig = 2;
+constexpr int kCampaignExitInterrupted = 3;
+constexpr int kCampaignExitCorrupt = 4;
+
+/** One campaign run. */
+struct CampaignLoopOptions
 {
     CampaignConfig campaign;
-    std::uint32_t shards = 1;
+    /** Directory for the checkpoint and the merged outputs (created
+     *  on demand); "" = no checkpoints, no files. */
     std::string outDir;
+    /** Chips per block: the checkpoint cadence AND the memory bound
+     *  (a block's chips stay resident until its fold completes). */
     std::uint64_t checkpointEvery = 16;
+    /** Continue from the checkpoint in outDir, if there is one. */
     bool resume = false;
-    /**
-     * Fork/exec worker protocol: argv prefix for one worker (the
-     * executable plus every campaign/out-dir/resume flag); the
-     * supervisor appends "--shard=i/N" per shard and runs all
-     * workers concurrently.  Empty = run workers in-process,
-     * sequentially, each with a fresh ExperimentContext.
-     */
-    std::vector<std::string> workerArgv;
-    /**
-     * Fleet telemetry: when true, every worker writes a Chrome trace
-     * + span profile under <outDir>/trace (forked workers get
-     * --trace-spans/--profile-out flags appended; in-process mode
-     * drives the global SpanTracer around each shard, clearing it
-     * between shards), and after the campaign merge the supervisor
-     * folds them into one Perfetto timeline (pid = shard index) and
-     * one fleet profile.json — see shard/trace_merge.hh.
-     */
-    bool traceSpans = false;
-    /** Merged timeline destination; "" = <outDir>/trace/trace.json. */
-    std::string mergedTraceOut;
-    /** Fleet profile destination; "" = <outDir>/trace/profile.json. */
-    std::string fleetProfileOut;
+    /** Test hook: stop (exit 3, checkpoint intact) once this many
+     *  chips were processed this invocation; 0 = off. */
+    std::uint64_t stopAfterChips = 0;
 };
 
-/** Merged outputs inside the run directory. */
+/** File layout inside the run directory. */
+std::string campaignCheckpointPath(const std::string &outDir);
 std::string mergedSnapshotPath(const std::string &outDir);
 std::string mergedStatsPath(const std::string &outDir);
 
 /**
- * Merge the completed shard results in shard order.  Throws
- * SnapshotError when any shard result is missing, corrupt, or from a
- * different campaign.
+ * Run the campaign (from the checkpoint when resuming) and, with an
+ * outDir, checkpoint after every block and write merged.snap +
+ * merged.stats.json (atomic renames) once every chip is folded.
+ * @p acc receives the chips folded so far.  Returns an exit code.
  */
-CampaignAccumulator mergeShardResults(const CampaignConfig &campaign,
-                                      std::uint32_t shards,
-                                      const std::string &outDir);
+int runCampaignLoop(const CampaignLoopOptions &opts,
+                    CampaignAccumulator &acc);
 
-/** Write merged.snap (binary) + merged.stats.json (atomic renames). */
-bool writeMergedOutputs(const CampaignAccumulator &merged,
-                        const std::string &outDir);
-
-/**
- * Run every shard (skipping ones with usable results when resuming),
- * merge, and write the merged outputs.  Returns a process exit code:
- * 0 on success, the failing worker's code (in-process) or 1 (forked)
- * otherwise.
- */
-int runShardSupervisor(const ShardSupervisorOptions &opts);
-
-/**
- * The reference semantics: one context, every chip in id order, no
- * sharding machinery.  The differential suite compares everything
- * the supervisor produces against this.
- */
+/** runCampaignLoop with no checkpoint directory: every chip in id
+ *  order, in memory. */
 CampaignAccumulator runMonolithic(const CampaignConfig &campaign);
 
 } // namespace eval

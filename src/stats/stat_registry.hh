@@ -87,10 +87,8 @@ class Counter
 
     /**
      * Fold @p other into this counter.  u64 addition is exact and
-     * associative, so merging per-shard counters in any grouping
-     * yields the same total as counting every event in one process —
-     * the counter leg of the shard-equivalence guarantee
-     * (DESIGN.md Sec 5h).
+     * associative, so merging counters in any grouping yields the
+     * same total as counting every event in one counter.
      */
     void merge(const Counter &other) { inc(other.value()); }
 

@@ -32,17 +32,12 @@ const char *buildSanitizer() { return EVAL_BUILD_SANITIZER; }
 long
 peakRssKb()
 {
-    // The shard supervisor does its real work in forked workers, so
-    // RUSAGE_SELF alone would report the (tiny) supervisor footprint.
-    // RUSAGE_CHILDREN folds in the peak of every reaped child; the
-    // max of the two is the fleet's true high-water mark either way.
-    long peak = 0;
+    // Every campaign runs in this process, so its own high-water mark
+    // is the run's.
     struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) == 0)
-        peak = ru.ru_maxrss; // Linux: KiB
-    if (getrusage(RUSAGE_CHILDREN, &ru) == 0 && ru.ru_maxrss > peak)
-        peak = ru.ru_maxrss;
-    return peak;
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        return 0;
+    return ru.ru_maxrss; // Linux: KiB
 }
 
 std::uint64_t

@@ -34,8 +34,7 @@
  *    self ns (inclusive minus the inclusive time of direct children).
  *    Unlike the ring, the profile never evicts — counts are exact for
  *    the whole run no matter how long it is — and it exports as
- *    profile.json (see DESIGN.md Sec 5j for the schema and the
- *    cross-shard merge semantics).
+ *    profile.json (see DESIGN.md Sec 5j for the schema).
  *  - Spans cover regions, not per-access work: a PE evaluation or
  *    thermal solve is far too cheap for an every-call span, so those
  *    are counted exactly by stats counters (timing.error_evals,
@@ -87,8 +86,7 @@ struct SpanEvent
 /** One (parent-path, name) profile bucket.  `path` is the semicolon-
  *  joined open-span chain ending in `name` (collapsed-stack key, e.g.
  *  "fig13;mc.chip;optimizer.choose"); counts are exact u64 sums, so
- *  buckets merge associatively by summing (see src/shard trace
- *  merge). */
+ *  two runs' buckets compare span by span (tools/eval_prof diff). */
 struct ProfileBucket
 {
     std::string path;
@@ -155,8 +153,7 @@ class SpanTracer
 
     /** Profile export: {"schema_version": 1, "spans": [{"path",
      *  "name", "count", "incl_ns", "self_ns"}...]} sorted by path —
-     *  the format tools/eval_prof and the shard fleet merge consume
-     *  (DESIGN.md Sec 5j). */
+     *  the format tools/eval_prof consumes (DESIGN.md Sec 5j). */
     std::string profileJson() const;
 
     /** Write profileJson() to @p path; false on I/O failure. */

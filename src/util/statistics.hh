@@ -57,14 +57,12 @@ class Histogram
 
     /**
      * Fold another histogram (identical lo/hi/bin layout) into this
-     * one, bin by bin.  Because each bin is a plain sum, merging the
-     * per-shard histograms in shard order reproduces the serial
-     * accumulation exactly whenever the weights are integers below
+     * one, bin by bin.  Because each bin is a plain sum, merging
+     * the histograms of contiguous slices of a serial accumulation
+     * reproduces it exactly whenever the weights are integers below
      * 2^53 (every integer-weighted sum is exact in a double, so the
-     * grouping cannot change the value).  The shard campaign only
-     * ever adds weight-1 samples, so its merged histograms — and
-     * every quantile() read off them — are bit-identical to the
-     * monolithic run's.  Fatal on a bin-layout mismatch.
+     * grouping cannot change the value).  Fatal on a bin-layout
+     * mismatch.
      */
     void merge(const Histogram &other);
 
@@ -100,9 +98,10 @@ class SampleSet
 
     /**
      * Append @p other's samples after this set's, preserving both
-     * insertion orders.  Merging per-shard sets in shard order yields
-     * the exact sample vector of the serial run (percentile() sorts a
-     * copy, so every summary is bit-identical too).
+     * insertion orders.  Merging the sets of contiguous slices in
+     * order yields the exact sample vector of the serial run
+     * (percentile() sorts a copy, so every summary is bit-identical
+     * too).
      */
     void merge(const SampleSet &other)
     {

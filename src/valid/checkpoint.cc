@@ -23,44 +23,35 @@ std::uint64_t
 fieldUint(const JsonValue &obj, const char *key)
 {
     if (!obj.has(key))
-        throw SnapshotError(std::string("shard checkpoint missing '") +
+        throw SnapshotError(std::string("campaign checkpoint missing '") +
                             key + "'");
     return obj.at(key).asUint();
 }
 
-ShardCheckpoint
+CampaignCheckpoint
 checkpointFromPayload(const JsonValue &payload)
 {
-    ShardCheckpoint cp;
+    CampaignCheckpoint cp;
     if (!payload.has("campaign"))
-        throw SnapshotError("shard checkpoint missing 'campaign'");
+        throw SnapshotError("campaign checkpoint missing 'campaign'");
     cp.campaignFingerprint = payload.at("campaign").asString();
-    cp.shardIndex = static_cast<std::uint32_t>(
-        fieldUint(payload, "shard_index"));
-    cp.shardCount = static_cast<std::uint32_t>(
-        fieldUint(payload, "shard_count"));
-    cp.rangeBegin = fieldUint(payload, "range_begin");
-    cp.rangeEnd = fieldUint(payload, "range_end");
+    cp.chips = fieldUint(payload, "chips");
     cp.nextChip = fieldUint(payload, "next_chip");
     if (!payload.has("accumulator") || !payload.has("integrity"))
         throw SnapshotError(
-            "shard checkpoint missing accumulator/integrity");
+            "campaign checkpoint missing accumulator/integrity");
     cp.accumulator = payload.at("accumulator");
 
-    if (cp.shardCount == 0 || cp.shardIndex >= cp.shardCount)
-        throw SnapshotError("shard checkpoint has impossible shard "
-                            "coordinates");
-    if (cp.rangeEnd < cp.rangeBegin || cp.nextChip < cp.rangeBegin ||
-        cp.nextChip > cp.rangeEnd)
+    if (cp.nextChip > cp.chips)
         throw SnapshotError(
-            "shard checkpoint cursor outside its chip range");
+            "campaign checkpoint cursor past its population");
 
     const double expect = payload.at("integrity").asDouble();
     const double got = accumulatorDigest(cp.accumulator);
     // Any differing digest is rejected, a NaN one included.
     if (!std::equal_to<double>{}(expect, got))
         throw SnapshotError(
-            "shard checkpoint integrity digest mismatch (stored " +
+            "campaign checkpoint integrity digest mismatch (stored " +
             formatExactDouble(expect) + ", recomputed " +
             formatExactDouble(got) + ")");
     return cp;
@@ -69,28 +60,23 @@ checkpointFromPayload(const JsonValue &payload)
 } // namespace
 
 JsonValue
-toSnapshot(const ShardCheckpoint &cp)
+toSnapshot(const CampaignCheckpoint &cp)
 {
     JsonValue payload = JsonValue::object();
     payload.set("campaign", cp.campaignFingerprint);
-    payload.set("shard_index",
-                static_cast<std::uint64_t>(cp.shardIndex));
-    payload.set("shard_count",
-                static_cast<std::uint64_t>(cp.shardCount));
-    payload.set("range_begin", cp.rangeBegin);
-    payload.set("range_end", cp.rangeEnd);
+    payload.set("chips", cp.chips);
     payload.set("next_chip", cp.nextChip);
     payload.set("accumulator", cp.accumulator);
     payload.set("integrity", accumulatorDigest(cp.accumulator));
-    return makeSnapshot(kKind, kShardCheckpointVersion,
+    return makeSnapshot(kKind, kCampaignCheckpointVersion,
                         std::move(payload));
 }
 
-ShardCheckpoint
+CampaignCheckpoint
 checkpointFromSnapshot(const JsonValue &snapshot)
 {
     const JsonValue &payload =
-        snapshotPayload(snapshot, kKind, kShardCheckpointVersion);
+        snapshotPayload(snapshot, kKind, kCampaignCheckpointVersion);
 
     // Translate JsonValue's plain runtime_errors (wrong member type
     // after a bit flip, say) into this module's SnapshotError so
@@ -101,12 +87,12 @@ checkpointFromSnapshot(const JsonValue &snapshot)
         throw;
     } catch (const std::exception &e) {
         throw SnapshotError(
-            std::string("shard checkpoint malformed: ") + e.what());
+            std::string("campaign checkpoint malformed: ") + e.what());
     }
 }
 
 bool
-writeCheckpointFile(const std::string &path, const ShardCheckpoint &cp)
+writeCheckpointFile(const std::string &path, const CampaignCheckpoint &cp)
 {
     // Temp-in-same-directory + rename: the final name either holds
     // the previous complete checkpoint or the new complete one,
@@ -122,7 +108,7 @@ writeCheckpointFile(const std::string &path, const ShardCheckpoint &cp)
     return true;
 }
 
-ShardCheckpoint
+CampaignCheckpoint
 readCheckpointFile(const std::string &path)
 {
     try {

@@ -76,8 +76,9 @@ class ChipFactory
      * Manufacture the chip with identity @p id without advancing the
      * factory cursor.  Pure in (factory seed, id) — byte-identical to
      * the chip a fresh factory would emit as its @p id'th
-     * manufacture() call — so shard workers can stamp out any slice
-     * of the population lazily and still match the monolithic run.
+     * manufacture() call — so a resumed campaign can stamp out any
+     * block of the population lazily and still match an
+     * uninterrupted run.
      */
     Chip manufactureAt(std::uint64_t id) const;
 

@@ -1,4 +1,4 @@
-/** Randomized robustness of the shard-checkpoint codec: arbitrary
+/** Randomized robustness of the campaign-checkpoint codec: arbitrary
  *  truncations and single-byte flips of a valid checkpoint file must
  *  either be rejected with SnapshotError or decode to a checkpoint
  *  whose accumulator payload is bit-identical to the original (the
@@ -19,25 +19,22 @@ namespace {
 
 /** A small but non-trivial checkpoint (mid-range cursor, nonzero
  *  tallies in several cells, fractional good-shares). */
-ShardCheckpoint
+CampaignCheckpoint
 makeCheckpoint()
 {
-    CampaignAccumulator acc(5);
+    CampaignAccumulator acc(0);
     Rng rng(42);
-    for (std::uint64_t chip = 5; chip < 9; ++chip) {
+    for (std::uint64_t chip = 0; chip < 4; ++chip) {
         ChipCampaignResult r;
         for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
             for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
                 r.outcomes[e][o] = rng.next() % 7;
         acc.addChip(chip, r);
     }
-    ShardCheckpoint cp;
+    CampaignCheckpoint cp;
     cp.campaignFingerprint = "fuzz-campaign;scheme=Exh-Dyn";
-    cp.shardIndex = 1;
-    cp.shardCount = 4;
-    cp.rangeBegin = 5;
-    cp.rangeEnd = 12;
-    cp.nextChip = 9;
+    cp.chips = 12;
+    cp.nextChip = 4;
     cp.accumulator = acc.toPayload();
     return cp;
 }
@@ -80,7 +77,7 @@ class CheckpointFuzzTest : public ::testing::Test
     {
         writeBytes(path_, mutated);
         try {
-            const ShardCheckpoint cp = readCheckpointFile(path_);
+            const CampaignCheckpoint cp = readCheckpointFile(path_);
             EXPECT_EQ(encodeBinary(cp.accumulator), refAccumulator_)
                 << "decoded checkpoint carries silently-corrupted "
                    "statistics";
@@ -90,19 +87,16 @@ class CheckpointFuzzTest : public ::testing::Test
     }
 
     std::string path_;
-    ShardCheckpoint original_;
+    CampaignCheckpoint original_;
     std::string good_;
     std::string refAccumulator_;
 };
 
 TEST_F(CheckpointFuzzTest, RoundTripsWhenUntouched)
 {
-    const ShardCheckpoint cp = readCheckpointFile(path_);
+    const CampaignCheckpoint cp = readCheckpointFile(path_);
     EXPECT_EQ(cp.campaignFingerprint, original_.campaignFingerprint);
-    EXPECT_EQ(cp.shardIndex, original_.shardIndex);
-    EXPECT_EQ(cp.shardCount, original_.shardCount);
-    EXPECT_EQ(cp.rangeBegin, original_.rangeBegin);
-    EXPECT_EQ(cp.rangeEnd, original_.rangeEnd);
+    EXPECT_EQ(cp.chips, original_.chips);
     EXPECT_EQ(cp.nextChip, original_.nextChip);
     EXPECT_EQ(encodeBinary(cp.accumulator), refAccumulator_);
 }
@@ -145,25 +139,26 @@ TEST_F(CheckpointFuzzTest, RandomGarbageIsRejected)
     }
 }
 
-TEST_F(CheckpointFuzzTest, InvalidCoordinatesAreRejected)
+TEST_F(CheckpointFuzzTest, OutOfRangeCursorIsRejected)
 {
-    // Structurally valid snapshots with incoherent coordinates must
-    // be refused by the validator, not trusted downstream.
-    ShardCheckpoint bad = original_;
-    bad.nextChip = bad.rangeEnd + 1; // cursor past the range
+    // Structurally valid snapshots whose cursor lies outside the
+    // population must be refused by the validator, not trusted
+    // downstream.
+    CampaignCheckpoint bad = original_;
+    bad.nextChip = bad.chips + 1; // cursor past the population
     ASSERT_TRUE(writeCheckpointFile(path_, bad));
     EXPECT_THROW(readCheckpointFile(path_), SnapshotError);
 
     bad = original_;
-    bad.shardIndex = bad.shardCount; // index out of range
+    bad.chips = bad.nextChip - 1; // population shrunk below the cursor
     ASSERT_TRUE(writeCheckpointFile(path_, bad));
     EXPECT_THROW(readCheckpointFile(path_), SnapshotError);
 
+    // The edge the codec must keep accepting: a finished campaign.
     bad = original_;
-    bad.rangeEnd = bad.rangeBegin - 1; // inverted range
-    bad.nextChip = bad.rangeEnd;
+    bad.nextChip = bad.chips;
     ASSERT_TRUE(writeCheckpointFile(path_, bad));
-    EXPECT_THROW(readCheckpointFile(path_), SnapshotError);
+    EXPECT_EQ(readCheckpointFile(path_).nextChip, bad.chips);
 }
 
 } // namespace

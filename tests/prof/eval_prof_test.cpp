@@ -1,6 +1,6 @@
-/** Tests for eval_prof: tree/bottom-up rendering, collapsed-stack
- *  flamegraph output, and profile diff (ordering, new paths,
- *  self-compare). */
+/** Tests for eval_prof: profile.json parse/serialize, tree/bottom-up
+ *  rendering, collapsed-stack flamegraph output, and profile diff
+ *  (ordering, new paths, self-compare). */
 
 #include <gtest/gtest.h>
 
@@ -8,14 +8,18 @@
 #include <fstream>
 
 #include "eval_prof.hh"
+#include "valid/snapshot.hh"
 
 namespace eval {
 namespace {
 
 using prof::DiffRow;
+using prof::SpanProfile;
 using prof::collapsedStacks;
 using prof::diffProfiles;
 using prof::formatNs;
+using prof::parseProfileJson;
+using prof::profileToJson;
 using prof::renderDiff;
 using prof::renderTree;
 using prof::runEvalProf;
@@ -41,6 +45,29 @@ sampleProfile()
     add("root;cold", "cold", 2, 3000000, 2000000);
     add("root;hot;leaf", "leaf", 8, 1000000, 1000000);
     return p;
+}
+
+TEST(EvalProfParse, ProfileJsonRoundTripsThroughParse)
+{
+    const SpanProfile p = sampleProfile();
+    const SpanProfile back = parseProfileJson(profileToJson(p));
+    ASSERT_EQ(back.size(), p.size());
+    for (const auto &[path, bucket] : p) {
+        const auto it = back.find(path);
+        ASSERT_NE(it, back.end()) << path;
+        EXPECT_EQ(it->second.name, bucket.name) << path;
+        EXPECT_EQ(it->second.count, bucket.count) << path;
+        EXPECT_EQ(it->second.inclNs, bucket.inclNs) << path;
+        EXPECT_EQ(it->second.selfNs, bucket.selfNs) << path;
+    }
+}
+
+TEST(EvalProfParse, MalformedProfileThrowsSnapshotError)
+{
+    EXPECT_THROW(parseProfileJson("{torn"), SnapshotError);
+    EXPECT_THROW(parseProfileJson("[1, 2]"), SnapshotError);
+    EXPECT_THROW(parseProfileJson("{\"schema_version\": 99}"),
+                 SnapshotError);
 }
 
 TEST(EvalProfFormat, FormatNsPicksHumanUnits)

@@ -1,9 +1,9 @@
-/** Property tests for the mergeable accumulators behind the sharded
- *  Monte Carlo driver (DESIGN.md Sec 5h): Counter / Histogram /
- *  SampleSet merge() must be associative and order-preserving, so any
- *  split of a serial accumulation into contiguous shards — at any
- *  split points, merged in any association — reproduces the unsharded
- *  result *exactly* (u64 / bit-for-bit doubles, not approximately). */
+/** Property tests for the mergeable accumulators: Counter /
+ *  Histogram / SampleSet merge() must be associative and
+ *  order-preserving, so any split of a serial accumulation into
+ *  contiguous slices — at any split points, merged in any
+ *  association — reproduces the serial result *exactly* (u64 /
+ *  bit-for-bit doubles, not approximately). */
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,7 @@
 /** Tests for span profile aggregation: (parent-path, name) bucket
  *  counts, inclusive vs self time attribution, exactness under ring
  *  eviction, multi-thread fold, and the profile.json export schema
- *  consumed by tools/eval_prof and the shard merge. */
+ *  consumed by tools/eval_prof. */
 
 #include <gtest/gtest.h>
 

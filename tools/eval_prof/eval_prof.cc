@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "valid/json_value.hh"
 #include "valid/snapshot.hh"
 
 namespace eval::prof {
@@ -244,6 +245,54 @@ usage()
 }
 
 } // namespace
+
+SpanProfile
+parseProfileJson(const std::string &text)
+{
+    SpanProfile out;
+    try {
+        const JsonValue doc = JsonValue::parse(text);
+        if (doc.at("schema_version").asInt() != 1)
+            throw SnapshotError(
+                "unsupported profile schema_version " +
+                std::to_string(doc.at("schema_version").asInt()));
+        for (const JsonValue &span : doc.at("spans").asArray()) {
+            const std::string &path = span.at("path").asString();
+            ProfileBucket &b = out[path];
+            b.path = path;
+            b.name = span.at("name").asString();
+            b.count += span.at("count").asUint();
+            b.inclNs += span.at("incl_ns").asUint();
+            b.selfNs += span.at("self_ns").asUint();
+        }
+    } catch (const JsonParseError &e) {
+        throw SnapshotError(std::string("malformed profile JSON: ") +
+                            e.what());
+    } catch (const JsonTypeError &e) {
+        throw SnapshotError(std::string("bad profile shape: ") +
+                            e.what());
+    }
+    return out;
+}
+
+std::string
+profileToJson(const SpanProfile &profile)
+{
+    JsonValue spans = JsonValue::array();
+    for (const auto &[path, b] : profile) {
+        JsonValue span = JsonValue::object();
+        span.set("path", path);
+        span.set("name", b.name);
+        span.set("count", b.count);
+        span.set("incl_ns", b.inclNs);
+        span.set("self_ns", b.selfNs);
+        spans.push(std::move(span));
+    }
+    JsonValue doc = JsonValue::object();
+    doc.set("schema_version", 1);
+    doc.set("spans", std::move(spans));
+    return doc.dump(2) + "\n";
+}
 
 std::string
 formatNs(std::uint64_t ns)

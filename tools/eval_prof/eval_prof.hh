@@ -1,7 +1,7 @@
 /**
  * @file
  * eval_prof: analyze span profiles (profile.json) from the span
- * tracer and the shard fleet merge.
+ * tracer.
  *
  *   eval_prof tree PROFILE [--bottom-up] [--top=N]
  *       top-down call tree (children sorted by inclusive time), or
@@ -17,21 +17,34 @@
  *
  * Exit codes: 0 ok, 2 usage or unreadable/malformed profile.
  *
- * The core is a library so tests can drive render/diff in-process.
- * Parsing reuses
- * shard/trace_merge.hh, so eval_prof accepts exactly what the tracer
- * writes and what the fleet merge emits.
+ * The core is a library so tests can drive parse/render/diff without
+ * spawning the binary.  The parser accepts exactly the schema
+ * SpanTracer::profileJson writes.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "shard/trace_merge.hh"
+#include "trace/span_tracer.hh"
 
 namespace eval::prof {
+
+/** A span profile keyed by path (the ProfileBucket::path field is
+ *  kept in sync with the key). */
+using SpanProfile = std::map<std::string, ProfileBucket>;
+
+/** Parse a profile.json document (schema_version 1); buckets that
+ *  share a path sum.  Throws SnapshotError on malformed JSON or a
+ *  wrong schema. */
+SpanProfile parseProfileJson(const std::string &text);
+
+/** Serialize in the same schema SpanTracer::profileJson emits
+ *  (sorted by path — a deterministic function of the profile). */
+std::string profileToJson(const SpanProfile &profile);
 
 /** One row of a profile diff (union of both profiles' paths). */
 struct DiffRow
