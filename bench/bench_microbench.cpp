@@ -56,6 +56,54 @@ BM_FuzzyInference(benchmark::State &state)
 BENCHMARK(BM_FuzzyInference);
 
 void
+BM_CoreFuzzyTrain(benchmark::State &state)
+{
+    // One core's tester-time training (Sec 4.3.1): exhaustive labels
+    // plus the gradient passes of every fmax/Vdd/Vbb FC, in Fig 13
+    // environment D (TS+ABB+ASV, FU+Queue).  Each iteration draws a
+    // fresh seed so the labels are new queries, as in a campaign.
+    ExperimentContext &ctx = sharedContext();
+    const EnvCapabilities caps = fig13Caps(fig13VoltageEnvs()[3]);
+    const CoreSystemModel &core = ctx.coreModel(0, 0);
+    FuzzyTrainingConfig tcfg;
+    for (auto _ : state) {
+        ++tcfg.seed;
+        CoreFuzzySystem sys(core, caps, ctx.config().constraints, tcfg);
+        sys.train();
+        benchmark::DoNotOptimize(sys.trained());
+    }
+}
+BENCHMARK(BM_CoreFuzzyTrain)->Unit(benchmark::kMillisecond);
+
+void
+BM_FuzzyTrainStep(benchmark::State &state)
+{
+    // One Eq 13 gradient step of a fully seeded 25-rule FC over the
+    // 8 inputs of a Power-algorithm controller.
+    constexpr std::size_t kInputs = 8;
+    constexpr std::size_t kExamples = 1024;
+    Rng rng(0xF57E);
+    std::vector<std::vector<double>> xs(kExamples);
+    std::vector<double> ys(kExamples);
+    for (std::size_t k = 0; k < kExamples; ++k) {
+        xs[k].resize(kInputs);
+        for (double &v : xs[k])
+            v = rng.uniform();
+        ys[k] = rng.uniform();
+    }
+    FuzzyController fc(25, kInputs);
+    for (std::size_t k = 0; k < 25; ++k)
+        fc.train(xs[k], ys[k], 0.04, rng);
+    std::size_t k = 0;
+    for (auto _ : state) {
+        fc.train(xs[k], ys[k], 0.04, rng);
+        k = (k + 1) % kExamples;
+    }
+    benchmark::DoNotOptimize(fc.infer(xs[0]));
+}
+BENCHMARK(BM_FuzzyTrainStep);
+
+void
 BM_FuzzyControllerFullInvocation(benchmark::State &state)
 {
     // The "6us on a 4GHz processor" claim: one full controller pass

@@ -1,5 +1,6 @@
 #include "core/fuzzy_adaptation.hh"
 
+#include "kernels/memo_bypass.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/config.hh"
@@ -16,7 +17,7 @@ CoreFuzzySystem::CoreFuzzySystem(const CoreSystemModel &core,
 {
 }
 
-std::vector<double>
+FcInput
 CoreFuzzySystem::freqInput(SubsystemId id, double thC, double alphaF,
                            bool altConfig) const
 {
@@ -27,7 +28,8 @@ CoreFuzzySystem::freqInput(SubsystemId id, double thC, double alphaF,
             sub.power().ksta,
             sub.vt0Measured(),
             alphaF,
-            altConfig ? 1.0 : 0.0};
+            altConfig ? 1.0 : 0.0,
+            0.0};
 }
 
 void
@@ -39,6 +41,9 @@ CoreFuzzySystem::train()
     ExhaustiveOptimizer exhaustive(caps_, constraints_);
     const KnobSpace knobs = caps_.knobSpace();
     Rng rng(cfg_.seed);
+    // Label queries draw continuous (TH, alpha_f), so they almost never
+    // repeat: skip the exact-bit memos on this thread (DESIGN 5g).
+    const ScopedMemoBypass noMemo;
 
     for (std::size_t i = 0; i < kNumSubsystems; ++i) {
         const auto id = static_cast<SubsystemId>(i);
@@ -58,7 +63,8 @@ CoreFuzzySystem::train()
             const double fmax = clamp(
                 exhaustive.maxFrequency(core_, id, alt, alphaF, thC),
                 knobs.freq.lo(), knobs.freq.hi());
-            fmaxIn.push_back(freqInput(id, thC, alphaF, alt));
+            FcInput in = freqInput(id, thC, alphaF, alt);
+            fmaxIn.emplace_back(in.begin(), in.begin() + kFreqInputs);
             fmaxOut.push_back(fmax);
 
             if (caps_.asv || caps_.abb) {
@@ -71,14 +77,15 @@ CoreFuzzySystem::train()
                 const auto best = exhaustive.minimizePower(
                     core_, id, alt, fcore, alphaF, thC);
                 if (best) {
-                    auto in = freqInput(id, thC, alphaF, alt);
-                    in.push_back(fcore);
+                    in[kFreqInputs] = fcore;
                     if (caps_.asv) {
-                        vddIn.push_back(in);
+                        vddIn.emplace_back(in.begin(),
+                                           in.begin() + kPowerInputs);
                         vddOut.push_back(best->vdd);
                     }
                     if (caps_.abb) {
-                        vbbIn.push_back(in);
+                        vbbIn.emplace_back(in.begin(),
+                                           in.begin() + kPowerInputs);
                         vbbOut.push_back(best->vbb);
                     }
                 }
@@ -107,6 +114,18 @@ CoreFuzzySystem::train()
     trained_ = true;
 }
 
+void
+CoreFuzzySystem::save(std::ostream &os) const
+{
+    EVAL_ASSERT(trained_, "cannot save an untrained fuzzy system");
+    for (std::size_t i = 0; i < kNumSubsystems; ++i) {
+        for (const auto *fcs : {&fmaxFc_, &vddFc_, &vbbFc_}) {
+            if ((*fcs)[i])
+                (*fcs)[i]->save(os);
+        }
+    }
+}
+
 double
 CoreFuzzySystem::predictFmax(SubsystemId id, double thC, double alphaF,
                              bool altConfig) const
@@ -116,8 +135,9 @@ CoreFuzzySystem::predictFmax(SubsystemId id, double thC, double alphaF,
         StatRegistry::global().counter("fuzzy.inferences");
     ScopedSpan span("fuzzy.predict_fmax");
     inferences.inc();
+    const FcInput in = freqInput(id, thC, alphaF, altConfig);
     return fmaxFc_[static_cast<std::size_t>(id)]->predict(
-        freqInput(id, thC, alphaF, altConfig));
+        {in.data(), kFreqInputs});
 }
 
 SubsystemKnobs
@@ -130,15 +150,16 @@ CoreFuzzySystem::predictKnobs(SubsystemId id, double thC, double alphaF,
     ScopedSpan span("fuzzy.predict_knobs");
     inferences.inc();
     SubsystemKnobs k{core_.params().vddNominal, 0.0};
-    auto in = freqInput(id, thC, alphaF, altConfig);
-    in.push_back(fcore);
+    FcInput in = freqInput(id, thC, alphaF, altConfig);
+    in[kFreqInputs] = fcore;
+    const std::span<const double> x{in.data(), kPowerInputs};
 
     const auto &vddFc = vddFc_[static_cast<std::size_t>(id)];
     if (caps_.asv && vddFc)
-        k.vdd = vddFc->predict(in);
+        k.vdd = vddFc->predict(x);
     const auto &vbbFc = vbbFc_[static_cast<std::size_t>(id)];
     if (caps_.abb && vbbFc)
-        k.vbb = vbbFc->predict(in);
+        k.vbb = vbbFc->predict(x);
     return k;
 }
 

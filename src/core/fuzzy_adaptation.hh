@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <iosfwd>
 #include <memory>
 
 #include "core/optimizer.hh"
@@ -59,6 +60,13 @@ class CoreFuzzySystem
     bool trained() const { return trained_; }
     const EnvCapabilities &caps() const { return caps_; }
 
+    /**
+     * Write every trained FC's image (TrainedController::save) in
+     * subsystem order, fmax then Vdd then Vbb, skipping absent ones:
+     * the reserved-memory contents of Sec 4.3.2 for this core.
+     */
+    void save(std::ostream &os) const;
+
     /** Freq-algorithm query: fmax prediction in Hz. */
     double predictFmax(SubsystemId id, double thC, double alphaF,
                        bool altConfig) const;
@@ -68,8 +76,14 @@ class CoreFuzzySystem
                                 bool altConfig, double fcore) const;
 
   private:
-    std::vector<double> freqInput(SubsystemId id, double thC,
-                                  double alphaF, bool altConfig) const;
+    /** Figure 3's inputs: kFreqInputs entries for the Freq FC; the
+     *  Power FCs append fcore as entry kFreqInputs. */
+    static constexpr std::size_t kFreqInputs = 7;
+    static constexpr std::size_t kPowerInputs = kFreqInputs + 1;
+    static_assert(kPowerInputs <= kMaxFcInputs);
+
+    FcInput freqInput(SubsystemId id, double thC, double alphaF,
+                      bool altConfig) const;
 
     const CoreSystemModel &core_;
     EnvCapabilities caps_;

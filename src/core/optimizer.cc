@@ -74,8 +74,9 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
     // settings fast-first and let each setting advance a shared
     // "best feasible index" with its own gallop + binary search.  A
     // setting only pays thermal solves when it can still beat the
-    // current best, and almost all settings are eliminated by one
-    // memoized PE query at the temperature floor.  Both searches rest
+    // current best, and almost all settings are eliminated by one PE
+    // lookup at the temperature floor (the setting's floor delay scale
+    // is computed once and shared by all its probes).  Both searches rest
     // on the same invariant the legacy prefilters used: PE rises with
     // f and T and falls with Vdd and Vbb (fast settings first), and
     // the solved junction temperature is at least TH + Rth * Pdyn, so
@@ -98,14 +99,16 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
 
     // Exact per-setting feasibility at grid index fi, with the two
     // decision-invariant prechecks (temperature floor, PE at floor)
-    // ahead of the thermal solve.
-    const auto feasible = [&](double vdd, double vbb, std::size_t fi) {
+    // ahead of the thermal solve.  floorScale is the setting's delay
+    // scale at the floor temperature, computed once per (Vdd, Vbb):
+    // only the period varies between a setting's probes.
+    const auto feasible = [&](double vdd, double vbb, double floorScale,
+                              std::size_t fi) {
         const double f = freqs.value(fi);
         if (tempPrunable &&
             thC + r * dynamicPower(kdyn, alphaF, vdd, f) > tMaxC)
             return false;
-        const OperatingConditions cool{vdd, vbb, thC};
-        if (em.errorRatePerAccess(1.0 / f, cool) > budget)
+        if (em.errorRateAtScale(1.0 / f, floorScale) > budget)
             return false;
         const auto sol = core.evaluateSubsystem(
             id, useAlternate, f, SubsystemKnobs{vdd, vbb}, alphaF,
@@ -125,14 +128,12 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
         // Row head: if even the row's fastest Vbb misses the budget at
         // the floor temperature for the next frequency to beat, every
         // setting in this row fails there — and PE only grows as Vdd
-        // drops, so every remaining row fails too.  One memoized PE
-        // query retires the rest of the scan.
-        {
-            const OperatingConditions head{vdd, vbbFast, thC};
-            if (em.errorRatePerAccess(1.0 / freqs.value(probe), head) >
-                budget)
-                break;
-        }
+        // drops, so every remaining row fails too.  One PE lookup
+        // retires the rest of the scan.
+        const double headScale = em.delayScale({vdd, vbbFast, thC});
+        if (em.errorRateAtScale(1.0 / freqs.value(probe), headScale) >
+            budget)
+            break;
         // Temperature floor is Vbb-free: a row whose floor exceeds
         // TMAX at the probe frequency cannot beat best at any Vbb
         // (but cooler, lower-Vdd rows still might — keep scanning).
@@ -148,11 +149,13 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
                 break;
             // Reverse bias only raises PE: once a Vbb misses the
             // budget at the floor, the rest of the row misses it too.
-            const OperatingConditions cool{vdd, vbb, thC};
-            if (em.errorRatePerAccess(1.0 / freqs.value(probe), cool) >
+            const double floorScale = vbbIt == vbbs.rbegin()
+                                          ? headScale
+                                          : em.delayScale({vdd, vbb, thC});
+            if (em.errorRateAtScale(1.0 / freqs.value(probe), floorScale) >
                 budget)
                 break;
-            if (!feasible(vdd, vbb, probe))
+            if (!feasible(vdd, vbb, floorScale, probe))
                 continue;
 
             // This setting beats the best — gallop upward to bracket
@@ -169,7 +172,7 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
             if (probe > 0) {
                 for (std::size_t step = 1; lo + step < n; step <<= 1) {
                     const std::size_t t = lo + step;
-                    if (feasible(vdd, vbb, t)) {
+                    if (feasible(vdd, vbb, floorScale, t)) {
                         lo = t;
                     } else {
                         hi = t;
@@ -179,7 +182,7 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
             }
             while (hi - lo > 1) {
                 const std::size_t mid = (lo + hi) / 2;
-                if (feasible(vdd, vbb, mid))
+                if (feasible(vdd, vbb, floorScale, mid))
                     lo = mid;
                 else
                     hi = mid;

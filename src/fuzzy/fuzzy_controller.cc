@@ -1,3 +1,6 @@
+// eval-lint: hot-path the FC gradient step and inference run per
+// training example and per controller query; only construction and
+// persistence may allocate.
 #include "fuzzy/fuzzy_controller.hh"
 
 #include <algorithm>
@@ -16,7 +19,7 @@ namespace {
 constexpr double kMinSigma = 1e-3;
 
 void
-saveVector(std::ostream &os, const std::vector<double> &v)
+saveVector(std::ostream &os, std::span<const double> v)
 {
     os << v.size();
     os.precision(17);
@@ -25,17 +28,18 @@ saveVector(std::ostream &os, const std::vector<double> &v)
     os << '\n';
 }
 
-std::vector<double>
-loadVector(std::istream &is)
+/** Reads one saveVector record into @p v (an image load, so it may
+ *  allocate: once per controller, never per query). */
+void
+loadVector(std::istream &is, std::vector<double> &v)
 {
     std::size_t n = 0;
     is >> n;
     EVAL_ASSERT(is.good() && n < (1u << 24), "corrupt controller image");
-    std::vector<double> v(n);
+    v.resize(n);
     for (double &x : v)
         is >> x;
     EVAL_ASSERT(is.good(), "truncated controller image");
-    return v;
 }
 
 } // namespace
@@ -44,12 +48,13 @@ void
 InputNormalizer::fit(const std::vector<std::vector<double>> &samples)
 {
     EVAL_ASSERT(!samples.empty(), "normalizer needs samples");
-    const std::size_t dims = samples.front().size();
-    lo_.assign(dims, std::numeric_limits<double>::infinity());
-    hi_.assign(dims, -std::numeric_limits<double>::infinity());
+    dims_ = samples.front().size();
+    EVAL_ASSERT(dims_ <= kMaxFcInputs, "too many controller inputs");
+    lo_.fill(std::numeric_limits<double>::infinity());
+    hi_.fill(-std::numeric_limits<double>::infinity());
     for (const auto &s : samples) {
-        EVAL_ASSERT(s.size() == dims, "inconsistent sample dims");
-        for (std::size_t j = 0; j < dims; ++j) {
+        EVAL_ASSERT(s.size() == dims_, "inconsistent sample dims");
+        for (std::size_t j = 0; j < dims_; ++j) {
             lo_[j] = std::min(lo_[j], s[j]);
             hi_[j] = std::max(hi_[j], s[j]);
         }
@@ -60,16 +65,17 @@ void
 InputNormalizer::fitScalar(const std::vector<double> &samples)
 {
     EVAL_ASSERT(!samples.empty(), "normalizer needs samples");
-    lo_.assign(1, *std::min_element(samples.begin(), samples.end()));
-    hi_.assign(1, *std::max_element(samples.begin(), samples.end()));
+    dims_ = 1;
+    lo_[0] = *std::min_element(samples.begin(), samples.end());
+    hi_[0] = *std::max_element(samples.begin(), samples.end());
 }
 
-std::vector<double>
-InputNormalizer::normalize(const std::vector<double> &raw) const
+FcInput
+InputNormalizer::normalize(std::span<const double> raw) const
 {
-    EVAL_ASSERT(raw.size() == lo_.size(), "dimension mismatch");
-    std::vector<double> out(raw.size());
-    for (std::size_t j = 0; j < raw.size(); ++j) {
+    EVAL_ASSERT(raw.size() == dims_, "dimension mismatch");
+    FcInput out{};
+    for (std::size_t j = 0; j < dims_; ++j) {
         const double span = hi_[j] - lo_[j];
         out[j] = span > 0.0 ? (raw[j] - lo_[j]) / span : 0.5;
     }
@@ -79,7 +85,7 @@ InputNormalizer::normalize(const std::vector<double> &raw) const
 double
 InputNormalizer::normalizeScalar(double raw) const
 {
-    EVAL_ASSERT(lo_.size() == 1, "scalar normalizer expected");
+    EVAL_ASSERT(dims_ == 1, "scalar normalizer expected");
     const double span = hi_[0] - lo_[0];
     return span > 0.0 ? (raw - lo_[0]) / span : 0.5;
 }
@@ -87,7 +93,7 @@ InputNormalizer::normalizeScalar(double raw) const
 double
 InputNormalizer::denormalizeScalar(double normalized) const
 {
-    EVAL_ASSERT(lo_.size() == 1, "scalar normalizer expected");
+    EVAL_ASSERT(dims_ == 1, "scalar normalizer expected");
     return lo_[0] + normalized * (hi_[0] - lo_[0]);
 }
 
@@ -99,11 +105,12 @@ FuzzyController::FuzzyController(std::size_t numRules,
       y_(numRules, 0.0)
 {
     EVAL_ASSERT(numRules > 0 && numInputs > 0, "controller shape");
+    EVAL_ASSERT(numRules <= kMaxFcRules, "too many controller rules");
 }
 
 double
 FuzzyController::membership(std::size_t rule,
-                            const std::vector<double> &x) const
+                            std::span<const double> x) const
 {
     // Eq 10/11: product of Gaussian memberships, computed in log space
     // for numerical robustness.
@@ -117,7 +124,7 @@ FuzzyController::membership(std::size_t rule,
 }
 
 double
-FuzzyController::infer(const std::vector<double> &x) const
+FuzzyController::infer(std::span<const double> x) const
 {
     EVAL_ASSERT(x.size() == inputs_, "input dimension mismatch");
     const std::size_t active = std::max<std::size_t>(seeded_, 1);
@@ -141,7 +148,7 @@ FuzzyController::infer(const std::vector<double> &x) const
 }
 
 void
-FuzzyController::train(const std::vector<double> &x, double y,
+FuzzyController::train(std::span<const double> x, double y,
                        double learningRate, Rng &rng)
 {
     EVAL_ASSERT(x.size() == inputs_, "input dimension mismatch");
@@ -158,8 +165,12 @@ FuzzyController::train(const std::vector<double> &x, double y,
         return;
     }
 
-    // Gradient step (Eq 13) on e = (y - z)^2 for every rule.
-    std::vector<double> w(rules_);
+    // Gradient step (Eq 13) on e = (y - z)^2 for every rule.  Every
+    // product below keeps the association of the textbook expression
+    // (lr * base * dzdW * dW, w * 2 * diff / sg^2, ...): hoisting a
+    // left-associated prefix out of the j loop leaves its bits alone,
+    // and the trained rule base stays bit-identical.
+    std::array<double, kMaxFcRules> w;
     double den = 0.0;
     double num = 0.0;
     for (std::size_t i = 0; i < rules_; ++i) {
@@ -171,26 +182,34 @@ FuzzyController::train(const std::vector<double> &x, double y,
         return;   // no rule is responsible; skip the example
     const double z = num / den;
     const double err = y - z;   // d(e)/dz = -2 err
+    const double base = 2.0 * err;
 
     for (std::size_t i = 0; i < rules_; ++i) {
+        // A rule whose membership underflowed to +0 (exp is never
+        // negative; a quarter of all rules in Fig 13 training) would,
+        // with a finite label and rule base, add a signed zero to each
+        // of its parameters and re-clamp a sigma already in bounds.
+        // That changes no parameter other than -0.0, and normalized
+        // inputs and labels are never -0.0, so skipping the rule keeps
+        // the rule base bit-identical.
+        if (w[i] <= 0.0)
+            continue;
         const double dzdW = (y_[i] - z) / den;
-        const double base = 2.0 * err;
-        const std::size_t rowBase = i * inputs_;
+        const double step = learningRate * base * dzdW;
+        const double w2 = w[i] * 2.0;
+        double *mu = mu_.data() + i * inputs_;
+        double *sigma = sigma_.data() + i * inputs_;
 
         // y update: dz/dy_i = w_i / den.
         y_[i] += learningRate * base * (w[i] / den);
 
         for (std::size_t j = 0; j < inputs_; ++j) {
-            const double mu = mu_[rowBase + j];
-            const double sg = sigma_[rowBase + j];
-            const double diff = x[j] - mu;
-            const double dWdMu = w[i] * 2.0 * diff / (sg * sg);
-            const double dWdSigma =
-                w[i] * 2.0 * diff * diff / (sg * sg * sg);
-            mu_[rowBase + j] += learningRate * base * dzdW * dWdMu;
-            sigma_[rowBase + j] += learningRate * base * dzdW * dWdSigma;
-            sigma_[rowBase + j] =
-                clamp(sigma_[rowBase + j], kMinSigma, 10.0);
+            const double sg = sigma[j];
+            const double diff = x[j] - mu[j];
+            const double dWdMu = w2 * diff / (sg * sg);
+            const double dWdSigma = w2 * diff * diff / (sg * sg * sg);
+            mu[j] += step * dWdMu;
+            sigma[j] = clamp(sg + step * dWdSigma, kMinSigma, 10.0);
         }
     }
 }
@@ -204,18 +223,22 @@ FuzzyController::footprintBytes() const
 void
 InputNormalizer::save(std::ostream &os) const
 {
-    saveVector(os, lo_);
-    saveVector(os, hi_);
+    saveVector(os, {lo_.data(), dims_});
+    saveVector(os, {hi_.data(), dims_});
 }
 
 InputNormalizer
 InputNormalizer::load(std::istream &is)
 {
-    InputNormalizer n;
-    n.lo_ = loadVector(is);
-    n.hi_ = loadVector(is);
-    EVAL_ASSERT(n.lo_.size() == n.hi_.size(),
+    std::vector<double> lo, hi;
+    loadVector(is, lo);
+    loadVector(is, hi);
+    EVAL_ASSERT(lo.size() == hi.size() && lo.size() <= kMaxFcInputs,
                 "corrupt normalizer image");
+    InputNormalizer n;
+    n.dims_ = lo.size();
+    std::copy(lo.begin(), lo.end(), n.lo_.begin());
+    std::copy(hi.begin(), hi.end(), n.hi_.begin());
     return n;
 }
 
@@ -237,9 +260,9 @@ FuzzyController::load(std::istream &is)
     EVAL_ASSERT(is.good() && tag == "fc", "not a controller image");
     FuzzyController fc(rules, inputs);
     fc.seeded_ = seeded;
-    fc.mu_ = loadVector(is);
-    fc.sigma_ = loadVector(is);
-    fc.y_ = loadVector(is);
+    loadVector(is, fc.mu_);
+    loadVector(is, fc.sigma_);
+    loadVector(is, fc.y_);
     EVAL_ASSERT(fc.mu_.size() == rules * inputs &&
                     fc.sigma_.size() == rules * inputs &&
                     fc.y_.size() == rules,
@@ -263,19 +286,21 @@ TrainedController::train(const std::vector<std::vector<double>> &inputs,
     inputNorm_.fit(inputs);
     outputNorm_.fitScalar(outputs);
 
+    const std::size_t dims = inputNorm_.dims();
     for (std::size_t k = 0; k < inputs.size(); ++k) {
-        fc_.train(inputNorm_.normalize(inputs[k]),
-                  outputNorm_.normalizeScalar(outputs[k]), learningRate,
-                  rng);
+        const FcInput x = inputNorm_.normalize(inputs[k]);
+        fc_.train({x.data(), dims}, outputNorm_.normalizeScalar(outputs[k]),
+                  learningRate, rng);
     }
     trained_ = true;
 }
 
 double
-TrainedController::predict(const std::vector<double> &rawInput) const
+TrainedController::predict(std::span<const double> rawInput) const
 {
     EVAL_ASSERT(trained_, "controller used before training");
-    const double z = fc_.infer(inputNorm_.normalize(rawInput));
+    const FcInput x = inputNorm_.normalize(rawInput);
+    const double z = fc_.infer({x.data(), inputNorm_.dims()});
     return outputNorm_.denormalizeScalar(z);
 }
 

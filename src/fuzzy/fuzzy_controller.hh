@@ -20,15 +20,28 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "util/random.hh"
 
 namespace eval {
 
-/** Per-dimension affine normalization to [0, 1]. */
+/** Widest controller input: Figure 3's seven inputs plus fcore. */
+constexpr std::size_t kMaxFcInputs = 8;
+
+/** Most rules a controller may hold (Figure 7(a) sweeps up to 49);
+ *  bounds the gradient step's stack scratch. */
+constexpr std::size_t kMaxFcRules = 64;
+
+/** A normalized input vector; the first dims() entries are valid. */
+using FcInput = std::array<double, kMaxFcInputs>;
+
+/** Per-dimension affine normalization to [0, 1] (at most
+ *  kMaxFcInputs dimensions, held inline). */
 class InputNormalizer
 {
   public:
@@ -40,22 +53,26 @@ class InputNormalizer
     /** Fit a scalar range. */
     void fitScalar(const std::vector<double> &samples);
 
-    std::vector<double> normalize(const std::vector<double> &raw) const;
+    FcInput normalize(std::span<const double> raw) const;
     double normalizeScalar(double raw) const;
     double denormalizeScalar(double normalized) const;
 
-    std::size_t dims() const { return lo_.size(); }
+    std::size_t dims() const { return dims_; }
 
     /** Plain-text persistence (the reserved-memory image). */
     void save(std::ostream &os) const;
     static InputNormalizer load(std::istream &is);
 
   private:
-    std::vector<double> lo_;
-    std::vector<double> hi_;
+    std::size_t dims_ = 0;
+    FcInput lo_{};
+    FcInput hi_{};
 };
 
-/** The rule-based controller itself (normalized space). */
+/**
+ * The rule-based controller itself (normalized space).  The rule base
+ * is sized once at construction; infer and train allocate nothing.
+ */
 class FuzzyController
 {
   public:
@@ -63,15 +80,15 @@ class FuzzyController
 
     /** Eqs 10-12. Falls back to the nearest rule when all memberships
      *  underflow (query far outside the training support). */
-    double infer(const std::vector<double> &x) const;
+    double infer(std::span<const double> x) const;
 
     /**
      * Present one training example.  The first numRules examples seed
      * the rule base; later examples run one Eq 13 gradient step on
      * every rule.
      */
-    void train(const std::vector<double> &x, double y,
-               double learningRate, Rng &rng);
+    void train(std::span<const double> x, double y, double learningRate,
+               Rng &rng);
 
     bool fullySeeded() const { return seeded_ >= rules_; }
     std::size_t numRules() const { return rules_; }
@@ -85,7 +102,7 @@ class FuzzyController
     static FuzzyController load(std::istream &is);
 
   private:
-    double membership(std::size_t rule, const std::vector<double> &x) const;
+    double membership(std::size_t rule, std::span<const double> x) const;
 
     std::size_t rules_;
     std::size_t inputs_;
@@ -102,8 +119,9 @@ class TrainedController
     TrainedController(std::size_t numRules, std::size_t numInputs);
 
     /**
-     * Train on a raw-unit dataset: fits the normalizers, then feeds
-     * every example through FuzzyController::train.
+     * Train on a raw-unit dataset: fits the normalizers, then
+     * normalizes each example once and feeds it through
+     * FuzzyController::train.
      *
      * @param inputs  raw input vectors
      * @param outputs raw outputs (same length)
@@ -115,7 +133,7 @@ class TrainedController
                Rng &rng);
 
     /** Predict a raw-unit output from a raw-unit input vector. */
-    double predict(const std::vector<double> &rawInput) const;
+    double predict(std::span<const double> rawInput) const;
 
     bool trained() const { return trained_; }
     const FuzzyController &controller() const { return fc_; }

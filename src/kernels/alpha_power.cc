@@ -7,13 +7,6 @@
 namespace eval {
 
 double
-effectiveVt(const ProcessParams &p, double vt0, const OperatingConditions &op)
-{
-    return vt0 + p.k1 * (op.tempC - p.vtRefTempC) +
-           p.k2 * (op.vdd - p.vddNominal) + p.k3 * op.vbb;
-}
-
-double
 rawAlphaPowerDelay(const ProcessParams &p, double vtEff, double leff,
                    double vdd, double tempC)
 {

@@ -33,14 +33,19 @@ struct OperatingConditions
 };
 
 /**
- * Effective threshold voltage at the given conditions (Eq 9).
+ * Effective threshold voltage at the given conditions (Eq 9).  Inline:
+ * the thermal fixed point evaluates it once per lane per iteration.
  *
  * @param p   process constants
  * @param vt0 threshold at the Vt reference temperature, nominal Vdd,
  *            zero bias (this is the quantity the tester measures)
  */
-double effectiveVt(const ProcessParams &p, double vt0,
-                   const OperatingConditions &op);
+inline double
+effectiveVt(const ProcessParams &p, double vt0, const OperatingConditions &op)
+{
+    return vt0 + p.k1 * (op.tempC - p.vtRefTempC) +
+           p.k2 * (op.vdd - p.vddNominal) + p.k3 * op.vbb;
+}
 
 /**
  * Raw (unnormalized) alpha-power delay expression (Eq 1 numerator).

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "kernels/alpha_power.hh"
+#include "kernels/memo_bypass.hh"
 #include "kernels/power_kernels.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
@@ -104,7 +105,8 @@ void
 solveThermalLanes(const ProcessParams &params, std::uint64_t salt,
                   ThermalLane *lanes, std::size_t n, double thC)
 {
-    const bool useCache = thermalCacheEnabled();
+    const bool useCache =
+        thermalCacheEnabled() && !ScopedMemoBypass::active();
     const std::uint64_t thCBits = doubleBits(thC);
 
     // Lockstep per-lane iteration state.  `x` replays the legacy

@@ -21,7 +21,10 @@
  *
  * The memo is on by default (it is exact-bit, so the golden record is
  * unaffected); setThermalCacheEnabled switches it for tests and the
- * differential tier.
+ * differential tier.  Online Exh-Dyn consults it (retune cycles
+ * re-solve one knob grid); FC label generation skips it through a
+ * per-thread ScopedMemoBypass (kernels/memo_bypass.hh), because its
+ * continuous random queries seldom repeat (DESIGN 5g).
  */
 
 #pragma once
@@ -68,7 +71,8 @@ struct ThermalLane
 void solveThermalLanes(const ProcessParams &params, std::uint64_t salt,
                        ThermalLane *lanes, std::size_t n, double thC);
 
-/** Memo switch, default on (tests save/restore around this). */
+/** Process-wide memo switch, default on (tests save/restore around
+ *  this); a ScopedMemoBypass turns the memo off for one thread. */
 void setThermalCacheEnabled(bool enabled);
 bool thermalCacheEnabled();
 

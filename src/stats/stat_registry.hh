@@ -59,8 +59,7 @@ constexpr std::size_t kCounterSlots = 16;
  * value() sums the slots.  The sum is exact once the writers have
  * joined.  A read that races with inc() sees some of the in-flight
  * increments, and successive reads by one thread never decrease.
- * reset() zeroes every slot; like merge() it is meant for quiescent
- * counters.
+ * reset() zeroes every slot; it is meant for quiescent counters.
  */
 class Counter
 {
@@ -84,13 +83,6 @@ class Counter
         for (Slot &s : slots_)
             s.n.store(0, std::memory_order_relaxed);
     }
-
-    /**
-     * Fold @p other into this counter.  u64 addition is exact and
-     * associative, so merging counters in any grouping yields the
-     * same total as counting every event in one counter.
-     */
-    void merge(const Counter &other) { inc(other.value()); }
 
   private:
     /** One slot per 64-byte cache line. */

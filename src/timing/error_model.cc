@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "kernels/memo_bypass.hh"
 #include "stats/stat_registry.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
@@ -159,8 +160,8 @@ StageErrorModel::errorRatePerAccess(double clockPeriod,
     const PeCounters &counters = PeCounters::get();
     counters.evals.inc();
 
-    if (!peCacheEnabled())
-        return computeErrorRatePerAccess(clockPeriod, op);
+    if (!peCacheEnabled() || ScopedMemoBypass::active())
+        return errorRateAtScale(clockPeriod, surface_.scaleExact(op));
 
     const std::uint64_t periodBits = doubleBits(clockPeriod);
     const std::uint64_t vddBits = doubleBits(op.vdd);
@@ -188,16 +189,14 @@ StageErrorModel::errorRatePerAccess(double clockPeriod,
         counters.hits.inc();
         return e.value;
     }
-    const double pe = computeErrorRatePerAccess(clockPeriod, op);
+    const double pe = errorRateAtScale(clockPeriod, surface_.scaleExact(op));
     e = {cacheId_, periodBits, vddBits, vbbBits, tempBits, pe};
     return pe;
 }
 
 double
-StageErrorModel::computeErrorRatePerAccess(
-    double clockPeriod, const OperatingConditions &op) const
+StageErrorModel::errorRateAtScale(double clockPeriod, double scale) const
 {
-    const double scale = surface_.scaleExact(op);
     if (scale >= kNonFunctionalDelayFactor)
         return 1.0;
     const double threshold = clockPeriod / scale;

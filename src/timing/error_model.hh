@@ -44,17 +44,29 @@ class StageErrorModel
      * error when clocked with @p clockPeriod seconds at @p op.
      *
      * Queries are memoized in a per-thread cache keyed on this model
-     * plus the exact (period, Vdd, Vbb, T) tuple: the exhaustive knob
-     * scans re-evaluate identical points across phases and retune
-     * cycles, and knob values come from a discrete grid, so exact-bit
-     * keys hit without perturbing any result (a hit returns the very
-     * value a recomputation would).  setPeCacheEnabled(false)
-     * disables it.  The delay scale is always PeSurface::scaleExact,
-     * so benches, library callers and the golden record share one
-     * numeric path.
+     * plus the exact (period, Vdd, Vbb, T) tuple: online Exh-Dyn's
+     * knob scans re-evaluate identical points across phases and
+     * retune cycles, and knob values come from a discrete grid, so
+     * exact-bit keys hit without perturbing any result (a hit returns
+     * the very value a recomputation would).  setPeCacheEnabled(false)
+     * disables it process-wide; FC label generation, whose continuous
+     * random queries seldom repeat, skips it on its own thread through
+     * a ScopedMemoBypass (kernels/memo_bypass.hh; DESIGN 5g).
+     * The delay scale is always PeSurface::scaleExact, so benches,
+     * library callers and the golden record share one numeric path.
      */
     double errorRatePerAccess(double clockPeriod,
                               const OperatingConditions &op) const;
+
+    /**
+     * The PE lookup behind errorRatePerAccess, given the delay scale
+     * (delayScale(op)) of the conditions: callers that probe many
+     * periods at one (Vdd, Vbb, T) compute the scale once and pass it
+     * here.  errorRateAtScale(p, delayScale(op)) is bit-identical to
+     * errorRatePerAccess(p, op).  Not memoized and not counted in
+     * timing.error_evals: it is a bucket lookup, no scale evaluation.
+     */
+    double errorRateAtScale(double clockPeriod, double scale) const;
 
     /** Slowest path delay in seconds at @p op. */
     double maxDelay(const OperatingConditions &op) const;
@@ -79,10 +91,6 @@ class StageErrorModel
     const PeSurface &surface() const { return surface_; }
 
   private:
-    /** Uncached evaluation backing errorRatePerAccess. */
-    double computeErrorRatePerAccess(double clockPeriod,
-                                     const OperatingConditions &op) const;
-
     const ProcessParams params_;
     StageType type_;
     double vt0Mean_;

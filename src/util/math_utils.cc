@@ -64,12 +64,6 @@ lerp(double a, double b, double t)
 }
 
 double
-clamp(double x, double lo, double hi)
-{
-    return std::min(std::max(x, lo), hi);
-}
-
-double
 interpolate(const std::vector<double> &xs, const std::vector<double> &ys,
             double x)
 {

@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -27,8 +28,14 @@ double normalQuantile(double p);
 /** Linear interpolation between a and b by t in [0, 1]. */
 double lerp(double a, double b, double t);
 
-/** Clamp x to [lo, hi]. */
-double clamp(double x, double lo, double hi);
+/** Clamp x to [lo, hi].  Inline: it sits inside the thermal fixed
+ *  point and the FC gradient step, where an out-of-line call costs
+ *  more than the two compares. */
+inline double
+clamp(double x, double lo, double hi)
+{
+    return std::min(std::max(x, lo), hi);
+}
 
 /**
  * Piecewise-linear interpolation through sorted (x, y) samples.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -22,26 +21,6 @@ RunningStats::add(double x)
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (x - mean_);
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 double
@@ -104,18 +83,6 @@ Histogram::add(double x, double weight)
               static_cast<long>(counts_.size()) - 1));
     counts_[static_cast<std::size_t>(idx)] += weight;
     total_ += weight;
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    const std::equal_to<double> same;
-    EVAL_ASSERT(same(lo_, other.lo_) && same(hi_, other.hi_) &&
-                    counts_.size() == other.counts_.size(),
-                "histogram merge requires identical bin layout");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
 }
 
 double

@@ -21,9 +21,6 @@ class RunningStats
   public:
     void add(double x);
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStats &other);
-
     std::size_t count() const { return count_; }
     double mean() const;
     double variance() const;
@@ -55,17 +52,6 @@ class Histogram
 
     void add(double x, double weight = 1.0);
 
-    /**
-     * Fold another histogram (identical lo/hi/bin layout) into this
-     * one, bin by bin.  Because each bin is a plain sum, merging
-     * the histograms of contiguous slices of a serial accumulation
-     * reproduces it exactly whenever the weights are integers below
-     * 2^53 (every integer-weighted sum is exact in a double, so the
-     * grouping cannot change the value).  Fatal on a bin-layout
-     * mismatch.
-     */
-    void merge(const Histogram &other);
-
     std::size_t bins() const { return counts_.size(); }
     double lo() const { return lo_; }
     double hi() const { return hi_; }
@@ -95,19 +81,6 @@ class SampleSet
 {
   public:
     void add(double x) { samples_.push_back(x); }
-
-    /**
-     * Append @p other's samples after this set's, preserving both
-     * insertion orders.  Merging the sets of contiguous slices in
-     * order yields the exact sample vector of the serial run
-     * (percentile() sorts a copy, so every summary is bit-identical
-     * too).
-     */
-    void merge(const SampleSet &other)
-    {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-    }
 
     std::size_t size() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }

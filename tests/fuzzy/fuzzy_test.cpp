@@ -1,21 +1,29 @@
 /** Tests for the fuzzy controller (Appendix A). */
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fuzzy/fuzzy_controller.hh"
+#include "util/math_utils.hh"
 #include "util/random.hh"
 #include "util/statistics.hh"
 
 namespace eval {
 namespace {
 
+/** The controller APIs take spans; braced inputs need a container. */
+using V = std::vector<double>;
+
 TEST(Normalizer, MapsRangeToUnit)
 {
     InputNormalizer n;
     n.fit({{0.0, 10.0}, {2.0, 30.0}});
-    const auto v = n.normalize({1.0, 20.0});
+    const auto v = n.normalize(V{1.0, 20.0});
     EXPECT_NEAR(v[0], 0.5, 1e-12);
     EXPECT_NEAR(v[1], 0.5, 1e-12);
 }
@@ -24,7 +32,7 @@ TEST(Normalizer, ConstantDimensionMapsToHalf)
 {
     InputNormalizer n;
     n.fit({{5.0}, {5.0}});
-    EXPECT_NEAR(n.normalize({5.0})[0], 0.5, 1e-12);
+    EXPECT_NEAR(n.normalize(V{5.0})[0], 0.5, 1e-12);
 }
 
 TEST(Normalizer, ScalarRoundTrip)
@@ -39,14 +47,14 @@ TEST(FuzzyController, SeedingReproducesSeedOutputs)
 {
     FuzzyController fc(4, 2);
     Rng rng(1);
-    fc.train({0.1, 0.1}, 1.0, 0.04, rng);
-    fc.train({0.9, 0.9}, 2.0, 0.04, rng);
-    fc.train({0.1, 0.9}, 3.0, 0.04, rng);
-    fc.train({0.9, 0.1}, 4.0, 0.04, rng);
+    fc.train(V{0.1, 0.1}, 1.0, 0.04, rng);
+    fc.train(V{0.9, 0.9}, 2.0, 0.04, rng);
+    fc.train(V{0.1, 0.9}, 3.0, 0.04, rng);
+    fc.train(V{0.9, 0.1}, 4.0, 0.04, rng);
     EXPECT_TRUE(fc.fullySeeded());
     // Queries exactly at the rule centers return ~the seed outputs.
-    EXPECT_NEAR(fc.infer({0.1, 0.1}), 1.0, 0.05);
-    EXPECT_NEAR(fc.infer({0.9, 0.9}), 2.0, 0.05);
+    EXPECT_NEAR(fc.infer(V{0.1, 0.1}), 1.0, 0.05);
+    EXPECT_NEAR(fc.infer(V{0.9, 0.9}), 2.0, 0.05);
 }
 
 TEST(FuzzyController, SeededRulesStayBounded)
@@ -56,9 +64,9 @@ TEST(FuzzyController, SeededRulesStayBounded)
     // it must stay within the convex hull of the rule outputs.
     FuzzyController fc(2, 1);
     Rng rng(2);
-    fc.train({0.0}, 0.0, 0.04, rng);
-    fc.train({1.0}, 1.0, 0.04, rng);
-    const double mid = fc.infer({0.5});
+    fc.train(V{0.0}, 0.0, 0.04, rng);
+    fc.train(V{1.0}, 1.0, 0.04, rng);
+    const double mid = fc.infer(V{0.5});
     EXPECT_GE(mid, 0.0);
     EXPECT_LE(mid, 1.0);
 }
@@ -71,20 +79,20 @@ TEST(FuzzyController, TrainingWidensInterpolation)
     Rng rng(2);
     for (int k = 0; k < 4000; ++k) {
         const double x = rng.uniform();
-        fc.train({x}, x, 0.04, rng);
+        fc.train(V{x}, x, 0.04, rng);
     }
-    EXPECT_NEAR(fc.infer({0.5}), 0.5, 0.1);
+    EXPECT_NEAR(fc.infer(V{0.5}), 0.5, 0.1);
 }
 
 TEST(FuzzyController, FarQueryFallsBackToARule)
 {
     FuzzyController fc(2, 1);
     Rng rng(3);
-    fc.train({0.0}, 5.0, 0.04, rng);
-    fc.train({0.2}, 7.0, 0.04, rng);
+    fc.train(V{0.0}, 5.0, 0.04, rng);
+    fc.train(V{0.2}, 7.0, 0.04, rng);
     // Way outside the support: must return one of the rule outputs
     // (membership-nearest), never NaN or an extrapolated value.
-    const double out = fc.infer({50.0});
+    const double out = fc.infer(V{50.0});
     EXPECT_TRUE(std::isfinite(out));
     EXPECT_TRUE(std::abs(out - 5.0) < 1e-6 ||
                 std::abs(out - 7.0) < 1e-6);
@@ -101,12 +109,12 @@ TEST(FuzzyController, GradientTrainingReducesError)
     // Seed + train.
     for (int k = 0; k < 4000; ++k) {
         const double a = rng.uniform(), b = rng.uniform();
-        fc.train({a, b}, target(a, b), 0.04, rng);
+        fc.train(V{a, b}, target(a, b), 0.04, rng);
     }
     RunningStats err;
     for (int k = 0; k < 500; ++k) {
         const double a = rng.uniform(), b = rng.uniform();
-        err.add(std::abs(fc.infer({a, b}) - target(a, b)));
+        err.add(std::abs(fc.infer(V{a, b}) - target(a, b)));
     }
     EXPECT_LT(err.mean(), 0.08);
 }
@@ -120,12 +128,12 @@ TEST(FuzzyController, LearnsNonLinearFunction)
     };
     for (int k = 0; k < 12000; ++k) {
         const double a = rng.uniform(), b = rng.uniform();
-        fc.train({a, b}, target(a, b), 0.04, rng);
+        fc.train(V{a, b}, target(a, b), 0.04, rng);
     }
     RunningStats err;
     for (int k = 0; k < 500; ++k) {
         const double a = rng.uniform(), b = rng.uniform();
-        err.add(std::abs(fc.infer({a, b}) - target(a, b)));
+        err.add(std::abs(fc.infer(V{a, b}) - target(a, b)));
     }
     EXPECT_LT(err.mean(), 0.1);
 }
@@ -151,8 +159,8 @@ TEST(TrainedController, RawUnitsEndToEnd)
     }
     tc.train(in, out, 0.04, rng);
     EXPECT_TRUE(tc.trained());
-    EXPECT_NEAR(tc.predict({0.25}), 4.5e9, 0.1e9);
-    EXPECT_NEAR(tc.predict({0.75}), 3.5e9, 0.1e9);
+    EXPECT_NEAR(tc.predict(V{0.25}), 4.5e9, 0.1e9);
+    EXPECT_NEAR(tc.predict(V{0.75}), 3.5e9, 0.1e9);
 }
 
 /** Property: accuracy improves (or holds) with more training data. */
@@ -167,12 +175,12 @@ TEST_P(TrainingSizeSweep, ErrorBoundedByBudget)
     Rng rng(7);
     for (int k = 0; k < examples; ++k) {
         const double a = rng.uniform();
-        fc.train({a}, a * a, 0.04, rng);
+        fc.train(V{a}, a * a, 0.04, rng);
     }
     RunningStats err;
     for (int k = 0; k < 300; ++k) {
         const double a = rng.uniform();
-        err.add(std::abs(fc.infer({a}) - a * a));
+        err.add(std::abs(fc.infer(V{a}) - a * a));
     }
     // Generous budget: shrinking with training size.
     const double budget = examples >= 2000 ? 0.05 : 0.25;
@@ -181,6 +189,158 @@ TEST_P(TrainingSizeSweep, ErrorBoundedByBudget)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TrainingSizeSweep,
                          ::testing::Values(100, 500, 2000, 8000));
+
+/**
+ * The vector-backed FuzzyController::train that preceded the
+ * allocation-free step, kept verbatim as the reference the step must
+ * match bit for bit.  It counts the branches a reference run must
+ * reach, and writes its rule base in FuzzyController::save's format.
+ */
+class ReferenceFc
+{
+  public:
+    ReferenceFc(std::size_t numRules, std::size_t numInputs)
+        : rules_(numRules), inputs_(numInputs),
+          mu_(numRules * numInputs, 0.0),
+          sigma_(numRules * numInputs, 0.05), y_(numRules, 0.0)
+    {
+    }
+
+    void
+    train(const std::vector<double> &x, double y, double learningRate,
+          Rng &rng)
+    {
+        constexpr double kMinSigma = 1e-3;
+        if (seeded_ < rules_) {
+            const std::size_t base = seeded_ * inputs_;
+            for (std::size_t j = 0; j < inputs_; ++j) {
+                mu_[base + j] = x[j];
+                sigma_[base + j] = std::max(kMinSigma,
+                                            rng.uniform(0.02, 0.1));
+            }
+            y_[seeded_] = y;
+            ++seeded_;
+            return;
+        }
+
+        std::vector<double> w(rules_);
+        double den = 0.0;
+        double num = 0.0;
+        for (std::size_t i = 0; i < rules_; ++i) {
+            w[i] = membership(i, x);
+            den += w[i];
+            num += w[i] * y_[i];
+            zeroWeights += w[i] <= 0.0 ? 1 : 0;
+        }
+        if (den <= 1e-290) {
+            ++denSkips;
+            return;
+        }
+        ++steps;
+        const double z = num / den;
+        const double err = y - z;
+
+        for (std::size_t i = 0; i < rules_; ++i) {
+            const double dzdW = (y_[i] - z) / den;
+            const double base = 2.0 * err;
+            const std::size_t rowBase = i * inputs_;
+
+            y_[i] += learningRate * base * (w[i] / den);
+
+            for (std::size_t j = 0; j < inputs_; ++j) {
+                const double mu = mu_[rowBase + j];
+                const double sg = sigma_[rowBase + j];
+                const double diff = x[j] - mu;
+                const double dWdMu = w[i] * 2.0 * diff / (sg * sg);
+                const double dWdSigma =
+                    w[i] * 2.0 * diff * diff / (sg * sg * sg);
+                mu_[rowBase + j] += learningRate * base * dzdW * dWdMu;
+                sigma_[rowBase + j] +=
+                    learningRate * base * dzdW * dWdSigma;
+                clampLow += sigma_[rowBase + j] < kMinSigma ? 1 : 0;
+                clampHigh += sigma_[rowBase + j] > 10.0 ? 1 : 0;
+                sigma_[rowBase + j] =
+                    clamp(sigma_[rowBase + j], kMinSigma, 10.0);
+            }
+        }
+    }
+
+    std::string
+    image() const
+    {
+        std::ostringstream os;
+        os << "fc " << rules_ << ' ' << inputs_ << ' ' << seeded_ << '\n';
+        for (const auto *v : {&mu_, &sigma_, &y_}) {
+            os << v->size();
+            os.precision(17);
+            for (double d : *v)
+                os << ' ' << d;
+            os << '\n';
+        }
+        return os.str();
+    }
+
+    int steps = 0;
+    int denSkips = 0;
+    int clampLow = 0;
+    int clampHigh = 0;
+    int zeroWeights = 0;
+
+  private:
+    double
+    membership(std::size_t rule, const std::vector<double> &x) const
+    {
+        double logW = 0.0;
+        const std::size_t base = rule * inputs_;
+        for (std::size_t j = 0; j < inputs_; ++j) {
+            const double d = (x[j] - mu_[base + j]) / sigma_[base + j];
+            logW -= d * d;
+        }
+        return std::exp(logW);
+    }
+
+    std::size_t rules_;
+    std::size_t inputs_;
+    std::size_t seeded_ = 0;
+    std::vector<double> mu_;
+    std::vector<double> sigma_;
+    std::vector<double> y_;
+};
+
+TEST(FuzzyController, TrainingMatchesReferenceBitForBit)
+{
+    constexpr std::size_t kRules = 8;
+    constexpr std::size_t kInputs = 3;
+    FuzzyController fc(kRules, kInputs);
+    ReferenceFc ref(kRules, kInputs);
+    Rng fcRng(11), refRng(11), data(12);
+
+    for (int k = 0; k < 2000; ++k) {
+        V x(kInputs);
+        for (double &v : x)
+            v = data.uniform();
+        // Far outside the support every membership underflows (the
+        // den <= 1e-290 skip); rare huge learning rates of both signs
+        // push sigma into both clamp bounds and leave narrow rules
+        // whose memberships underflow to zero.
+        if (k % 97 == 50)
+            x[k % kInputs] = 1e3;
+        const double y = std::sin(3.0 * x[0]) * x[1] + x[2];
+        const double lr =
+            k % 401 == 200 ? 200.0 : (k % 401 == 300 ? -200.0 : 0.04);
+        fc.train(x, y, lr, fcRng);
+        ref.train(x, y, lr, refRng);
+    }
+
+    std::ostringstream image;
+    fc.save(image);
+    EXPECT_EQ(image.str(), ref.image());
+    EXPECT_GT(ref.steps, 1900);
+    EXPECT_GT(ref.denSkips, 0);
+    EXPECT_GT(ref.clampLow, 0);
+    EXPECT_GT(ref.clampHigh, 0);
+    EXPECT_GT(ref.zeroWeights, 0);
+}
 
 } // namespace
 } // namespace eval

@@ -9,6 +9,9 @@
 namespace eval {
 namespace {
 
+/** The controller APIs take spans; braced inputs need a container. */
+using V = std::vector<double>;
+
 TEST(Serialization, NormalizerRoundTrip)
 {
     InputNormalizer n;
@@ -17,8 +20,8 @@ TEST(Serialization, NormalizerRoundTrip)
     n.save(ss);
     const InputNormalizer m = InputNormalizer::load(ss);
     EXPECT_EQ(m.dims(), 3u);
-    const auto a = n.normalize({3.0, 5.5, 0.0});
-    const auto b = m.normalize({3.0, 5.5, 0.0});
+    const auto a = n.normalize(V{3.0, 5.5, 0.0});
+    const auto b = m.normalize(V{3.0, 5.5, 0.0});
     for (std::size_t j = 0; j < 3; ++j)
         EXPECT_DOUBLE_EQ(a[j], b[j]);
 }
@@ -29,7 +32,7 @@ TEST(Serialization, FuzzyControllerRoundTrip)
     Rng rng(1);
     for (int k = 0; k < 2000; ++k) {
         const double a = rng.uniform(), b = rng.uniform();
-        fc.train({a, b}, a + b, 0.04, rng);
+        fc.train(V{a, b}, a + b, 0.04, rng);
     }
 
     std::stringstream ss;
@@ -64,7 +67,7 @@ TEST(Serialization, TrainedControllerRoundTrip)
     const TrainedController copy = TrainedController::load(ss);
     EXPECT_TRUE(copy.trained());
     for (double x : {2.5, 4.0, 5.5})
-        EXPECT_DOUBLE_EQ(copy.predict({x}), tc.predict({x}));
+        EXPECT_DOUBLE_EQ(copy.predict(V{x}), tc.predict(V{x}));
 }
 
 TEST(Serialization, RejectsGarbage)
@@ -78,15 +81,15 @@ TEST(Serialization, PartiallySeededControllerRoundTrips)
 {
     FuzzyController fc(8, 1);
     Rng rng(4);
-    fc.train({0.1}, 1.0, 0.04, rng);
-    fc.train({0.9}, 2.0, 0.04, rng);
+    fc.train(V{0.1}, 1.0, 0.04, rng);
+    fc.train(V{0.9}, 2.0, 0.04, rng);
     EXPECT_FALSE(fc.fullySeeded());
 
     std::stringstream ss;
     fc.save(ss);
     const FuzzyController copy = FuzzyController::load(ss);
     EXPECT_FALSE(copy.fullySeeded());
-    EXPECT_DOUBLE_EQ(copy.infer({0.1}), fc.infer({0.1}));
+    EXPECT_DOUBLE_EQ(copy.infer(V{0.1}), fc.infer(V{0.1}));
 }
 
 } // namespace

@@ -2,18 +2,22 @@
  * Kernel-layer equivalence suite: every fast path in src/kernels/
  * must be bit-identical to the legacy expression it replaced
  * (scaleExact, upperBoundIndex, lockstep thermal solves, the SoA
- * corner-delay pass, the thermal memo).
+ * corner-delay pass, the thermal memo), and the per-thread memo bypass
+ * must switch the memos off only for its own scope and thread.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "kernels/alpha_power.hh"
+#include "kernels/memo_bypass.hh"
 #include "kernels/path_soa.hh"
 #include "kernels/pe_surface.hh"
 #include "kernels/thermal_batch.hh"
+#include "stats/stat_registry.hh"
 #include "thermal/thermal_model.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"
@@ -114,11 +118,21 @@ TEST(PeSurface, FirstIndexWithinBudgetMatchesLinearWalk)
 
 TEST(PeSurface, ExactScaleBacksDelayScale)
 {
+    ToggleGuard guard;
+    setPeCacheEnabled(false);
     Fixture f;
     const StageErrorModel model = makeModel(f, SubsystemId::Dcache);
-    for (double vdd : {0.8, 1.0, 1.15}) {
+    // 0.3 V cannot switch: the saturated scale must map to PE 1.
+    for (double vdd : {0.3, 0.8, 1.0, 1.15}) {
         const OperatingConditions op{vdd, 0.05, 90.0};
-        EXPECT_EQ(model.delayScale(op), model.surface().scaleExact(op));
+        const double scale = model.delayScale(op);
+        EXPECT_EQ(scale, model.surface().scaleExact(op));
+        // The scale-hoisted lookup the Freq algorithm's floor
+        // prechecks use is the query's own arithmetic.
+        for (double period : {1.5e-10, 2.2e-10, 2.6e-10, 4.0e-10})
+            EXPECT_EQ(model.errorRateAtScale(period, scale),
+                      model.errorRatePerAccess(period, op))
+                << "vdd=" << vdd << " period=" << period;
     }
 }
 
@@ -250,6 +264,56 @@ TEST(ThermalBatch, SaltSeparatesModels)
         ASSERT_EQ(rb[i].tempC, rbCold[i].tempC) << "i=" << i;
         ASSERT_EQ(rb[i].psta, rbCold[i].psta) << "i=" << i;
     }
+}
+
+TEST(MemoBypass, ScopedAndPerThread)
+{
+    ToggleGuard guard;
+    setThermalCacheEnabled(true);
+    setPeCacheEnabled(true);
+    ProcessParams p;
+    const std::uint64_t salt = nextThermalSalt();
+    const auto thermalHit = [&] {
+        ThermalLane lane{};
+        lane.rth = 0.5;
+        lane.pdyn = 2.0;
+        lane.ksta = 4.0e-8;
+        lane.vt0 = p.vtMean;
+        lane.vdd = 1.0;
+        lane.vbb = 0.0;
+        solveThermalLanes(p, salt, &lane, 1, 60.0);
+        return lane.cacheHit;
+    };
+    Fixture f;
+    const StageErrorModel model = makeModel(f, SubsystemId::IntQ);
+    Counter &peHits =
+        StatRegistry::global().counter("timing.error_cache_hits");
+    const auto peHit = [&] {
+        const std::uint64_t before = peHits.value();
+        model.errorRatePerAccess(2.2e-10, {1.0, 0.0, 60.0});
+        return peHits.value() > before;
+    };
+
+    thermalHit();   // fill both memos
+    peHit();
+    EXPECT_TRUE(thermalHit());
+    EXPECT_TRUE(peHit());
+    {
+        const ScopedMemoBypass outer;
+        {
+            const ScopedMemoBypass inner;
+        }
+        EXPECT_TRUE(ScopedMemoBypass::active());   // inner restored it
+        EXPECT_FALSE(thermalHit());
+        EXPECT_FALSE(peHit());
+        bool otherThread = true;
+        std::thread([&] { otherThread = ScopedMemoBypass::active(); })
+            .join();
+        EXPECT_FALSE(otherThread);
+    }
+    EXPECT_FALSE(ScopedMemoBypass::active());
+    EXPECT_TRUE(thermalHit());
+    EXPECT_TRUE(peHit());
 }
 
 } // namespace

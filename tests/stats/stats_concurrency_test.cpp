@@ -102,32 +102,6 @@ TEST(StatsConcurrency, CounterResetZeroesEverySlot)
     EXPECT_EQ(c.value(), writers);
 }
 
-TEST(StatsConcurrency, CounterMergeStaysExact)
-{
-    const std::size_t writers = kCounterSlots + 5;
-    Counter a;
-    Counter b;
-    onFreshThreads(writers, [&](std::size_t t) {
-        a.inc(t + 1);
-        b.inc(1000);
-    });
-    const std::uint64_t aTotal = a.value();
-    const std::uint64_t bTotal = b.value();
-    EXPECT_EQ(aTotal, writers * (writers + 1) / 2);
-    EXPECT_EQ(bTotal, 1000 * writers);
-
-    // Merge on yet another thread, then into a counter that already
-    // holds slots from several threads.
-    Counter merged;
-    onFreshThreads(3, [&](std::size_t) { merged.inc(11); });
-    std::thread([&] {
-        merged.merge(a);
-        merged.merge(b);
-    }).join();
-    EXPECT_EQ(merged.value(), 33 + aTotal + bTotal);
-    EXPECT_EQ(a.value(), aTotal); // merge reads, never drains
-}
-
 TEST(StatsConcurrency, HistogramSamplesAreNotLost)
 {
     HistogramStat &h =

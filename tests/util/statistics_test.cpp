@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/random.hh"
 #include "util/statistics.hh"
 
 namespace eval {
@@ -31,36 +30,6 @@ TEST(RunningStats, KnownSequence)
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesSingleStream)
-{
-    Rng rng(3);
-    RunningStats whole, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.gaussian(3.0, 2.0);
-        whole.add(x);
-        (i % 2 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), whole.count());
-    EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), whole.min());
-    EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    RunningStats a, b;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(Histogram, BinningAndClamping)
@@ -165,22 +134,6 @@ TEST(HistogramDeath, DegenerateRangeIsRejected)
     // than producing NaNs downstream.
     EXPECT_DEATH({ Histogram h(5.0, 5.0, 3); }, "hi > lo");
     EXPECT_DEATH({ Histogram h(0.0, 1.0, 0); }, "bins > 0");
-}
-
-TEST(HistogramDeath, MergeRequiresIdenticalBinLayout)
-{
-    Histogram base(0.0, 10.0, 5);
-    base.add(1.0);
-    Histogram same(0.0, 10.0, 5);
-    same.add(9.0);
-    base.merge(same);
-    EXPECT_DOUBLE_EQ(base.totalWeight(), 2.0);
-
-    // Same bin count, shifted edges: the bins mean different things.
-    const Histogram otherLo(1.0, 10.0, 5);
-    const Histogram otherHi(0.0, 11.0, 5);
-    EXPECT_DEATH(base.merge(otherLo), "identical bin layout");
-    EXPECT_DEATH(base.merge(otherHi), "identical bin layout");
 }
 
 TEST(SampleSet, EmptyPercentileIsZeroNotNan)
