@@ -4,18 +4,12 @@
  * for the paper's runtime claims: the fuzzy controller routines take
  * ~6us per invocation on the managed CPU (Sec 4.3.3), which makes
  * phase-granularity adaptation essentially free.
- *
- * The PE and thermal kernels each have an Exact case (memo switched
- * off, so every call runs the full evaluation) and a MemoHit case
- * (memo on and one repeated key, so every call after the first is an
- * exact-bit memo hit).  Each case restores the memo switch it found.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hh"
 #include "core/eval.hh"
-#include "kernels/thermal_batch.hh"
 
 namespace eval {
 namespace {
@@ -151,40 +145,31 @@ icacheErrorModel()
 }
 
 void
-BM_ThermalSolve(benchmark::State &state, bool memo)
+BM_ThermalSolve(benchmark::State &state)
 {
     // One subsystem's Eq 6-9 fixed-point solve.
     ExperimentContext &ctx = sharedContext();
     const ThermalModel &thermal = *ctx.thermalModel();
     const auto &power =
         ctx.powerParams()[static_cast<std::size_t>(SubsystemId::IntALU)];
-    const bool memoWas = thermalCacheEnabled();
-    setThermalCacheEnabled(memo);
     for (auto _ : state) {
         benchmark::DoNotOptimize(thermal.solveSubsystem(
             power, SubsystemId::IntALU, 0.15, 1.1, 0.0, 4.5e9, 0.7,
             65.0));
     }
-    setThermalCacheEnabled(memoWas);
 }
-BENCHMARK_CAPTURE(BM_ThermalSolve, Exact, false);
-BENCHMARK_CAPTURE(BM_ThermalSolve, MemoHit, true);
+BENCHMARK(BM_ThermalSolve);
 
 void
-BM_ErrorRateQuery(benchmark::State &state, bool memo)
+BM_ErrorRateQuery(benchmark::State &state)
 {
-    // Each thread has its own PE memo, so MemoHit stays a
-    // thread-local hit at any thread count.
+    // One PE query: delay scale plus bucket lookup.
     const StageErrorModel &model = icacheErrorModel();
     const OperatingConditions op{1.0, 0.0, 70.0};
-    const bool memoWas = peCacheEnabled();
-    setPeCacheEnabled(memo);
     for (auto _ : state)
         benchmark::DoNotOptimize(model.errorRatePerAccess(2.4e-10, op));
-    setPeCacheEnabled(memoWas);
 }
-BENCHMARK_CAPTURE(BM_ErrorRateQuery, Exact, false);
-BENCHMARK_CAPTURE(BM_ErrorRateQuery, MemoHit, true)->Threads(1)->Threads(4);
+BENCHMARK(BM_ErrorRateQuery);
 
 void
 BM_MaxFrequencyQuery(benchmark::State &state)

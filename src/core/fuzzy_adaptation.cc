@@ -1,6 +1,5 @@
 #include "core/fuzzy_adaptation.hh"
 
-#include "kernels/memo_bypass.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/config.hh"
@@ -41,9 +40,6 @@ CoreFuzzySystem::train()
     ExhaustiveOptimizer exhaustive(caps_, constraints_);
     const KnobSpace knobs = caps_.knobSpace();
     Rng rng(cfg_.seed);
-    // Label queries draw continuous (TH, alpha_f), so they almost never
-    // repeat: skip the exact-bit memos on this thread (DESIGN 5g).
-    const ScopedMemoBypass noMemo;
 
     for (std::size_t i = 0; i < kNumSubsystems; ++i) {
         const auto id = static_cast<SubsystemId>(i);

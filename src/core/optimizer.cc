@@ -4,6 +4,8 @@
 #include <cmath>
 #include <functional>
 
+#include "kernels/alpha_power.hh"
+#include "kernels/power_kernels.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
@@ -216,39 +218,60 @@ ExhaustiveOptimizer::minimizePower(const CoreSystemModel &core,
     const double kdyn = sub.power().kdyn;
     const double pf = sub.powerFactor(useAlternate);
     const bool tempPrunable = constraints_.tMaxC < 400.0;
+    const ProcessParams &tp = core.thermal().params();
+    const double ksta = sub.power().ksta;
+    const double vt0 = sub.vt0True();
 
     std::optional<SubsystemKnobs> best;
     double bestPower = 1e30;
+    // Upper bound on the next row's first floor-feasible Vbb: PE at the
+    // floor only falls as Vdd rises (the invariant maxFrequency's
+    // row-head break rests on), so a row's first passing Vbb passes in
+    // every later row too.
+    std::size_t okBound = vbbs.size();
     for (double vdd : vdds) {
         // Pdyn depends only on Vdd here, giving two Vbb-row prunes:
         // the temperature floor TH + Rth * Pdyn (leakage only adds
         // heat) exceeding TMAX means no Vbb can cool the row into
         // feasibility, and pf * Pdyn alone already beating the best
-        // power means no Vbb can win (Psta > 0).
+        // power means no Vbb can win (Psta > 0).  Pdyn grows with Vdd
+        // and the rows ascend in Vdd, so either prune also holds for
+        // every remaining row.
         const double pdyn = dynamicPower(kdyn, alphaF, vdd, fcore);
         if (tempPrunable && thC + r * pdyn > constraints_.tMaxC)
-            continue;
+            break;
         if (pf * pdyn >= bestPower)
-            continue;
+            break;
         // Optimistic PE prefilter at T = TH: PE only falls as Vbb
         // swings toward forward bias, so the Vbbs that meet the error
         // budget at the floor form a suffix of the ascending row —
-        // binary-search its start instead of filtering linearly.  The
-        // skipped queries are exactly the ones the linear filter would
-        // have rejected, so the chosen setting is unchanged.
-        std::size_t firstOk = 0;
-        {
-            std::size_t lo = 0, hi = vbbs.size();
-            while (lo < hi) {
-                const std::size_t mid = (lo + hi) / 2;
-                const OperatingConditions cool{vdd, vbbs[mid], thC};
-                if (em.errorRatePerAccess(1.0 / fcore, cool) <= budget)
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            firstOk = lo;
+        // binary-search its start (below okBound) instead of filtering
+        // linearly.  The skipped queries are exactly the ones the
+        // linear filter would have rejected, so the chosen setting is
+        // unchanged.
+        std::size_t lo = 0, hi = okBound;
+        while (lo < hi) {
+            const std::size_t mid = (lo + hi) / 2;
+            const OperatingConditions cool{vdd, vbbs[mid], thC};
+            if (em.errorRatePerAccess(1.0 / fcore, cool) <= budget)
+                hi = mid;
+            else
+                lo = mid + 1;
         }
+        const std::size_t firstOk = lo;
+        okBound = firstOk;
+        if (firstOk == vbbs.size())
+            continue;
+        // Power floor of the row: every solve ends at T >= TH, and
+        // Psta (Eq 8/9, the solver's own expressions) grows with T and
+        // with forward bias, so no setting of the row can cost less
+        // than pf * (Pdyn + Psta(TH, vbbs[firstOk])).  The relative
+        // margin keeps rounding from flipping a tie.
+        const OperatingConditions coolest{vdd, vbbs[firstOk], thC};
+        const double pstaFloor =
+            staticPowerEq8(ksta, vdd, thC, effectiveVt(tp, vt0, coolest));
+        if (pf * pdyn + pf * pstaFloor >= bestPower * (1.0 + 1e-9))
+            continue;
         for (std::size_t vi = firstOk; vi < vbbs.size(); ++vi) {
             const double vbb = vbbs[vi];
             SubsystemKnobs k{vdd, vbb};
@@ -286,45 +309,33 @@ CoreOptimizer::CoreOptimizer(SubsystemOptimizer &sub,
                 "the adaptation controller requires timing speculation");
 }
 
-double
-CoreOptimizer::freqForConfig(const CoreSystemModel &core,
-                             const PhaseCharacterization &phase,
-                             double thC, bool smallQueue,
-                             bool &lowSlopeChosen,
-                             std::array<double, kNumSubsystems> &fmaxOut)
+CoreOptimizer::ConfigFreq
+CoreOptimizer::foldFigure4(const CoreSystemModel &core,
+                           const std::array<double, kNumSubsystems> &fmax,
+                           double fLowSlope) const
 {
-    const SubsystemId fuId = core.fuSubsystem();
-    const SubsystemId queueId = core.queueSubsystem();
-
-    double fNormal = 0.0;
-    double fLowSlope = 0.0;
+    const std::size_t fu = static_cast<std::size_t>(core.fuSubsystem());
+    ConfigFreq out;
+    out.fmax = fmax;
     double minRest = 1e30;
     for (std::size_t i = 0; i < kNumSubsystems; ++i) {
-        const auto id = static_cast<SubsystemId>(i);
-        const double alphaF = phase.act.alpha[i];
-
-        if (caps_.fuReplication && id == fuId) {
-            fNormal = sub_.maxFrequency(core, id, false, alphaF, thC);
-            fLowSlope = sub_.maxFrequency(core, id, true, alphaF, thC);
-            continue;
-        }
-        const bool alt = smallQueue && id == queueId;
-        fmaxOut[i] = sub_.maxFrequency(core, id, alt, alphaF, thC);
-        minRest = std::min(minRest, fmaxOut[i]);
+        if (!(caps_.fuReplication && i == fu))
+            minRest = std::min(minRest, fmax[i]);
     }
-
     if (!caps_.fuReplication) {
-        return minRest;
+        out.raw = minRest;
+        return out;
     }
 
     // Figure 4: enable the low-slope FU only when the normal FU would
     // limit the core frequency (cases i and ii); otherwise save power.
     // Guard against the replica not paying off (a temperature-limited
     // FU gets hotter from the replica's 30% power premium).
-    lowSlopeChosen = fNormal < minRest && fLowSlope > fNormal;
-    const double fFu = lowSlopeChosen ? fLowSlope : fNormal;
-    fmaxOut[static_cast<std::size_t>(fuId)] = fFu;
-    return std::min(minRest, fFu);
+    const double fNormal = fmax[fu];
+    out.lowSlope = fNormal < minRest && fLowSlope > fNormal;
+    out.fmax[fu] = out.lowSlope ? fLowSlope : fNormal;
+    out.raw = std::min(minRest, out.fmax[fu]);
+    return out;
 }
 
 AdaptationResult
@@ -340,39 +351,45 @@ CoreOptimizer::choose(const CoreSystemModel &core,
 
     AdaptationResult result;
 
-    // --- Freq algorithm per candidate queue configuration ---
-    bool lowSlopeFull = false;
+    // --- Freq algorithm: one query per (subsystem, configuration) ---
+    // Only the queue subsystem's answer depends on the queue size, so
+    // the two queue configurations share every other answer, and the
+    // low-slope FU's answer serves both.
+    const SubsystemId fuId = core.fuSubsystem();
+    const SubsystemId queueId = core.queueSubsystem();
+    const auto freqOf = [&](SubsystemId id, bool alt) {
+        return sub_.maxFrequency(core, id, alt,
+                                 phase.act.alpha[static_cast<std::size_t>(id)],
+                                 thC);
+    };
     std::array<double, kNumSubsystems> fmaxFull{};
-    const double rawFull = freqForConfig(core, phase, thC, false,
-                                         lowSlopeFull, fmaxFull);
+    for (std::size_t i = 0; i < kNumSubsystems; ++i)
+        fmaxFull[i] = freqOf(static_cast<SubsystemId>(i), false);
+    const double fLowSlope =
+        caps_.fuReplication ? freqOf(fuId, true) : 0.0;
+    ConfigFreq pick = foldFigure4(core, fmaxFull, fLowSlope);
 
     bool smallQueue = false;
-    bool lowSlope = lowSlopeFull;
-    double rawFreq = rawFull;
-    std::array<double, kNumSubsystems> fmax = fmaxFull;
-
     if (caps_.queueResize) {
-        bool lowSlopeSmall = false;
-        std::array<double, kNumSubsystems> fmaxSmall{};
-        const double rawSmall = freqForConfig(core, phase, thC, true,
-                                              lowSlopeSmall, fmaxSmall);
+        std::array<double, kNumSubsystems> fmaxSmall = fmaxFull;
+        fmaxSmall[static_cast<std::size_t>(queueId)] = freqOf(queueId, true);
+        const ConfigFreq small = foldFigure4(core, fmaxSmall, fLowSlope);
 
         // Sec 4.2: compare Eq 5 performance of (CPIcomp_1.00,
         // fcore_1.00) against (CPIcomp_0.75, fcore_0.75).
         const double peTarget = constraints_.peMax;
-        const double perfFull = rawFull > 0.0
-            ? performance(rawFull, peTarget, phase.perfFull) : 0.0;
-        const double perfSmall = rawSmall > 0.0
-            ? performance(rawSmall, peTarget, phase.perfSmall) : 0.0;
+        const double perfFull = pick.raw > 0.0
+            ? performance(pick.raw, peTarget, phase.perfFull) : 0.0;
+        const double perfSmall = small.raw > 0.0
+            ? performance(small.raw, peTarget, phase.perfSmall) : 0.0;
         if (perfSmall > perfFull) {
             smallQueue = true;
-            lowSlope = lowSlopeSmall;
-            rawFreq = rawSmall;
-            fmax = fmaxSmall;
+            pick = small;
         }
     }
 
-    result.fmax = fmax;
+    result.fmax = pick.fmax;
+    double rawFreq = pick.raw;
     if (rawFreq <= 0.0) {
         // No subsystem setting is feasible even at the slowest clock;
         // fall back to the bottom of the range and flag it.
@@ -383,7 +400,7 @@ CoreOptimizer::choose(const CoreSystemModel &core,
     OperatingPoint op = nominalOperatingPoint(core.params());
     op.freq = knobs_.freq.quantizeDown(std::min(rawFreq, knobs_.freq.hi()));
     op.smallQueue = smallQueue;
-    op.lowSlopeFu = caps_.fuReplication && lowSlope;
+    op.lowSlopeFu = caps_.fuReplication && pick.lowSlope;
 
     // --- Power algorithm + PMAX check (Figure 3 right box) ---
     const PerfInputs &perfIn =

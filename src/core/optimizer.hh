@@ -46,7 +46,12 @@ struct PhaseCharacterization
     PerfInputs perfSmall;   ///< Eq 5 inputs with the 3/4 queue
 };
 
-/** Per-subsystem query interface (the boxes of Figure 3). */
+/**
+ * Per-subsystem query interface (the boxes of Figure 3).  Both
+ * queries are pure functions of their arguments, which is what lets
+ * CoreOptimizer::choose ask each Freq question once and share the
+ * answer between the two queue configurations.
+ */
 class SubsystemOptimizer
 {
   public:
@@ -148,13 +153,20 @@ class CoreOptimizer
                             double thC);
 
   private:
-    /** Run the Freq algorithm over every subsystem for one
-     *  (queue, FU) configuration and return the core frequency plus
-     *  the per-subsystem values. */
-    double freqForConfig(const CoreSystemModel &core,
-                         const PhaseCharacterization &phase, double thC,
-                         bool smallQueue, bool &lowSlopeChosen,
-                         std::array<double, kNumSubsystems> &fmaxOut);
+    /** One queue configuration's Freq answer after the Figure 4 rule. */
+    struct ConfigFreq
+    {
+        double raw = 0.0;     ///< core frequency (min over subsystems)
+        bool lowSlope = false;
+        std::array<double, kNumSubsystems> fmax{};
+    };
+
+    /** Fold the Figure 4 low-slope FU rule over one configuration's
+     *  per-subsystem answers (@p fmax holds the normal FU's) and take
+     *  the core frequency. */
+    ConfigFreq foldFigure4(const CoreSystemModel &core,
+                           const std::array<double, kNumSubsystems> &fmax,
+                           double fLowSlope) const;
 
     SubsystemOptimizer &sub_;
     EnvCapabilities caps_;

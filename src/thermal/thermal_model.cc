@@ -11,7 +11,7 @@ namespace eval {
 
 ThermalModel::ThermalModel(const ProcessParams &params, double coreAreaMm2,
                            double spreadCoeff, double spreadExponent)
-    : params_(params), coreAreaMm2_(coreAreaMm2), salt_(nextThermalSalt())
+    : params_(params), coreAreaMm2_(coreAreaMm2)
 {
     EVAL_ASSERT(coreAreaMm2 > 0.0 && spreadCoeff > 0.0,
                 "thermal model needs positive area/coefficient");
@@ -38,8 +38,6 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
 {
     static Counter &solves =
         StatRegistry::global().counter("thermal.solves");
-    static Counter &cacheHits =
-        StatRegistry::global().counter("thermal.cache_hits");
     static Counter &runaways =
         StatRegistry::global().counter("thermal.runaways");
 
@@ -60,7 +58,7 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
             lane.vdd = req.vdd;
             lane.vbb = req.vbb;
         }
-        solveThermalLanes(params_, salt_, lanes, m, thC);
+        solveThermalLanes(params_, lanes, m, thC);
         for (std::size_t i = 0; i < m; ++i) {
             const ThermalLane &lane = lanes[i];
             SubsystemThermalState &st = out[base + i];
@@ -70,11 +68,6 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
             st.vtEff = lane.vtEff;
             st.runaway = lane.runaway;
             solves.inc();
-            if (lane.cacheHit)
-                cacheHits.inc();
-            // Counted per query (memo hits included): the counter
-            // tracks how often callers probe runaway settings, not how
-            // often the iteration diverges afresh.
             if (lane.runaway)
                 runaways.inc();
         }

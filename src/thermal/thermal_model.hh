@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 
 #include "power/power_model.hh"
 #include "variation/floorplan.hh"
@@ -106,9 +105,8 @@ class ThermalModel
      * single lockstep fixed-point iteration (kernels/thermal_batch.hh).
      * Each lane freezes independently at exactly the step the scalar
      * solver would have stopped at, so @p out[i] is bit-identical to
-     * the corresponding solveSubsystem call.  Solves are memoized on
-     * the exact input bits (default on, setThermalCacheEnabled; hits
-     * are exact-bit so the golden record is unaffected).
+     * the corresponding solveSubsystem call.  Every call solves every
+     * request; nothing is memoized.
      */
     void solveMany(const SubsystemThermalRequest *requests,
                    SubsystemThermalState *out, std::size_t n,
@@ -121,9 +119,6 @@ class ThermalModel
     ProcessParams params_;
     double coreAreaMm2_;
     std::array<double, kNumSubsystems> rth_;
-    /** Memo salt: models with different process constants must not
-     *  share thermal memo entries. */
-    std::uint64_t salt_;
 };
 
 } // namespace eval

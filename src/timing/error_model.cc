@@ -1,100 +1,13 @@
 #include "timing/error_model.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 
-#include "kernels/memo_bypass.hh"
 #include "stats/stat_registry.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 
 namespace eval {
-
-namespace {
-
-std::uint64_t
-nextCacheId()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    // eval-lint: allow(atomics-relaxed, atomics-hot-rmw) monotone id
-    // source, one draw per constructed model (never per query); callers
-    // need uniqueness, not ordering, and never read another thread's id.
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/**
- * Per-thread direct-mapped memo cache for errorRatePerAccess.
- *
- * Keys are the exact bit patterns of the query, so a hit returns
- * precisely the value a recomputation would — results are therefore
- * independent of hit/miss history and identical across any thread
- * count (each thread simply keeps its own working set).  4096 entries
- * cover one core's knob grid (~15 subsystems x ~200 knob points) with
- * room for several phases' thermal iterates.
- */
-struct PeCacheEntry
-{
-    std::uint64_t id = 0;        ///< 0 = empty
-    std::uint64_t periodBits = 0;
-    std::uint64_t vddBits = 0;
-    std::uint64_t vbbBits = 0;
-    std::uint64_t tempBits = 0;
-    double value = 0.0;
-};
-
-constexpr std::size_t kPeCacheSize = 4096;   // power of two
-
-thread_local PeCacheEntry peCache[kPeCacheSize];
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-/** The memo switch: on unless setPeCacheEnabled(false). */
-std::atomic<bool> peCacheOn{true};
-
-/**
- * The eval/hit counters, registered once and shared by the cached
- * entry point and the uncached compute path (previously both
- * re-registered the same names with their own static locals).
- */
-struct PeCounters
-{
-    Counter &evals;
-    Counter &hits;
-
-    static const PeCounters &
-    get()
-    {
-        static const PeCounters counters{
-            StatRegistry::global().counter("timing.error_evals"),
-            StatRegistry::global().counter("timing.error_cache_hits")};
-        return counters;
-    }
-};
-
-} // namespace
-
-void
-setPeCacheEnabled(bool enabled)
-{
-    // eval-lint: allow(atomics-relaxed) independent on/off switch; no
-    // other memory is published with it.
-    peCacheOn.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-peCacheEnabled()
-{
-    // eval-lint: allow(atomics-relaxed) single flag with no associated payload.
-    return peCacheOn.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -141,8 +54,7 @@ makeSurface(const ProcessParams &params, PathPopulation &pop)
 StageErrorModel::StageErrorModel(const ProcessParams &params,
                                  PathPopulation pop)
     : params_(params), type_(pop.type), vt0Mean_(pop.vt0Mean),
-      leffMean_(pop.leffMean), cacheId_(nextCacheId()),
-      surface_(makeSurface(params, pop))
+      leffMean_(pop.leffMean), surface_(makeSurface(params, pop))
 {
 }
 
@@ -156,42 +68,11 @@ double
 StageErrorModel::errorRatePerAccess(double clockPeriod,
                                     const OperatingConditions &op) const
 {
+    static Counter &evals =
+        StatRegistry::global().counter("timing.error_evals");
     EVAL_ASSERT(clockPeriod > 0.0, "clock period must be positive");
-    const PeCounters &counters = PeCounters::get();
-    counters.evals.inc();
-
-    if (!peCacheEnabled() || ScopedMemoBypass::active())
-        return errorRateAtScale(clockPeriod, surface_.scaleExact(op));
-
-    const std::uint64_t periodBits = doubleBits(clockPeriod);
-    const std::uint64_t vddBits = doubleBits(op.vdd);
-    const std::uint64_t vbbBits = doubleBits(op.vbb);
-    const std::uint64_t tempBits = doubleBits(op.tempC);
-    // FNV-1a style mix over the key words, then a murmur-style
-    // avalanche.  The avalanche is essential: without it the slot
-    // index is a function of the key words' low mantissa bits only,
-    // and "round" query values (grid Vdd steps, integral
-    // temperatures) all share zero low bits — knob-grid sweeps used
-    // to collapse onto a few dozen slots and thrash.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint64_t w :
-         {cacheId_, periodBits, vddBits, vbbBits, tempBits}) {
-        h ^= w;
-        h *= 0x100000001b3ULL;
-    }
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    PeCacheEntry &e = peCache[h & (kPeCacheSize - 1)];
-    if (e.id == cacheId_ && e.periodBits == periodBits &&
-        e.vddBits == vddBits && e.vbbBits == vbbBits &&
-        e.tempBits == tempBits) {
-        counters.hits.inc();
-        return e.value;
-    }
-    const double pe = errorRateAtScale(clockPeriod, surface_.scaleExact(op));
-    e = {cacheId_, periodBits, vddBits, vbbBits, tempBits, pe};
-    return pe;
+    evals.inc();
+    return errorRateAtScale(clockPeriod, surface_.scaleExact(op));
 }
 
 double

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "kernels/alpha_power.hh"
@@ -41,19 +40,11 @@ class StageErrorModel
 
     /**
      * Probability that one access to this subsystem suffers a timing
-     * error when clocked with @p clockPeriod seconds at @p op.
-     *
-     * Queries are memoized in a per-thread cache keyed on this model
-     * plus the exact (period, Vdd, Vbb, T) tuple: online Exh-Dyn's
-     * knob scans re-evaluate identical points across phases and
-     * retune cycles, and knob values come from a discrete grid, so
-     * exact-bit keys hit without perturbing any result (a hit returns
-     * the very value a recomputation would).  setPeCacheEnabled(false)
-     * disables it process-wide; FC label generation, whose continuous
-     * random queries seldom repeat, skips it on its own thread through
-     * a ScopedMemoBypass (kernels/memo_bypass.hh; DESIGN 5g).
-     * The delay scale is always PeSurface::scaleExact, so benches,
-     * library callers and the golden record share one numeric path.
+     * error when clocked with @p clockPeriod seconds at @p op.  Every
+     * call evaluates the delay scale (PeSurface::scaleExact, the one
+     * numeric path benches, library callers and the golden record
+     * share); there is no memo, so a caller that repeats a query pays
+     * for it again (DESIGN 5g: remove the repeat at the caller).
      */
     double errorRatePerAccess(double clockPeriod,
                               const OperatingConditions &op) const;
@@ -63,8 +54,8 @@ class StageErrorModel
      * (delayScale(op)) of the conditions: callers that probe many
      * periods at one (Vdd, Vbb, T) compute the scale once and pass it
      * here.  errorRateAtScale(p, delayScale(op)) is bit-identical to
-     * errorRatePerAccess(p, op).  Not memoized and not counted in
-     * timing.error_evals: it is a bucket lookup, no scale evaluation.
+     * errorRatePerAccess(p, op).  Not counted in timing.error_evals:
+     * it is a bucket lookup, no scale evaluation.
      */
     double errorRateAtScale(double clockPeriod, double scale) const;
 
@@ -95,10 +86,6 @@ class StageErrorModel
     StageType type_;
     double vt0Mean_;
     double leffMean_;
-    /** Distinct per construction; copies share it (identical content
-     *  yields identical query results, so sharing is safe).  Memo
-     *  cache keys include this id so two chips' models never alias. */
-    std::uint64_t cacheId_;
     /** Compiled levels/index/constants (owns the sorted delays). */
     PeSurface surface_;
 };
@@ -110,17 +97,5 @@ class StageErrorModel
  */
 double processorErrorRate(const std::vector<double> &perAccessRates,
                           const std::vector<double> &rho);
-
-/**
- * Switch the PE memo cache (default on).  Used by the
- * differential-testing driver to prove the cache-on/cache-off
- * bit-identity contract within one process.
- * Cached entries are keyed per model instance, so re-enabling after a
- * disabled run cannot serve stale values.
- */
-void setPeCacheEnabled(bool enabled);
-
-/** Whether errorRatePerAccess currently memoizes. */
-bool peCacheEnabled();
 
 } // namespace eval

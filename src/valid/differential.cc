@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "exec/thread_pool.hh"
-#include "kernels/thermal_batch.hh"
-#include "timing/error_model.hh"
 #include "valid/json_value.hh"
 
 namespace eval {
@@ -33,27 +31,15 @@ firstDiffs(const GoldenFile &ref, const GoldenFile &run)
     return out.str();
 }
 
-/** Restores pool size and kernel-toggle settings even on exceptions. */
-class ConfigGuard
+/** Restores the pool size even on exceptions. */
+class ThreadsGuard
 {
   public:
-    ConfigGuard()
-        : threads_(globalThreads()), cache_(peCacheEnabled()),
-          thermal_(thermalCacheEnabled())
-    {
-    }
-
-    ~ConfigGuard()
-    {
-        setGlobalThreads(threads_);
-        setPeCacheEnabled(cache_);
-        setThermalCacheEnabled(thermal_);
-    }
+    ThreadsGuard() : threads_(globalThreads()) {}
+    ~ThreadsGuard() { setGlobalThreads(threads_); }
 
   private:
     std::size_t threads_;
-    bool cache_;
-    bool thermal_;
 };
 
 } // namespace
@@ -91,11 +77,9 @@ runDifferential(const std::string &experiment,
     DifferentialReport report;
     report.experiment = experiment;
 
-    ConfigGuard guard;
+    ThreadsGuard guard;
 
     setGlobalThreads(1);
-    setPeCacheEnabled(true);
-    setThermalCacheEnabled(true);
     const GoldenFile reference =
         runValidationExperiment(experiment, tweaks);
 
@@ -113,15 +97,6 @@ runDifferential(const std::string &experiment,
         setGlobalThreads(t);
         check("threads=" + std::to_string(t));
     }
-
-    setGlobalThreads(1);
-    setPeCacheEnabled(false);
-    check("pe_cache=off");
-
-    setPeCacheEnabled(true);
-    setThermalCacheEnabled(false);
-    check("thermal_cache=off");
-
     return report;
 }
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * Differential-testing driver: runs one validation experiment under
- * configurations that must not change the answer — serial vs threaded
- * execution (1/2/4/8 workers) and PE memo cache on vs off — and
- * asserts bit-identical metric files.  This is the executable form of
- * the repo's determinism contract: parallel fan-out and caching are
- * pure optimizations.
+ * Differential-testing driver: runs one validation experiment serially
+ * and on thread pools of other sizes (2/4/8 workers), which must not
+ * change the answer, and asserts bit-identical metric files.  This is
+ * the executable form of the repo's determinism contract: parallel
+ * fan-out is a pure optimization.
  */
 
 #pragma once
@@ -21,7 +20,7 @@ namespace eval {
 /** One configuration-vs-reference comparison. */
 struct DifferentialCheck
 {
-    std::string label;    ///< e.g. "threads=4" or "pe_cache=off"
+    std::string label;    ///< e.g. "threads=4"
     bool identical = false;
     std::string detail;   ///< first differing metrics when not identical
 };
@@ -38,11 +37,10 @@ struct DifferentialReport
 };
 
 /**
- * Run @p experiment serially (threads=1, PE cache on) as the
- * reference, then once per entry in @p threadCounts and once with the
- * PE cache disabled, comparing each rerun bit-for-bit against the
- * reference.  The global pool size and cache setting are restored
- * before returning.
+ * Run @p experiment serially (threads=1) as the reference, then once
+ * per entry in @p threadCounts, comparing each rerun bit-for-bit
+ * against the reference.  The global pool size is restored before
+ * returning.
  */
 DifferentialReport
 runDifferential(const std::string &experiment,

@@ -1,14 +1,8 @@
 /** Tests for the per-chip fuzzy controller system (Sec 4.3.1). */
 
-#include <atomic>
-#include <sstream>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "core/environment.hh"
-#include "exec/thread_pool.hh"
-#include "kernels/thermal_batch.hh"
 #include "util/statistics.hh"
 
 namespace eval {
@@ -115,78 +109,6 @@ TEST_F(FuzzyAdaptationTest, HigherActivityLowersPredictedFmax)
     const double lo = fc.predictFmax(id, 65.0, 0.2, false);
     const double hi = fc.predictFmax(id, 65.0, 1.1, false);
     EXPECT_GE(lo, hi * 0.98);
-}
-
-/** Every FC image of one training of (chip 0, core 2, Fig 13 env D). */
-std::string
-trainedImage(const CoreSystemModel &core, const EnvCapabilities &caps,
-             const Constraints &constraints)
-{
-    FuzzyTrainingConfig tcfg;
-    tcfg.examplesPerFc = 120;
-    CoreFuzzySystem sys(core, caps, constraints, tcfg);
-    sys.train();
-    std::ostringstream os;
-    sys.save(os);
-    return os.str();
-}
-
-/** One round of online Exh-Dyn queries on @p core: the knob-grid
- *  scans that fill the PE and thermal memos. */
-void
-exhDynRound(const CoreSystemModel &core, const EnvCapabilities &caps,
-            const Constraints &constraints)
-{
-    ExhaustiveOptimizer exh(caps, constraints);
-    for (std::size_t i = 0; i < kNumSubsystems; ++i) {
-        const auto id = static_cast<SubsystemId>(i);
-        const double a = core.subsystem(id).power().alphaRef;
-        const double f = exh.maxFrequency(core, id, false, a, 65.0);
-        if (f > 0.0)
-            exh.minimizePower(core, id, false, f, a, 65.0);
-    }
-}
-
-TEST_F(FuzzyAdaptationTest, TrainingIsIndependentOfMemoState)
-{
-    // Label generation bypasses the exact-bit memos on its own thread;
-    // the trained rule bases must not depend on what the memos hold,
-    // whether they are on, or what another thread does with its own.
-    const EnvCapabilities caps = fig13Caps(fig13VoltageEnvs()[3]);
-    const Constraints &constraints = ctx().config().constraints;
-    const CoreSystemModel &core = ctx().coreModel(0, 2);
-
-    exhDynRound(core, caps, constraints);
-    const std::string warm = trainedImage(core, caps, constraints);
-    ASSERT_NE(warm.find("fc "), std::string::npos);
-
-    std::string cold;
-    {
-        const bool peWas = peCacheEnabled();
-        const bool thermalWas = thermalCacheEnabled();
-        setPeCacheEnabled(false);
-        setThermalCacheEnabled(false);
-        cold = trainedImage(core, caps, constraints);
-        setPeCacheEnabled(peWas);
-        setThermalCacheEnabled(thermalWas);
-    }
-    EXPECT_EQ(cold, warm);
-
-    // Task 0 is the caller's own and spins until training is done, so
-    // task 1 (the training) can only run on the pool's worker thread.
-    ThreadPool pool(2);
-    std::atomic<bool> trained{false};
-    std::string concurrent;
-    pool.parallelFor(0, 2, 1, [&](std::size_t task) {
-        if (task == 1) {
-            concurrent = trainedImage(core, caps, constraints);
-            trained.store(true);
-            return;
-        }
-        while (!trained.load())
-            exhDynRound(core, caps, constraints);
-    });
-    EXPECT_EQ(concurrent, warm);
 }
 
 } // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/environment.hh"
 #include "core/optimizer.hh"
+#include "stats/stat_registry.hh"
 
 namespace eval {
 namespace {
@@ -134,6 +137,118 @@ TEST(Exhaustive, InfeasibleFrequencyReturnsNullopt)
     EXPECT_FALSE(k.has_value());
 }
 
+/** A plain evaluateSubsystem feasibility check; @p power gets the
+ *  setting's power. */
+bool
+feasibleSetting(const CoreSystemModel &core, const Constraints &c,
+                SubsystemId id, bool alt, double f,
+                const SubsystemKnobs &k, double alphaF, double thC,
+                double &power)
+{
+    const auto sol =
+        core.evaluateSubsystem(id, alt, f, k, alphaF, alphaF, thC);
+    power = sol.thermal.power();
+    return sol.functional && sol.thermal.tempC <= c.tMaxC &&
+           sol.peAccess <= perAccessErrorBudget(c, alphaF);
+}
+
+TEST(Exhaustive, MatchesBruteForceScanInEveryFig13Env)
+{
+    // Both searches prune the knob grid; every prune must be
+    // decision-invariant.  Against a scan of the whole grid with no
+    // prune at all: maxFrequency is the highest grid frequency at which
+    // any (Vdd, Vbb) is feasible, and minimizePower is the cheapest
+    // feasible setting, the first in ascending (Vdd, Vbb) order on a
+    // tie.
+    Fixture f;
+    const Constraints &c = f.cfg.constraints;
+    Rng rng(0xB7F0);
+    std::size_t withPowerAnswer = 0;
+    for (const VoltageEnv &env : fig13VoltageEnvs()) {
+        const EnvCapabilities caps = fig13Caps(env);
+        const KnobSpace ks = caps.knobSpace();
+        ExhaustiveOptimizer exh(caps, c);
+        for (int q = 0; q < 600; ++q) {
+            const CoreSystemModel &core =
+                f.ctx->coreModel(rng.uniformInt(2), rng.uniformInt(4));
+            const auto id =
+                static_cast<SubsystemId>(rng.uniformInt(kNumSubsystems));
+            const bool alt =
+                core.subsystem(id).hasAlternate() && rng.bernoulli(0.5);
+            // Every other query is FC training's draw (0.1-2x alpha_ref,
+            // 45-70 C); the rest run hotter, so that TMAX binds and
+            // lower-Vdd rows can win.  Some prune faults show on only a
+            // few queries in a thousand, hence the count.
+            const bool hot = q % 2 == 1;
+            const double alphaF = core.subsystem(id).power().alphaRef *
+                                  rng.uniform(0.1, hot ? 4.0 : 2.0);
+            const double thC = rng.uniform(45.0, hot ? 80.0 : 70.0);
+            const auto vdds = ks.vddCandidates(core.params().vddNominal);
+            const auto vbbs = ks.vbbCandidates();
+            std::ostringstream where;
+            where << env.tag << " query " << q << " subsystem "
+                  << static_cast<std::size_t>(id) << " alt " << alt;
+
+            const auto anyFeasibleAt = [&](double freq) {
+                for (double vdd : vdds) {
+                    for (double vbb : vbbs) {
+                        double p = 0.0;
+                        if (feasibleSetting(core, c, id, alt, freq,
+                                            {vdd, vbb}, alphaF, thC, p))
+                            return true;
+                    }
+                }
+                return false;
+            };
+            double fmax = 0.0;
+            for (std::size_t fi = ks.freq.size(); fi-- > 0;) {
+                if (anyFeasibleAt(ks.freq.value(fi))) {
+                    fmax = ks.freq.value(fi);
+                    break;
+                }
+            }
+            const bool found = fmax > 0.0;
+            EXPECT_EQ(exh.maxFrequency(core, id, alt, alphaF, thC), fmax)
+                << where.str();
+
+            // Mostly just below fmax, where deployment asks; sometimes
+            // anywhere on the grid, infeasible points included.
+            const double u = rng.uniform();
+            const double fcore =
+                found && rng.bernoulli(0.8)
+                    ? ks.freq.quantizeDown(fmax -
+                                           (fmax - ks.freq.lo()) * u * u)
+                    : ks.freq.value(rng.uniformInt(ks.freq.size()));
+            std::optional<SubsystemKnobs> cheapest;
+            double cheapestPower = 0.0;
+            for (double vdd : vdds) {
+                for (double vbb : vbbs) {
+                    double p = 0.0;
+                    if (feasibleSetting(core, c, id, alt, fcore, {vdd, vbb},
+                                        alphaF, thC, p) &&
+                        (!cheapest || p < cheapestPower)) {
+                        cheapest = SubsystemKnobs{vdd, vbb};
+                        cheapestPower = p;
+                    }
+                }
+            }
+            const auto got =
+                exh.minimizePower(core, id, alt, fcore, alphaF, thC);
+            ASSERT_EQ(got.has_value(), cheapest.has_value())
+                << where.str() << " fcore " << fcore;
+            if (got) {
+                ++withPowerAnswer;
+                EXPECT_EQ(got->vdd, cheapest->vdd)
+                    << where.str() << " fcore " << fcore;
+                EXPECT_EQ(got->vbb, cheapest->vbb)
+                    << where.str() << " fcore " << fcore;
+            }
+        }
+    }
+    // The draw must reach the prunes, not only infeasible queries.
+    EXPECT_GT(withPowerAnswer, 1500u);
+}
+
 TEST(PerAccessBudget, ScalesInverselyWithActivity)
 {
     Constraints c;
@@ -189,6 +304,30 @@ TEST(CoreOptimizer, QueueAndFuDisabledWithoutCapability)
                                             65.0);
     EXPECT_FALSE(res.op.smallQueue);
     EXPECT_FALSE(res.op.lowSlopeFu);
+}
+
+TEST(CoreOptimizer, FreqQueriedOncePerSubsystem)
+{
+    // Only the queue subsystem's Freq answer depends on the queue
+    // size, and the low-slope FU's answer serves both configurations:
+    // one query per subsystem, plus one each for the low-slope FU and
+    // the small queue.
+    Fixture f;
+    Counter &queries =
+        StatRegistry::global().counter("optimizer.freq_queries");
+    const PhaseCharacterization ph = f.phase("swim");
+    f.core().setAppType(true);
+    const auto queriesPerChoose = [&](EnvironmentKind env) {
+        const EnvCapabilities caps = environmentCaps(env);
+        ExhaustiveOptimizer exh(caps, f.cfg.constraints);
+        CoreOptimizer opt(exh, caps, f.cfg.constraints, f.cfg.recovery);
+        const std::uint64_t before = queries.value();
+        opt.choose(f.core(), ph, 65.0);
+        return queries.value() - before;
+    };
+    EXPECT_EQ(queriesPerChoose(EnvironmentKind::TS_ASV_Q_FU),
+              kNumSubsystems + 2);
+    EXPECT_EQ(queriesPerChoose(EnvironmentKind::TS_ASV), kNumSubsystems);
 }
 
 TEST(CoreOptimizer, HigherDimensionalEnvironmentsDoNotLoseFrequency)

@@ -1,11 +1,9 @@
 /**
  * Differential determinism suite: the same experiment must produce
- * bit-identical metrics whether it runs serially or on 2/4/8 threads,
- * and with the PE memo and thermal memo caches on or off.  Three
- * experiments cover the layers where parallelism and caching live:
- * chip manufacture (Rng::split fan-out), the optimizer (PE/thermal
- * cache hot paths), and the end-to-end managed sweep (per-chip
- * parallelMap + lazy shared caches).
+ * bit-identical metrics whether it runs serially or on 2/4/8 threads.
+ * Three experiments cover the layers where parallelism lives: chip
+ * manufacture (Rng::split fan-out), the optimizer, and the end-to-end
+ * managed sweep (per-chip parallelMap + lazy shared caches).
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +19,8 @@ expectDeterministic(const std::string &experiment)
 {
     const DifferentialReport report = runDifferential(experiment);
     EXPECT_TRUE(report.allIdentical()) << report.summary();
-    // 3 thread counts + the PE-cache and thermal-cache toggles.
-    EXPECT_EQ(report.checks.size(), 5u);
+    // One check per thread count.
+    EXPECT_EQ(report.checks.size(), 3u);
 }
 
 } // namespace

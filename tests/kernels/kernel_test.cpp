@@ -2,22 +2,17 @@
  * Kernel-layer equivalence suite: every fast path in src/kernels/
  * must be bit-identical to the legacy expression it replaced
  * (scaleExact, upperBoundIndex, lockstep thermal solves, the SoA
- * corner-delay pass, the thermal memo), and the per-thread memo bypass
- * must switch the memos off only for its own scope and thread.
+ * corner-delay pass).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "kernels/alpha_power.hh"
-#include "kernels/memo_bypass.hh"
 #include "kernels/path_soa.hh"
 #include "kernels/pe_surface.hh"
-#include "kernels/thermal_batch.hh"
-#include "stats/stat_registry.hh"
 #include "thermal/thermal_model.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"
@@ -41,25 +36,6 @@ makeModel(const Fixture &f, SubsystemId id)
     return StageErrorModel(
         f.params, buildPathPopulation(f.chip, 0, id, {}, rng));
 }
-
-/** Restores the kernel toggles around a test body. */
-class ToggleGuard
-{
-  public:
-    ToggleGuard()
-        : cache_(peCacheEnabled()), thermal_(thermalCacheEnabled())
-    {
-    }
-    ~ToggleGuard()
-    {
-        setPeCacheEnabled(cache_);
-        setThermalCacheEnabled(thermal_);
-    }
-
-  private:
-    bool cache_;
-    bool thermal_;
-};
 
 // ---------------------------------------------------------------------------
 // PeSurface
@@ -118,8 +94,6 @@ TEST(PeSurface, FirstIndexWithinBudgetMatchesLinearWalk)
 
 TEST(PeSurface, ExactScaleBacksDelayScale)
 {
-    ToggleGuard guard;
-    setPeCacheEnabled(false);
     Fixture f;
     const StageErrorModel model = makeModel(f, SubsystemId::Dcache);
     // 0.3 V cannot switch: the saturated scale must map to PE 1.
@@ -189,9 +163,6 @@ makeRequests(const ProcessParams &p)
 
 TEST(ThermalBatch, LockstepBatchMatchesScalarBitwise)
 {
-    ToggleGuard guard;
-    setThermalCacheEnabled(false);
-
     ProcessParams p;
     ThermalModel model(p);
     const auto reqs = makeRequests(p);
@@ -209,111 +180,6 @@ TEST(ThermalBatch, LockstepBatchMatchesScalarBitwise)
         ASSERT_EQ(batch[i].vtEff, one.vtEff) << "i=" << i;
         ASSERT_EQ(batch[i].runaway, one.runaway) << "i=" << i;
     }
-}
-
-TEST(ThermalBatch, MemoHitsAreBitExact)
-{
-    ToggleGuard guard;
-    ProcessParams p;
-    ThermalModel model(p);
-    const auto reqs = makeRequests(p);
-    const double thC = 62.5;
-
-    setThermalCacheEnabled(false);
-    std::vector<SubsystemThermalState> cold(reqs.size());
-    model.solveMany(reqs.data(), cold.data(), reqs.size(), thC);
-
-    setThermalCacheEnabled(true);
-    std::vector<SubsystemThermalState> warm(reqs.size());
-    std::vector<SubsystemThermalState> hit(reqs.size());
-    model.solveMany(reqs.data(), warm.data(), reqs.size(), thC);
-    model.solveMany(reqs.data(), hit.data(), reqs.size(), thC);
-
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        ASSERT_EQ(cold[i].tempC, warm[i].tempC) << "i=" << i;
-        ASSERT_EQ(cold[i].tempC, hit[i].tempC) << "i=" << i;
-        ASSERT_EQ(cold[i].psta, hit[i].psta) << "i=" << i;
-        ASSERT_EQ(cold[i].vtEff, hit[i].vtEff) << "i=" << i;
-        ASSERT_EQ(cold[i].runaway, hit[i].runaway) << "i=" << i;
-    }
-}
-
-TEST(ThermalBatch, SaltSeparatesModels)
-{
-    // Two models must never share memo entries even for identical
-    // lane inputs; different process constants give different solves.
-    ToggleGuard guard;
-    setThermalCacheEnabled(true);
-
-    ProcessParams a;
-    ProcessParams b = a;
-    b.tempNominalC = 95.0;   // shifts the Eq 9 Vt reference
-    ThermalModel ma(a);
-    ThermalModel mb(b);
-    const auto reqs = makeRequests(a);
-
-    std::vector<SubsystemThermalState> ra(reqs.size()), rb(reqs.size());
-    ma.solveMany(reqs.data(), ra.data(), reqs.size(), 60.0);
-    mb.solveMany(reqs.data(), rb.data(), reqs.size(), 60.0);
-
-    setThermalCacheEnabled(false);
-    std::vector<SubsystemThermalState> rbCold(reqs.size());
-    mb.solveMany(reqs.data(), rbCold.data(), reqs.size(), 60.0);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        // b's answers must match its own cold solve, not a's memo.
-        ASSERT_EQ(rb[i].tempC, rbCold[i].tempC) << "i=" << i;
-        ASSERT_EQ(rb[i].psta, rbCold[i].psta) << "i=" << i;
-    }
-}
-
-TEST(MemoBypass, ScopedAndPerThread)
-{
-    ToggleGuard guard;
-    setThermalCacheEnabled(true);
-    setPeCacheEnabled(true);
-    ProcessParams p;
-    const std::uint64_t salt = nextThermalSalt();
-    const auto thermalHit = [&] {
-        ThermalLane lane{};
-        lane.rth = 0.5;
-        lane.pdyn = 2.0;
-        lane.ksta = 4.0e-8;
-        lane.vt0 = p.vtMean;
-        lane.vdd = 1.0;
-        lane.vbb = 0.0;
-        solveThermalLanes(p, salt, &lane, 1, 60.0);
-        return lane.cacheHit;
-    };
-    Fixture f;
-    const StageErrorModel model = makeModel(f, SubsystemId::IntQ);
-    Counter &peHits =
-        StatRegistry::global().counter("timing.error_cache_hits");
-    const auto peHit = [&] {
-        const std::uint64_t before = peHits.value();
-        model.errorRatePerAccess(2.2e-10, {1.0, 0.0, 60.0});
-        return peHits.value() > before;
-    };
-
-    thermalHit();   // fill both memos
-    peHit();
-    EXPECT_TRUE(thermalHit());
-    EXPECT_TRUE(peHit());
-    {
-        const ScopedMemoBypass outer;
-        {
-            const ScopedMemoBypass inner;
-        }
-        EXPECT_TRUE(ScopedMemoBypass::active());   // inner restored it
-        EXPECT_FALSE(thermalHit());
-        EXPECT_FALSE(peHit());
-        bool otherThread = true;
-        std::thread([&] { otherThread = ScopedMemoBypass::active(); })
-            .join();
-        EXPECT_FALSE(otherThread);
-    }
-    EXPECT_FALSE(ScopedMemoBypass::active());
-    EXPECT_TRUE(thermalHit());
-    EXPECT_TRUE(peHit());
 }
 
 } // namespace
