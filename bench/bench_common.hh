@@ -18,36 +18,31 @@
  * ("BENCH_JSON {...}") with the bench name, wall-clock seconds, peak
  * RSS, and its key metrics.  Nothing gates on the footer: perfbench/
  * is the one performance measurement (TESTING.md "Measuring
- * performance").  The reporter also honours:
- *   EVAL_STATS_OUT=path    dump the stat registry (JSON, or CSV when
- *                          the path ends in .csv) on exit
+ * performance").  The reporter also hands these paths to
+ * startTelemetry (src/stats/telemetry.hh), the hookup eval_cli uses:
+ *   EVAL_STATS_OUT=path    dump the stat registry (JSON) on exit
  *   EVAL_TRACE_OUT=path    record and export the decision trace
- *   EVAL_TRACE_SPANS=path  record a span timeline, export
- *                          Chrome/Perfetto trace_event JSON
- *   EVAL_PROFILE_OUT=path  export the aggregated span profile
- *                          (profile.json schema, DESIGN.md Sec 5j);
- *                          either span env enables the tracer
+ *   EVAL_PROFILE_OUT=path  record the span profile (profile.json
+ *                          schema, DESIGN.md Sec 5j)
  *   EVAL_MANIFEST=path     write the run-provenance manifest
  *                          (default <bench>.manifest.json; set empty
  *                          to disable)
- * The telemetry dump is registered with ExitFlush at construction, so
- * files survive fatal()/uncaught-exception exits mid-bench.
+ * The files survive fatal()/uncaught-exception exits mid-bench.
  */
 
 #pragma once
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
-#include "stats/stats.hh"
-#include "trace/exit_flush.hh"
+#include "stats/telemetry.hh"
 #include "trace/manifest.hh"
-#include "trace/span_tracer.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -57,8 +52,7 @@ namespace eval {
  * destruction, prints exactly one line
  *   BENCH_JSON {"bench": "<name>", "wall_clock_s": W, "metrics": {...}}
  * so trajectory tooling can scrape every bench the same way.  Also
- * wires the EVAL_STATS_OUT / EVAL_TRACE_OUT / EVAL_TRACE_SPANS /
- * EVAL_PROFILE_OUT env hooks described in the file header.
+ * starts the telemetry the env hooks in the file header ask for.
  */
 class BenchReporter
 {
@@ -72,55 +66,15 @@ class BenchReporter
         // default stays serial).  The resulting thread count is
         // reported in the footer.
         setGlobalThreads(0);
-        if (!envString("EVAL_TRACE_OUT", "").empty())
-            DecisionTrace::global().setEnabled(true);
-        spansPath_ = envString("EVAL_TRACE_SPANS", "");
-        profilePath_ = envString("EVAL_PROFILE_OUT", "");
-        if (!spansPath_.empty() || !profilePath_.empty())
-            SpanTracer::global().setEnabled(true);
-        manifestPath_ =
-            envString("EVAL_MANIFEST", name_ + ".manifest.json");
-
-        RunManifest::global().setTool(name_);
         RunManifest::global().setThreads(globalThreads());
-        if (!spansPath_.empty())
-            RunManifest::global().setOutput("trace_spans", spansPath_);
-        if (!profilePath_.empty())
-            RunManifest::global().setOutput("span_profile",
-                                            profilePath_);
-
-        // Registered up front so a bench that dies mid-run (fatal(),
-        // uncaught exception) still flushes its telemetry files; the
-        // destructor triggers the same closure on the normal path.
-        flushId_ = ExitFlush::global().add(
-            "bench." + name_ + ".telemetry",
-            [spans = spansPath_, profile = profilePath_,
-             manifest = manifestPath_] {
-                const std::string statsPath =
-                    envString("EVAL_STATS_OUT", "");
-                if (!statsPath.empty()) {
-                    if (statsPath.size() > 4 &&
-                        statsPath.compare(statsPath.size() - 4, 4,
-                                          ".csv") == 0) {
-                        StatRegistry::global().writeCsv(statsPath);
-                    } else {
-                        StatRegistry::global().writeJson(statsPath);
-                    }
-                }
-                const std::string tracePath =
-                    envString("EVAL_TRACE_OUT", "");
-                if (!tracePath.empty())
-                    DecisionTrace::global().writeJsonl(tracePath);
-                if (!spans.empty() &&
-                    !SpanTracer::global().writeJson(spans))
-                    warn("failed to write span trace to ", spans);
-                if (!profile.empty() &&
-                    !SpanTracer::global().writeProfileJson(profile))
-                    warn("failed to write span profile to ", profile);
-                if (!manifest.empty() &&
-                    !RunManifest::global().write(manifest))
-                    warn("failed to write manifest to ", manifest);
-            });
+        // getenv, not envString: a set-but-empty EVAL_MANIFEST turns
+        // the manifest off, as it does for eval_cli.
+        const char *manifest = std::getenv("EVAL_MANIFEST");
+        startTelemetry(
+            name_, {envString("EVAL_STATS_OUT", ""),
+                    envString("EVAL_TRACE_OUT", ""),
+                    envString("EVAL_PROFILE_OUT", ""),
+                    manifest ? manifest : name_ + ".manifest.json"});
     }
 
     BenchReporter(const BenchReporter &) = delete;
@@ -154,8 +108,6 @@ class BenchReporter
         json += buf;
         json += ", \"threads\": " + std::to_string(globalThreads());
         json += ", \"peak_rss_kb\": " + std::to_string(peakRssKb());
-        if (!spansPath_.empty())
-            json += ", \"trace_spans\": \"" + spansPath_ + "\"";
 
         json += ", \"metrics\": {";
         for (std::size_t i = 0; i < metrics_.size(); ++i) {
@@ -165,19 +117,12 @@ class BenchReporter
         json += "}}\n";
         std::fputs(("BENCH_JSON " + json).c_str(), stdout);
 
-        RunManifest::global().addStage(name_, wallS);
-        // Normal exit: flush every registered closure (ours included)
-        // now, exactly once; the atexit hook then finds nothing left.
-        ExitFlush::global().runNow();
+        finishTelemetry(name_, wallS);
     }
 
   private:
     std::string name_;
     std::chrono::steady_clock::time_point start_;
-    std::string spansPath_;
-    std::string profilePath_;
-    std::string manifestPath_;
-    int flushId_ = 0;
     std::vector<std::pair<std::string, std::string>> metrics_;
 };
 

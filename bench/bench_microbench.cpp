@@ -10,6 +10,8 @@
 
 #include "bench_common.hh"
 #include "core/eval.hh"
+#include "stats/stat_registry.hh"
+#include "trace/span_tracer.hh"
 
 namespace eval {
 namespace {
@@ -256,7 +258,7 @@ BM_ScopedSpanDisabled(benchmark::State &state)
 {
     // The disabled ScopedSpan guarantee: one relaxed atomic load, no
     // clock read, no allocation — the cost every instrumented hot
-    // path pays when --trace-spans is off.
+    // path pays when --profile-out is off.
     SpanTracer::global().setEnabled(false);
     for (auto _ : state) {
         ScopedSpan span("microbench.disabled");
@@ -268,8 +270,8 @@ BENCHMARK(BM_ScopedSpanDisabled)->Threads(1)->Threads(4);
 void
 BM_ScopedSpanEnabled(benchmark::State &state)
 {
-    // Enabled recording: two clock reads plus one append to the
-    // thread's own ring under its uncontended mutex.
+    // Enabled recording: two clock reads plus one fold into the
+    // thread's own profile under its uncontended mutex.
     SpanTracer::global().setEnabled(true);
     for (auto _ : state) {
         ScopedSpan span("microbench.enabled");
@@ -279,23 +281,6 @@ BM_ScopedSpanEnabled(benchmark::State &state)
     SpanTracer::global().clear();
 }
 BENCHMARK(BM_ScopedSpanEnabled)->Threads(1)->Threads(4);
-
-void
-BM_ScopedSpanEnabledArgs(benchmark::State &state)
-{
-    // Args are the expensive part (string formatting + vector push);
-    // instrumented sites attach a handful at most.
-    SpanTracer::global().setEnabled(true);
-    for (auto _ : state) {
-        ScopedSpan span("microbench.enabled_args");
-        span.arg("index", std::size_t{42});
-        span.arg("ratio", 0.5);
-        benchmark::DoNotOptimize(&span);
-    }
-    SpanTracer::global().setEnabled(false);
-    SpanTracer::global().clear();
-}
-BENCHMARK(BM_ScopedSpanEnabledArgs);
 
 } // namespace
 } // namespace eval

@@ -24,23 +24,19 @@
  *       (tests/shard/checkpoint_resume_test).
  *
  * Observability flags (any command; see DESIGN.md "Observability"):
- *   --stats-out=FILE   dump the stat registry on exit (JSON, or CSV
- *                      when FILE ends in .csv)
+ *   --stats-out=FILE   dump the stat registry on exit (JSON)
  *   --trace-out=FILE   record every adaptation decision, export JSONL
- *   --trace-spans=FILE record a span timeline, export Chrome/Perfetto
- *                      trace_event JSON (open in ui.perfetto.dev);
- *                      default from EVAL_TRACE_SPANS
- *   --profile-out=FILE export the span profile (exact per-span
+ *   --profile-out=FILE record the span profile (exact per-span
  *                      count/inclusive/self times, profile.json
  *                      schema; analyze with eval_prof); default from
- *                      EVAL_PROFILE_OUT, else derived from
- *                      --trace-spans (FILE.profile.json)
+ *                      EVAL_PROFILE_OUT
  *   --manifest=FILE    write a run-provenance manifest (git SHA, build
  *                      flags, seed, stage wall times, peak RSS);
  *                      default from EVAL_MANIFEST, "" disables
- * With any of these flags present the command defaults to `run`.
- * All telemetry files are registered with ExitFlush, so they are
- * written even when the run dies via fatal()/uncaught exception.
+ * With any of the first three present the command defaults to `run`.
+ * The flags go to startTelemetry (src/stats/telemetry.hh), the hookup
+ * the benches share, so the files are written even when the run dies
+ * via fatal()/uncaught exception.
  *
  * Execution:
  *   --threads=N        size of the worker pool for the parallel loops
@@ -56,8 +52,7 @@
 #include "util/logging.hh"
 #include "core/retiming.hh"
 #include "shard/supervisor.hh"
-#include "stats/stats.hh"
-#include "trace/exit_flush.hh"
+#include "stats/telemetry.hh"
 #include "trace/manifest.hh"
 #include "trace/span_tracer.hh"
 #include "util/arg_parser.hh"
@@ -66,35 +61,6 @@
 using namespace eval;
 
 namespace {
-
-/** The default profile path rides alongside the trace: x.json ->
- *  x.profile.json. */
-std::string
-deriveProfilePath(const std::string &spansPath)
-{
-    const std::string suffix = ".json";
-    if (spansPath.size() > suffix.size() &&
-        spansPath.compare(spansPath.size() - suffix.size(),
-                          suffix.size(), suffix) == 0)
-        return spansPath.substr(0, spansPath.size() - suffix.size()) +
-               ".profile.json";
-    return spansPath + ".profile.json";
-}
-
-/** Resolve --trace-spans / --profile-out (flags, env defaults, and
- *  the derived profile path). */
-void
-spanOutputPaths(const ArgParser &args, std::string &spansOut,
-                std::string &profileOut)
-{
-    const char *spansEnv = std::getenv("EVAL_TRACE_SPANS");
-    spansOut = args.getString("trace-spans", spansEnv ? spansEnv : "");
-    const char *profEnv = std::getenv("EVAL_PROFILE_OUT");
-    profileOut =
-        args.getString("profile-out", profEnv ? profEnv : "");
-    if (profileOut.empty() && !spansOut.empty())
-        profileOut = deriveProfilePath(spansOut);
-}
 
 EnvironmentKind
 parseEnv(const std::string &name)
@@ -316,23 +282,6 @@ usage()
     return 2;
 }
 
-/** Export stats/trace per the observability flags. */
-void
-dumpObservability(const std::string &statsOut,
-                  const std::string &traceOut)
-{
-    if (!statsOut.empty()) {
-        if (statsOut.size() > 4 &&
-            statsOut.compare(statsOut.size() - 4, 4, ".csv") == 0) {
-            StatRegistry::global().writeCsv(statsOut);
-        } else {
-            StatRegistry::global().writeJson(statsOut);
-        }
-    }
-    if (!traceOut.empty())
-        DecisionTrace::global().writeJsonl(traceOut);
-}
-
 } // namespace
 
 int
@@ -340,59 +289,26 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
 
-    const std::string statsOut = args.getString("stats-out", "");
-    const std::string traceOut = args.getString("trace-out", "");
-    std::string spansOut;
-    std::string profileOut;
-    spanOutputPaths(args, spansOut, profileOut);
-    const char *manifestEnv = std::getenv("EVAL_MANIFEST");
-    const std::string manifestOut = args.getString(
-        "manifest", manifestEnv ? manifestEnv : "manifest.json");
     // --threads=N overrides EVAL_THREADS / hardware concurrency (0 =
     // auto); results do not depend on the thread count.
     const std::int64_t threadsArg = args.getInt("threads", 0);
     setGlobalThreads(
         threadsArg > 0 ? static_cast<std::size_t>(threadsArg) : 0);
-    if (!traceOut.empty())
-        DecisionTrace::global().setEnabled(true);
-    if (!spansOut.empty() || !profileOut.empty())
-        SpanTracer::global().setEnabled(true);
-
-    RunManifest::global().setTool("eval_cli");
     RunManifest::global().setThreads(globalThreads());
-    if (!statsOut.empty())
-        RunManifest::global().setOutput("stats", statsOut);
-    if (!traceOut.empty())
-        RunManifest::global().setOutput("decision_trace", traceOut);
-    if (!spansOut.empty())
-        RunManifest::global().setOutput("trace_spans", spansOut);
-    if (!profileOut.empty())
-        RunManifest::global().setOutput("span_profile", profileOut);
 
-    // Telemetry survives fatal()/uncaught exceptions: the flush runs
-    // from the atexit/terminate hooks, and runNow() below makes the
-    // normal path identical (closures run exactly once).
-    ExitFlush::global().add(
-        "eval_cli.telemetry",
-        [statsOut, traceOut, spansOut, profileOut, manifestOut] {
-            dumpObservability(statsOut, traceOut);
-            if (!spansOut.empty() &&
-                !SpanTracer::global().writeJson(spansOut)) {
-                warn("failed to write span trace to ", spansOut);
-            }
-            if (!profileOut.empty() &&
-                !SpanTracer::global().writeProfileJson(profileOut)) {
-                warn("failed to write span profile to ", profileOut);
-            }
-            if (!manifestOut.empty() &&
-                !RunManifest::global().write(manifestOut)) {
-                warn("failed to write manifest to ", manifestOut);
-            }
-        });
+    const char *profileEnv = std::getenv("EVAL_PROFILE_OUT");
+    const char *manifestEnv = std::getenv("EVAL_MANIFEST");
+    const TelemetryPaths telemetry{
+        args.getString("stats-out", ""), args.getString("trace-out", ""),
+        args.getString("profile-out", profileEnv ? profileEnv : ""),
+        args.getString("manifest",
+                       manifestEnv ? manifestEnv : "manifest.json")};
+    startTelemetry("eval_cli", telemetry);
 
     // With observability flags but no command, default to `run`.
-    const bool observing = !statsOut.empty() || !traceOut.empty() ||
-                           !spansOut.empty() || !profileOut.empty();
+    const bool observing = !telemetry.stats.empty() ||
+                           !telemetry.decisions.empty() ||
+                           !telemetry.profile.empty();
     if (args.positional().empty() && !observing)
         return usage();
     const std::string cmd =
@@ -418,10 +334,8 @@ main(int argc, char **argv)
         else
             return usage();
     }
-    RunManifest::global().addStage(
-        cmd, static_cast<double>(traceNowNs() - cmdStart) / 1e9);
-
-    ExitFlush::global().runNow();
+    finishTelemetry(cmd,
+                    static_cast<double>(traceNowNs() - cmdStart) / 1e9);
 
     for (const std::string &key : args.unusedKeys())
         warn("unused option --", key);

@@ -13,8 +13,8 @@
 #        scripts/check.sh --prof-smoke [build-dir]
 #
 # --tsan (or CHECK_TSAN=1) configures with -DEVAL_TSAN=ON and runs the
-# concurrency-sensitive test subset (exec, stats, core, cmp) under
-# ThreadSanitizer instead of the full Werror build.
+# concurrency-sensitive test subset (exec, stats, trace, core, cmp)
+# under ThreadSanitizer instead of the full Werror build.
 #
 # --asan / --ubsan (or CHECK_ASAN=1 / CHECK_UBSAN=1) configure with
 # -DEVAL_ASAN=ON / -DEVAL_UBSAN=ON and run the tier-1 suite under
@@ -43,12 +43,10 @@
 # TESTING.md "Measuring performance").
 #
 # --prof-smoke (or CHECK_PROF_SMOKE=1) is the span-profiling
-# end-to-end check (DESIGN.md §5j): a fast traced fig13 must leave a
-# Perfetto timeline plus a profile.json behind, with non-zero
+# end-to-end check (DESIGN.md §5j): a fast fig13 run with
+# --profile-out must leave a profile.json behind, with non-zero
 # characterize.app and arch.core_run buckets and no pe.eval bucket;
-# eval_prof tree/flame/diff must render it.  Then
-# bench_parallel_scaling (EVAL_FAST=1) must hold its thread
-# bit-identity and tracer-overhead assertions.
+# eval_prof tree/flame/diff must render it.
 
 set -euo pipefail
 
@@ -80,9 +78,10 @@ if [[ "$mode" == "tsan" ]]; then
     cmake -B "$build_dir" -S "$repo_root" -DEVAL_TSAN=ON
     cmake --build "$build_dir" -j"$(nproc)"
     # Exercise the parallel layer for real: the determinism test and the
-    # stats test both fan out on multi-thread pools.
+    # stats test both fan out on multi-thread pools, and the span
+    # profile folds from several threads.
     EVAL_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'exec_|stats_|core_|cmp_'
+        -R 'exec_|stats_|trace_|core_|cmp_'
     echo "check.sh: TSan tests passed"
     exit 0
 fi
@@ -166,32 +165,29 @@ if [[ "$mode" == "prof-smoke" ]]; then
 
     cmake -B "$build_dir" -S "$repo_root"
     build_dir="$(cd "$build_dir" && pwd)" # runs happen in scratch dirs
-    cmake --build "$build_dir" -j"$(nproc)" --target eval_cli \
-        eval_prof bench_parallel_scaling
+    cmake --build "$build_dir" -j"$(nproc)" --target eval_cli eval_prof
 
     cli="$build_dir/examples/eval_cli"
     prof="$build_dir/tools/eval_prof/eval_prof"
     run_dir="$build_dir/prof-smoke"
     rm -rf "$run_dir" && mkdir -p "$run_dir"
 
-    # 1. Fast campaign with tracing on: the run must leave its
-    #    timeline (--trace-spans) plus <trace-spans>.profile.json.
-    echo "check.sh: prof smoke -- traced fig13"
+    # 1. Fast campaign with the profile on: the run must leave
+    #    its profile.json behind.
+    echo "check.sh: prof smoke -- profiled fig13"
+    profile="$run_dir/fig13.profile.json"
     (cd "$run_dir" && "$cli" fig13 --chips=6 --seed=7 \
         --sim-insts=20000 --apps=gzip,swim --scheme=exh \
-        --out=fig13 --manifest= --trace-spans="$run_dir/fig13.json" \
+        --out=fig13 --manifest= --profile-out="$profile" \
         > fig13.stdout 2>&1) || {
-        echo "check.sh: ERROR traced fig13 failed"
+        echo "check.sh: ERROR profiled fig13 failed"
         cat "$run_dir/fig13.stdout"
         exit 1
     }
-    profile="$run_dir/fig13.profile.json"
-    for artifact in "$run_dir/fig13.json" "$profile"; do
-        if [[ ! -s "$artifact" ]]; then
-            echo "check.sh: ERROR missing telemetry artifact $artifact"
-            exit 1
-        fi
-    done
+    if [[ ! -s "$profile" ]]; then
+        echo "check.sh: ERROR missing span profile $profile"
+        exit 1
+    fi
 
     # The profile covers characterization (the largest cold-start
     # layer) and counts every Core::run; per-access PE evaluations
@@ -218,18 +214,6 @@ if [[ "$mode" == "prof-smoke" ]]; then
     "$prof" flame "$profile" --out="$run_dir/stacks.txt"
     [[ -s "$run_dir/stacks.txt" ]]
     "$prof" diff "$profile" "$profile" > /dev/null
-
-    # 3. bench_parallel_scaling asserts that every thread count gives
-    #    bit-identical results and that tracing costs at most 3% of
-    #    the untraced wall time; it exits non-zero when either fails.
-    echo "check.sh: prof smoke -- bench_parallel_scaling"
-    (cd "$run_dir" && EVAL_FAST=1 EVAL_MANIFEST= \
-        "$build_dir/bench/bench_parallel_scaling" \
-        > parallel_scaling.stdout) || {
-        echo "check.sh: ERROR bench_parallel_scaling failed"
-        cat "$run_dir/parallel_scaling.stdout"
-        exit 1
-    }
     echo "check.sh: prof smoke passed (profile: $profile)"
     exit 0
 fi

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/perf_model.hh"
+#include "stats/decision_trace.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
@@ -137,11 +138,7 @@ CmpSystem::runMix(const WorkloadMix &mix, EnvironmentKind env,
         StatRegistry::global().counter("chip.thermal.iterations");
     static Counter &throttles =
         StatRegistry::global().counter("chip.thermal.throttle_steps");
-    static Gauge &heatsink =
-        StatRegistry::global().gauge("chip.thermal.heatsink_c");
     ScopedSpan span("cmp.run_mix");
-    span.arg("apps", mix.size());
-    span.arg("env", environmentName(env));
     StatRegistry::global().counter("chip.mix_runs").inc();
 
     const ExperimentConfig &cfg = ctx_.config();
@@ -158,6 +155,8 @@ CmpSystem::runMix(const WorkloadMix &mix, EnvironmentKind env,
         double totalPower = 0.0;
         std::array<CoreOutcome, 4> outcomes;
         for (std::size_t core = 0; core < 4; ++core) {
+            DecisionTrace::global().setContext(
+                static_cast<int>(chipIndex_), static_cast<int>(core));
             outcomes[core] = runCoreAtTh(core, *mix[core], env, scheme,
                                          thC, throttle);
             totalPower += outcomes[core].power;
@@ -174,7 +173,6 @@ CmpSystem::runMix(const WorkloadMix &mix, EnvironmentKind env,
                 throttles.inc();
                 continue;   // re-run cooler
             }
-            heatsink.set(thC);
             for (std::size_t core = 0; core < 4; ++core) {
                 result.coreFreqRel[core] =
                     outcomes[core].freq / cfg.process.freqNominal;

@@ -49,7 +49,6 @@ AppCharacterization
 CharacterizationCache::characterize(const AppProfile &profile)
 {
     ScopedSpan span("characterize.app");
-    span.arg("app", profile.name);
     AppCharacterization app;
     app.name = profile.name;
     app.isFp = profile.isFp;

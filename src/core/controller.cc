@@ -196,8 +196,6 @@ DynamicController::adaptPhase(const CoreSystemModel &core,
                               double thC)
 {
     ScopedSpan span("controller.adapt_phase");
-    span.arg("phase", phaseId);
-    span.arg("reused", saved_.lookup(phaseId).has_value());
 
     PhaseAdaptation out;
 

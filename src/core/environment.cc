@@ -559,10 +559,6 @@ ExperimentContext::runApp(std::size_t chipIndex, std::size_t core,
                           AdaptScheme scheme)
 {
     ScopedSpan span("experiment.run_app");
-    span.arg("app", app.name);
-    span.arg("chip", chipIndex);
-    span.arg("core", core);
-    span.arg("env", environmentName(env));
     StatRegistry::global().counter("experiment.app_runs").inc();
 
     if (env == EnvironmentKind::NoVar) {
@@ -599,6 +595,8 @@ ExperimentContext::adaptApps(std::size_t chipIndex,
     for (std::size_t a = 0; a < apps.size(); ++a) {
         const AppProfile &app = *apps[a];
         const std::size_t coreIdx = (chipIndex + a) % 4;
+        DecisionTrace::global().setContext(static_cast<int>(chipIndex),
+                                           static_cast<int>(coreIdx));
         CoreSystemModel &core = coreModel(chipIndex, coreIdx);
         core.setAppType(app.isFp);
         // Fresh optimizer + controller per app: the controller's

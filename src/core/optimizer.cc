@@ -65,8 +65,6 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
     static Counter &queries =
         StatRegistry::global().counter("optimizer.freq_queries");
     ScopedSpan span("optimizer.max_frequency");
-    span.arg("subsystem", static_cast<std::size_t>(id));
-    span.arg("alt", useAlternate);
     queries.inc();
 
     // The answer is the highest grid frequency at which ANY (Vdd, Vbb)
@@ -204,7 +202,6 @@ ExhaustiveOptimizer::minimizePower(const CoreSystemModel &core,
     static Counter &queries =
         StatRegistry::global().counter("optimizer.power_queries");
     ScopedSpan span("optimizer.minimize_power");
-    span.arg("subsystem", static_cast<std::size_t>(id));
     queries.inc();
 
     const double budget = perAccessErrorBudget(constraints_, alphaF);

@@ -104,12 +104,7 @@ ThreadPool::participate(Region &region, std::size_t self)
                 break;
         }
         try {
-            // Task provenance on the timeline: which context ran
-            // which index chunk (and whether it was stolen work).
             ScopedSpan span("pool.chunk");
-            span.arg("context", self);
-            span.arg("first", b);
-            span.arg("last", e);
             (*region.body)(b, e);
         } catch (...) {
             std::lock_guard<std::mutex> lock(region.exceptionMutex);
@@ -132,9 +127,6 @@ ThreadPool::runRegion(std::size_t first, std::size_t last,
     std::lock_guard<std::mutex> submitLock(submitMutex_);
 
     ScopedSpan span("pool.region");
-    span.arg("items", last - first);
-    span.arg("grain", grain);
-    span.arg("contexts", threads_);
 
     Region region;
     region.body = &body;

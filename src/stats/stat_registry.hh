@@ -1,31 +1,30 @@
 /**
  * @file
  * Simulator-wide statistics registry in the spirit of gem5's Stats
- * framework: named Counter / Gauge / Histogram instruments,
- * registered under dotted hierarchical names
- * ("core0.controller.retunes", "chip.thermal.throttle_steps"),
- * snapshotable mid-run and dumpable as nested JSON or flat CSV.
+ * framework: exact event Counters registered under dotted
+ * hierarchical names ("core0.controller.retunes",
+ * "chip.thermal.throttle_steps"), snapshotable mid-run and dumpable
+ * as nested JSON.
  *
  * Conventions:
- *  - Registration is idempotent: asking for an existing name of the
- *    same type returns the same instrument; a type clash or a
- *    group/leaf clash ("a.b" vs "a.b.c") is a fatal error.
- *  - Instruments are never deallocated while the registry lives, so
- *    hot paths may cache references (typically as function-local
+ *  - Registration is idempotent: asking for an existing name returns
+ *    the same counter; a group/leaf clash ("a.b" vs "a.b.c") is a
+ *    fatal error.
+ *  - Counters are never deallocated while the registry lives, so hot
+ *    paths may cache references (typically as function-local
  *    statics).  reset() zeroes values but keeps registrations.
- *  - Every instrument is safe to update from concurrent parallelFor
- *    bodies: a Counter increment is one relaxed RMW on the calling
- *    thread's own cache line (see Counter), a Gauge is one relaxed
- *    store, and a Histogram sample takes a per-instrument mutex.
- *    Registration itself is mutex-protected.
+ *  - Every counter is safe to update from concurrent parallelFor
+ *    bodies: an increment is one relaxed RMW on the calling thread's
+ *    own cache line (see Counter).  Registration itself is
+ *    mutex-protected.
  *  - The registry holds no clocks: region timing is the span
  *    tracer's job (src/trace, ScopedSpan and its profile).
  */
 
 #pragma once
 
-// eval-lint: counters-only instruments are monotone relaxed counters and
-// gauges read only at snapshot/dump time, off the model path.
+// eval-lint: counters-only instruments are monotone relaxed counters read
+// only at snapshot/dump time, off the model path.
 
 #include <array>
 #include <atomic>
@@ -34,17 +33,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <variant>
-#include <vector>
-
-#include "util/statistics.hh"
 
 namespace eval {
-
-/** Kind tag of one registered instrument. */
-enum class StatType { Counter, Gauge, Histogram };
-
-const char *statTypeName(StatType t);
 
 /** Per-thread slots in every Counter.  Threads beyond this many share
  *  slots: totals stay exact, only the sharers contend again. */
@@ -107,102 +97,8 @@ class Counter
     std::array<Slot, kCounterSlots> slots_;
 };
 
-/** Last-value instrument (temperatures, table sizes, ...).  Atomic
- *  store/load; concurrent setters race benignly (last writer wins). */
-class Gauge
-{
-  public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
 /**
- * Binned distribution plus streaming moments: the fixed-bin histogram
- * answers quantile queries while RunningStats keeps exact
- * mean/min/max (the bins clamp out-of-range samples).
- */
-class HistogramStat
-{
-  public:
-    HistogramStat(double lo, double hi, std::size_t bins)
-        : lo_(lo), hi_(hi), nbins_(bins), hist_(lo, hi, bins)
-    {
-    }
-
-    void
-    add(double x)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        hist_.add(x);
-        moments_.add(x);
-    }
-
-    std::size_t
-    count() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.count();
-    }
-    double
-    mean() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.mean();
-    }
-    double
-    stddev() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.stddev();
-    }
-    double
-    min() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.min();
-    }
-    double
-    max() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.max();
-    }
-    double
-    quantile(double q) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return hist_.quantile(q);
-    }
-    /** Snapshot of the bins (by value: the live bins may be written
-     *  concurrently). */
-    Histogram
-    bins() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return hist_;
-    }
-
-    void reset();
-
-  private:
-    mutable std::mutex mutex_;
-    double lo_;
-    double hi_;
-    std::size_t nbins_;
-    Histogram hist_;
-    RunningStats moments_;
-};
-
-/**
- * The hierarchical instrument registry.  Most code uses the process
+ * The hierarchical counter registry.  Most code uses the process
  * singleton (global()); tests may build private instances.
  */
 class StatRegistry
@@ -215,42 +111,28 @@ class StatRegistry
     /** The simulator-wide registry. */
     static StatRegistry &global();
 
+    /** Find-or-create @p name; fatal on a hierarchy clash. */
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    HistogramStat &histogram(const std::string &name, double lo,
-                             double hi, std::size_t bins);
 
-    /** Whether @p name is registered (any type). */
+    /** Whether @p name is registered. */
     bool has(const std::string &name) const;
 
     std::size_t size() const;
 
-    /** Zero every instrument, keeping registrations (and therefore
-     *  any cached references) valid. */
+    /** Zero every counter, keeping registrations (and therefore any
+     *  cached references) valid. */
     void reset();
 
-    /** Nested-JSON snapshot of every instrument, grouped by the
+    /** Nested-JSON snapshot of every counter, grouped by the
      *  dotted-name hierarchy. */
     std::string json() const;
 
-    /** Flat CSV snapshot:
-     *  name,type,count,value,mean,min,max,p50,p90,p95,p99. */
-    std::string csv() const;
-
     bool writeJson(const std::string &path) const;
-    bool writeCsv(const std::string &path) const;
 
   private:
-    using Slot =
-        std::variant<Counter, Gauge, HistogramStat>;
-
-    /** Find-or-create @p name; fatal on type or hierarchy clash. */
-    Slot &slot(const std::string &name, StatType type,
-               double lo = 0.0, double hi = 1.0, std::size_t bins = 1);
-
     mutable std::mutex mutex_;
     /** Ordered so dumps group hierarchy prefixes together. */
-    std::map<std::string, std::unique_ptr<Slot>> stats_;
+    std::map<std::string, std::unique_ptr<Counter>> stats_;
 };
 
 } // namespace eval

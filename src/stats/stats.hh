@@ -1,7 +1,7 @@
 /**
  * @file
  * Umbrella header for the observability subsystem: the hierarchical
- * stat registry (counters/gauges/histograms) and the adaptation
+ * stat registry (exact counters) and the adaptation
  * decision trace.  Region timing lives in src/trace (ScopedSpan).
  */
 

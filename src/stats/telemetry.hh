@@ -1,0 +1,41 @@
+/**
+ * @file
+ * The one telemetry hookup shared by eval_cli and the benches.  A run
+ * names up to four output files; startTelemetry() turns on the
+ * recorders they need, stamps them into the run manifest, and
+ * registers one ExitFlush closure that writes them all, so the files
+ * survive fatal()/uncaught-exception exits mid-run.
+ * finishTelemetry() is the normal-exit path.
+ *
+ *   stats      StatRegistry counters, nested JSON
+ *   decisions  DecisionTrace, JSONL, one adaptation decision per line
+ *   profile    SpanTracer profile.json (DESIGN.md Sec 5j)
+ *   manifest   RunManifest provenance (src/trace/manifest.hh)
+ *
+ * An empty path turns that output off.
+ */
+
+#pragma once
+
+#include <string>
+
+namespace eval {
+
+struct TelemetryPaths
+{
+    std::string stats;
+    std::string decisions;
+    std::string profile;
+    std::string manifest;
+};
+
+/** Enable the decision trace and the span tracer when their paths are
+ *  set, record @p tool and every set path in the run manifest, and
+ *  register the exit flush that writes the files. */
+void startTelemetry(const std::string &tool, const TelemetryPaths &paths);
+
+/** Record the run's stage and its wall time in the manifest, then
+ *  write every telemetry file now (each flush runs at most once). */
+void finishTelemetry(const std::string &stage, double wallS);
+
+} // namespace eval

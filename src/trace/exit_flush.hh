@@ -3,11 +3,14 @@
  * Crash-safe telemetry flushing.  A run that dies mid-experiment —
  * fatal() config error, uncaught exception, EVAL_ASSERT — used to
  * lose every telemetry artifact (--stats-out, --trace-out,
- * --trace-spans, manifest.json) because the writers only ran on the
+ * --profile-out, manifest.json) because the writers only ran on the
  * happy path.  ExitFlush keeps a registry of flush closures and runs
  * whatever is still pending from a std::atexit hook and from a
  * std::terminate handler, so partial telemetry survives the abort
  * (often exactly the telemetry you need to debug it).
+ *
+ * eval_cli and the benches register their one closure through
+ * startTelemetry (src/stats/telemetry.hh).
  *
  * Protocol:
  *  - Register each writer once its destination is known:

@@ -75,7 +75,7 @@ class RunManifest
     void addStage(const std::string &name, double wallS);
 
     /** Record a telemetry artifact this run wrote ("stats",
-     *  "decision_trace", "trace_spans", ...). */
+     *  "decision_trace", "span_profile"). */
     void setOutput(const std::string &key, const std::string &path);
 
     std::string json() const;

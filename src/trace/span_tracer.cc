@@ -1,10 +1,10 @@
 #include "trace/span_tracer.hh"
 
-// eval-lint: counters-only tracing flag, ring-capacity config, and drop/tid
-// counters are independent observational atomics; event payloads are
-// guarded by the per-thread-log mutex.
+// eval-lint: counters-only the tracing flag and the tid counter are
+// independent observational atomics; profile buckets are guarded by the
+// per-thread-log mutex.
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -27,17 +27,8 @@ processEpoch()
 }
 
 std::atomic<bool> tracingFlag{false};
-std::atomic<std::size_t> ringCapacityCfg{SpanTracer::kDefaultRingCapacity};
-std::atomic<std::uint64_t> droppedEvents{0};
 std::atomic<int> nextThreadId{0};
 
-/**
- * One thread's event ring.  Owned jointly by the thread (thread_local
- * shared_ptr) and the global registry, so events survive thread exit
- * until export.  The mutex only guards ring storage against a
- * concurrent export; the owning thread never blocks on another
- * thread.
- */
 /** One open span on a thread's stack.  The parent-path key is built
  *  once here, at open, so close-time profile folding is a single map
  *  lookup with a ready-made key. */
@@ -57,50 +48,23 @@ struct ProfileCell
     std::uint64_t selfNs = 0;
 };
 
+/**
+ * One thread's profile.  Owned jointly by the thread (thread_local
+ * shared_ptr) and the global registry, so buckets survive thread exit
+ * until export.  The mutex only guards the profile against a
+ * concurrent export; the owning thread never blocks on another
+ * thread.
+ */
 struct ThreadLog
 {
     std::mutex m;
-    std::vector<SpanEvent> ring; ///< insertion ring, `next` = oldest
-    std::size_t next = 0;
     int tid = 0;
 
     /** Open-span frame stack; touched only by the owning thread. */
     std::vector<OpenFrame> stack;
 
-    /** Exact (never-evicting) profile, keyed by span path.  Guarded
-     *  by the same mutex as the ring so one close takes one lock. */
+    /** Exact (never-evicting) profile, keyed by span path. */
     std::map<std::string, ProfileCell> profile;
-
-    /** Record one closed span: ring append + profile fold under a
-     *  single (uncontended) lock acquisition. */
-    void
-    close(SpanEvent &&ev, const std::string &path,
-          std::uint64_t selfNs)
-    {
-        const std::size_t cap =
-            std::max<std::size_t>(ringCapacityCfg.load(
-                                      std::memory_order_relaxed),
-                                  16);
-        std::lock_guard<std::mutex> lock(m);
-        ProfileCell &cell = profile[path];
-        ++cell.count;
-        cell.inclNs += ev.durNs;
-        cell.selfNs += selfNs;
-        if (ring.size() > cap) {
-            // Capacity was lowered: restart the ring with the tail.
-            ring.erase(ring.begin(),
-                       ring.begin() +
-                           static_cast<std::ptrdiff_t>(ring.size() - cap));
-            next = 0;
-        }
-        if (ring.size() < cap) {
-            ring.push_back(std::move(ev));
-        } else {
-            ring[next] = std::move(ev);
-            next = (next + 1) % cap;
-            droppedEvents.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
 };
 
 struct Registry
@@ -189,133 +153,13 @@ SpanTracer::enabled() const
 }
 
 void
-SpanTracer::setRingCapacity(std::size_t events)
-{
-    ringCapacityCfg.store(std::max<std::size_t>(events, 16),
-                       std::memory_order_relaxed);
-}
-
-std::size_t
-SpanTracer::ringCapacity() const
-{
-    return ringCapacityCfg.load(std::memory_order_relaxed);
-}
-
-std::size_t
-SpanTracer::eventCount() const
-{
-    std::size_t n = 0;
-    std::lock_guard<std::mutex> lock(registry().m);
-    for (const auto &log : registry().logs) {
-        std::lock_guard<std::mutex> logLock(log->m);
-        n += log->ring.size();
-    }
-    return n;
-}
-
-std::uint64_t
-SpanTracer::droppedCount() const
-{
-    return droppedEvents.load(std::memory_order_relaxed);
-}
-
-void
 SpanTracer::clear()
 {
     std::lock_guard<std::mutex> lock(registry().m);
     for (const auto &log : registry().logs) {
         std::lock_guard<std::mutex> logLock(log->m);
-        log->ring.clear();
-        log->next = 0;
         log->profile.clear();
     }
-    droppedEvents.store(0, std::memory_order_relaxed);
-}
-
-std::vector<SpanEvent>
-SpanTracer::snapshotEvents() const
-{
-    std::vector<SpanEvent> out;
-    {
-        std::lock_guard<std::mutex> lock(registry().m);
-        for (const auto &log : registry().logs) {
-            std::lock_guard<std::mutex> logLock(log->m);
-            out.insert(out.end(), log->ring.begin(), log->ring.end());
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SpanEvent &a, const SpanEvent &b) {
-                  return std::tie(a.startNs, a.tid, a.depth) <
-                         std::tie(b.startNs, b.tid, b.depth);
-              });
-    return out;
-}
-
-std::string
-SpanTracer::traceEventJson() const
-{
-    const std::vector<SpanEvent> events = snapshotEvents();
-
-    std::vector<int> tids;
-    for (const SpanEvent &ev : events)
-        tids.push_back(ev.tid);
-    std::sort(tids.begin(), tids.end());
-    tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-
-    std::string out = "{\"traceEvents\": [\n";
-    bool first = true;
-    char buf[64];
-    for (int tid : tids) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "  {\"name\": \"thread_name\", \"ph\": \"M\", "
-               "\"pid\": 1, \"tid\": " +
-               std::to_string(tid) + ", \"args\": {\"name\": \"" +
-               (tid == 0 ? std::string("main")
-                         : "worker-" + std::to_string(tid)) +
-               "\"}}";
-    }
-    for (const SpanEvent &ev : events) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "  {\"name\": \"";
-        jsonEscapeInto(out, ev.name);
-        out += "\", \"cat\": \"eval\", \"ph\": \"X\", \"ts\": ";
-        std::snprintf(buf, sizeof buf, "%.3f",
-                      static_cast<double>(ev.startNs) / 1000.0);
-        out += buf;
-        out += ", \"dur\": ";
-        std::snprintf(buf, sizeof buf, "%.3f",
-                      static_cast<double>(ev.durNs) / 1000.0);
-        out += buf;
-        out += ", \"pid\": 1, \"tid\": " + std::to_string(ev.tid);
-        out += ", \"args\": {";
-        for (std::size_t i = 0; i < ev.args.size(); ++i) {
-            out += (i ? ", \"" : "\"");
-            jsonEscapeInto(out, ev.args[i].first);
-            out += "\": " + ev.args[i].second;
-        }
-        out += "}}";
-    }
-    out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-    return out;
-}
-
-bool
-SpanTracer::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string json = traceEventJson();
-    const std::size_t written =
-        std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = written == json.size() && std::fclose(f) == 0;
-    if (!ok && written != json.size())
-        std::fclose(f);
-    return ok;
 }
 
 const char *
@@ -419,17 +263,11 @@ beginSpanImpl(const char *name)
 }
 
 void
-endSpanImpl(const char *name, std::uint64_t startNs,
-            std::vector<std::pair<std::string, std::string>> &&args)
+endSpanImpl(const char *name, std::uint64_t startNs)
 {
     const std::uint64_t now = traceNowNs();
+    const std::uint64_t durNs = now > startNs ? now - startNs : 0;
     ThreadLog &log = threadLog();
-    SpanEvent ev;
-    ev.name = name;
-    ev.startNs = startNs;
-    ev.durNs = now > startNs ? now - startNs : 0;
-    ev.tid = log.tid;
-    ev.args = std::move(args);
 
     std::string path = name; // fallback for an unmatched close
     std::uint64_t childNs = 0;
@@ -439,62 +277,15 @@ endSpanImpl(const char *name, std::uint64_t startNs,
         childNs = frame.childNs;
         log.stack.pop_back();
         if (!log.stack.empty())
-            log.stack.back().childNs += ev.durNs;
+            log.stack.back().childNs += durNs;
     }
-    ev.depth = static_cast<int>(log.stack.size());
-    const std::uint64_t selfNs =
-        ev.durNs > childNs ? ev.durNs - childNs : 0;
-    log.close(std::move(ev), path, selfNs);
+    std::lock_guard<std::mutex> lock(log.m);
+    ProfileCell &cell = log.profile[path];
+    ++cell.count;
+    cell.inclNs += durNs;
+    cell.selfNs += durNs > childNs ? durNs - childNs : 0;
 }
 
 } // namespace trace_detail
-
-void
-ScopedSpan::arg(const char *key, double value)
-{
-    if (!name_)
-        return;
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", value);
-    args_.emplace_back(key, buf);
-}
-
-void
-ScopedSpan::argUnsigned(const char *key, unsigned long long value)
-{
-    if (name_)
-        args_.emplace_back(key, std::to_string(value));
-}
-
-void
-ScopedSpan::argSigned(const char *key, long long value)
-{
-    if (name_)
-        args_.emplace_back(key, std::to_string(value));
-}
-
-void
-ScopedSpan::arg(const char *key, bool value)
-{
-    if (name_)
-        args_.emplace_back(key, value ? "true" : "false");
-}
-
-void
-ScopedSpan::arg(const char *key, const std::string &value)
-{
-    if (!name_)
-        return;
-    std::string quoted = "\"";
-    jsonEscapeInto(quoted, value);
-    quoted += "\"";
-    args_.emplace_back(key, std::move(quoted));
-}
-
-void
-ScopedSpan::arg(const char *key, const char *value)
-{
-    arg(key, std::string(value));
-}
 
 } // namespace eval

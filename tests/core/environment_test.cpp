@@ -6,6 +6,7 @@
 
 #include "core/environment.hh"
 #include "exec/thread_pool.hh"
+#include "stats/decision_trace.hh"
 
 namespace eval {
 namespace {
@@ -220,6 +221,39 @@ TEST(Sweep, RunsAndOutcomeTallies)
     // Static runs are qualified once and never invoke the controller.
     EXPECT_EQ(invocationCount(cells[0].outcomes), 0u);
     EXPECT_GT(invocationCount(cells[1].outcomes), 0u);
+}
+
+/** Fig 13 decision records name the chip and core that made them,
+ *  even when the thread last simulated another core. */
+TEST(AdaptApps, DecisionRecordsCarryChipAndCore)
+{
+    DecisionTrace &trace = DecisionTrace::global();
+    const bool wasEnabled = trace.enabled();
+    trace.clear();
+    trace.setEnabled(true);
+    trace.setContext(0, 3); // stale context from an earlier run
+
+    ExperimentConfig cfg;
+    cfg.chips = 2;
+    cfg.simInsts = 20000;
+    cfg.apps = {"gzip", "swim"};
+    ExperimentContext context(cfg);
+    context.adaptApps(1, environmentCaps(EnvironmentKind::TS_ASV_Q_FU),
+                      AdaptScheme::ExhDyn);
+
+    std::vector<int> cores;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const DecisionRecord &r = trace.at(i);
+        EXPECT_EQ(r.chip, 1) << "record " << i;
+        if (cores.empty() || cores.back() != r.core)
+            cores.push_back(r.core);
+    }
+    // App a runs on core (chip + a) % 4, in app order.
+    EXPECT_EQ(cores, (std::vector<int>{1, 2}));
+
+    trace.setEnabled(wasEnabled);
+    trace.clear();
+    trace.setContext(-1, -1);
 }
 
 } // namespace

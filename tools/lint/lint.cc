@@ -237,8 +237,9 @@ void
 ruleObsSpanLeak(const Ctx &ctx)
 {
     // ScopedSpan IS its scope: a heap span, a span pointer/reference,
-    // or a raw begin/end handle call produces overlapping events the
-    // Perfetto exporter cannot nest.  src/trace owns the raw API.
+    // or a raw begin/end handle call can close out of stack order,
+    // and the profile then charges the wrong parent path.  src/trace
+    // owns the raw API.
     if (startsWith(ctx.relPath, "src/trace/"))
         return;
     const std::string &code = ctx.scan.code;
