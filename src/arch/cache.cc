@@ -1,5 +1,7 @@
 #include "arch/cache.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace eval {
@@ -9,24 +11,29 @@ Cache::Cache(const CacheConfig &cfg)
 {
     EVAL_ASSERT(cfg.lineBytes > 0 && cfg.ways > 0 && cfg.sizeBytes > 0,
                 "cache geometry must be positive");
+    EVAL_ASSERT(std::has_single_bit(cfg.lineBytes),
+                "line size must be a power of two");
     numSets_ = cfg.sizeBytes / (cfg.lineBytes * cfg.ways);
     EVAL_ASSERT(numSets_ > 0, "cache must have at least one set");
-    EVAL_ASSERT((numSets_ & (numSets_ - 1)) == 0,
+    EVAL_ASSERT(std::has_single_bit(numSets_),
                 "number of sets must be a power of two");
+    lineShift_ = static_cast<unsigned>(std::countr_zero(cfg.lineBytes));
+    setShift_ = lineShift_ +
+                static_cast<unsigned>(std::countr_zero(numSets_));
     lines_.resize(numSets_ * cfg.ways);
 }
 
 std::size_t
 Cache::setOf(std::uint64_t addr) const
 {
-    return static_cast<std::size_t>((addr / cfg_.lineBytes) &
+    return static_cast<std::size_t>((addr >> lineShift_) &
                                     (numSets_ - 1));
 }
 
 std::uint64_t
 Cache::tagOf(std::uint64_t addr) const
 {
-    return addr / cfg_.lineBytes / numSets_;
+    return addr >> setShift_;
 }
 
 bool

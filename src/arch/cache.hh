@@ -51,6 +51,8 @@ class Cache
 
     CacheConfig cfg_;
     std::size_t numSets_;
+    unsigned lineShift_;   ///< log2(lineBytes)
+    unsigned setShift_;    ///< log2(lineBytes * numSets_): tag offset
     std::vector<Line> lines_;   ///< [set * ways + way]
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;

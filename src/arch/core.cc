@@ -1,7 +1,9 @@
+// eval-lint: hot-path dispatch/issue/retire run once per simulated
+// cycle; only construction and run() set-up may allocate.
 #include "arch/core.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
@@ -91,6 +93,25 @@ Core::Core(const CoreConfig &cfg, std::uint64_t seed)
     EVAL_ASSERT(cfg.queueCapacityFraction > 0.0 &&
                     cfg.queueCapacityFraction <= 1.0,
                 "queue capacity fraction in (0,1]");
+    EVAL_ASSERT(cfg.robSize > 0 && cfg.robSize <= kRobSlots,
+                "robSize ", cfg.robSize, " outside [1, ", kRobSlots,
+                "] (the ROB ring and issue masks have ", kRobSlots,
+                " slots)");
+    EVAL_ASSERT(cfg.fetchWidth > 0 && cfg.issueWidth > 0 &&
+                    cfg.retireWidth > 0,
+                "fetch, issue and retire widths must be positive");
+    EVAL_ASSERT(cfg.mshrs > 0, "mshrs must be positive (loads could "
+                               "never issue)");
+
+    // A parked entry waits at most one execution latency (a load's
+    // 1 + memory, or the FP divide's 16 cycles), so a wheel with more
+    // slots than that never holds two different due cycles in a
+    // bucket.
+    const unsigned maxLatency = std::max(
+        {16u, 1 + cfg.memLat.l1, 1 + cfg.memLat.l2,
+         1 + cfg.memLat.memory});
+    wheel_.assign(std::bit_ceil(maxLatency + 1u), SlotMask{0});
+    wheelMask_ = wheel_.size() - 1;
 }
 
 void
@@ -165,8 +186,8 @@ Core::dispatch(TraceSource &trace, std::uint64_t now)
         return;
 
     bool accessedIcache = false;
-    for (unsigned slot = 0; slot < cfg_.fetchWidth; ++slot) {
-        if (rob_.size() >= cfg_.robSize)
+    for (unsigned n = 0; n < cfg_.fetchWidth; ++n) {
+        if (nextSeq_ - robHead_ >= cfg_.robSize)
             break;
 
         // Obtain the next op (replayed ops first).
@@ -176,6 +197,10 @@ Core::dispatch(TraceSource &trace, std::uint64_t now)
         } else {
             if (!trace.next(op))
                 break;
+            EVAL_ASSERT(op.cls < OpClass::NumClasses, "trace op class ",
+                        static_cast<int>(op.cls), " out of range");
+            // eval-lint: allow(perf-hot-alloc) holds at most the one op
+            // peeked here plus ops returned by a squash (<= robSize)
             fetchQueue_.push_back(op);
         }
 
@@ -211,13 +236,12 @@ Core::dispatch(TraceSource &trace, std::uint64_t now)
 
         fetchQueue_.pop_front();
 
-        InFlight inf;
+        const std::uint64_t seq = nextSeq_++;
+        InFlight &inf = slot(seq);
+        inf = InFlight{};
         inf.op = op;
-        inf.seq = nextSeq_++;
         inf.isFpSide = fpSide;
-        rob_.push_back(inf);
-        // Seqs only grow, so appending keeps the candidates sorted.
-        issueCand_.push_back(IssueCand{inf.seq, op.cls});
+        cand_ |= slotBit(seq);
 
         count(SubsystemId::Decode);
         count(fpSide ? SubsystemId::FPMap : SubsystemId::IntMap);
@@ -239,7 +263,7 @@ Core::dispatch(TraceSource &trace, std::uint64_t now)
             if (mispredicted) {
                 ++stats_.branchMispredicts;
                 fetchBlockedOnBranch_ = true;
-                pendingBranchSeq_ = inf.seq;
+                pendingBranchSeq_ = seq;
                 break;
             }
         }
@@ -250,7 +274,16 @@ void
 Core::issue(std::uint64_t now)
 {
     unsigned issued = 0;
-    unsigned aluUsed = 0, mulUsed = 0, faddUsed = 0, fmulUsed = 0;
+    // Functional-unit pools: the integer ALUs (shared by loads, stores
+    // and branches), the integer multiplier, the FP adder and the FP
+    // multiplier (shared by divides).
+    enum Pool : std::uint8_t { kAlu, kMul, kFadd, kFmul };
+    static constexpr std::array<Pool, kNumOpClasses> kPoolOf{
+        kAlu, kMul, kFadd, kFmul, kFmul, kAlu, kAlu, kAlu};
+    const std::array<unsigned, 4> poolSize{
+        cfg_.intAluCount, cfg_.intMulCount, cfg_.fpAddCount,
+        cfg_.fpMulCount};
+    std::array<unsigned, 4> used{};
 
     // MSHR occupancy: drop completed fills (now is monotone within a
     // run, so a pruned entry can never count again), count the rest.
@@ -261,129 +294,56 @@ Core::issue(std::uint64_t now)
     unsigned missesInFlight =
         static_cast<unsigned>(missComplete_.size());
 
-    // Wake parked entries whose gate has opened: sleepers whose wake
-    // cycle has arrived, and consumers whose producer issued last
-    // cycle.  Merging the wakes back in seq order keeps the candidate
-    // visit order identical to a full ROB scan.
-    const auto byWake = [](const Sleeper &a, const Sleeper &b) {
-        return a.wakeCycle > b.wakeCycle;
-    };
-    wakeScratch_.clear();
-    while (!sleepers_.empty() && sleepers_.front().wakeCycle <= now) {
-        std::pop_heap(sleepers_.begin(), sleepers_.end(), byWake);
-        wakeScratch_.push_back(
-            IssueCand{sleepers_.back().seq, sleepers_.back().cls});
-        sleepers_.pop_back();
-    }
-    if (!pendingWake_.empty()) {
-        wakeScratch_.insert(wakeScratch_.end(), pendingWake_.begin(),
-                            pendingWake_.end());
-        pendingWake_.clear();
-    }
-    if (!wakeScratch_.empty()) {
-        // A cycle wakes a handful of entries at most: insertion sort
-        // beats a general sort at this size, and a backward
-        // two-pointer merge into the widened vector avoids
-        // inplace_merge's temporary buffer.
-        for (std::size_t i = 1; i < wakeScratch_.size(); ++i) {
-            const IssueCand v = wakeScratch_[i];
-            std::size_t j = i;
-            while (j > 0 && wakeScratch_[j - 1].seq > v.seq) {
-                wakeScratch_[j] = wakeScratch_[j - 1];
-                --j;
-            }
-            wakeScratch_[j] = v;
-        }
-        const std::size_t oldN = issueCand_.size();
-        issueCand_.resize(oldN + wakeScratch_.size());
-        std::ptrdiff_t a = static_cast<std::ptrdiff_t>(oldN) - 1;
-        std::ptrdiff_t b =
-            static_cast<std::ptrdiff_t>(wakeScratch_.size()) - 1;
-        std::ptrdiff_t w =
-            static_cast<std::ptrdiff_t>(issueCand_.size()) - 1;
-        while (b >= 0) {
-            if (a >= 0 && issueCand_[a].seq > wakeScratch_[b].seq)
-                issueCand_[w--] = issueCand_[a--];
-            else
-                issueCand_[w--] = wakeScratch_[b--];
-        }
-    }
+    // Wake the parked entries due this cycle.
+    SlotMask &due = wheel_[now & wheelMask_];
+    cand_ |= due;
+    due = 0;
 
-    // Visit the candidates in seq (= ROB) order, compacting in place:
-    // entries that issue or park drop out, the rest stay for the next
-    // cycle.  A class-level structural gate runs first so an entry
-    // whose functional-unit class is already exhausted this cycle is
-    // kept without touching the ROB or rechecking dependencies — the
-    // full scan would have reached the same `continue` after the dep
-    // check, and the dep check writes nothing, so skipping it is
-    // unobservable.
-    std::size_t keepCand = 0;
-    const std::size_t numCand = issueCand_.size();
-    for (std::size_t r = 0; r < numCand; ++r) {
-        const IssueCand c = issueCand_[r];
-        if (issued >= cfg_.issueWidth) {
-            // Width exhausted: nothing later can issue — bulk-keep
-            // the remaining tail in one move.
-            std::memmove(issueCand_.data() + keepCand,
-                         issueCand_.data() + r,
-                         (numCand - r) * sizeof(IssueCand));
-            keepCand += numCand - r;
-            break;
-        }
+    // Visit the candidates in seq (= ROB) order: rotate the mask so
+    // the head's slot is bit 0, then walk the set bits upwards.  An
+    // entry that issues or parks clears its bit; the rest stay for
+    // the next cycle.  A class-level structural gate runs first so an
+    // entry whose functional-unit class is already exhausted this
+    // cycle is kept without rechecking dependencies — the full scan
+    // would have reached the same `continue` after the dep check, and
+    // the dep check writes nothing, so skipping it is unobservable.
+    const unsigned headSlot = robHead_ % kRobSlots;
+    SlotMask walk = headSlot ? (cand_ >> headSlot) |
+                                   (cand_ << (kRobSlots - headSlot))
+                             : cand_;
+    for (; walk; walk &= walk - 1) {
+        const auto lo = static_cast<std::uint64_t>(walk);
+        const std::uint64_t seq =
+            robHead_ +
+            (lo ? std::countr_zero(lo)
+                : 64 + std::countr_zero(
+                           static_cast<std::uint64_t>(walk >> 64)));
+        InFlight &inf = slot(seq);
 
-        bool fuBlocked = false;
-        switch (c.cls) {
-          case OpClass::Load:
-            // A load that may miss needs an MSHR; when all are busy
-            // the load waits (memory-level-parallelism limit).
-            fuBlocked = missesInFlight >= cfg_.mshrs ||
-                        aluUsed >= cfg_.intAluCount;
-            break;
-          case OpClass::IntAlu:
-          case OpClass::Branch:
-          case OpClass::Store:
-            fuBlocked = aluUsed >= cfg_.intAluCount;
-            break;
-          case OpClass::IntMul:
-            fuBlocked = mulUsed >= cfg_.intMulCount;
-            break;
-          case OpClass::FpAdd:
-            fuBlocked = faddUsed >= cfg_.fpAddCount;
-            break;
-          case OpClass::FpMul:
-            fuBlocked = fmulUsed >= cfg_.fpMulCount;
-            break;
-          case OpClass::FpDiv:
-            fuBlocked = fmulUsed >= cfg_.fpMulCount ||
-                        fpDivBusyUntil_ > now;
-            break;
-          default:
-            EVAL_PANIC("unknown op class in issue");
-        }
-        if (fuBlocked) {
-            // Structural conflicts carry no wake event — stay a
-            // candidate and retry next cycle.
-            issueCand_[keepCand++] = c;
+        // Structural conflicts carry no wake event: the entry stays a
+        // candidate and retries next cycle.  Besides its pool, a load
+        // that may miss needs an MSHR (the memory-level-parallelism
+        // limit), and a divide waits for the unpipelined divider.
+        const OpClass cls = inf.op.cls;
+        const Pool pool = kPoolOf[static_cast<std::size_t>(cls)];
+        if (used[pool] >= poolSize[pool] ||
+            (cls == OpClass::Load && missesInFlight >= cfg_.mshrs) ||
+            (cls == OpClass::FpDiv && fpDivBusyUntil_ > now))
             continue;
-        }
-
-        InFlight &inf = rob_[c.seq - rob_.front().seq];
 
         // Operand readiness via backward dependency distances.
         bool ready = true;
-        std::uint64_t readyCycle = 0;
         std::uint64_t blockCycle = 0;
         std::uint64_t blockProdSeq = kNoWaiter;
         auto checkDep = [&](std::uint16_t dist) {
             if (!ready || dist == 0)
                 return;
-            if (dist > inf.seq)
+            if (dist > seq)
                 return;   // producer predates the trace window
-            const std::uint64_t prodSeq = inf.seq - dist;
-            const std::uint64_t oldestSeq = rob_.front().seq;
-            if (prodSeq < oldestSeq)
+            const std::uint64_t prodSeq = seq - dist;
+            if (prodSeq < robHead_)
                 return;   // producer already retired
-            const InFlight &prod = rob_[prodSeq - oldestSeq];
+            const InFlight &prod = slot(prodSeq);
             if (!prod.issued) {
                 // No time bound exists until the producer issues —
                 // park on that producer's waiter chain.
@@ -394,81 +354,50 @@ Core::issue(std::uint64_t now)
             if (prod.completeCycle > now) {
                 ready = false;
                 blockCycle = prod.completeCycle;
-                return;
             }
-            readyCycle = std::max(readyCycle, prod.completeCycle);
         };
         checkDep(inf.op.src1Dist);
         checkDep(inf.op.src2Dist);
+        // Issuing or parking, the entry leaves the candidates.
+        cand_ &= ~slotBit(seq);
         if (!ready) {
             // Park until the gate opens; the skipped rechecks could
             // only have hit this same branch again.
             if (blockProdSeq != kNoWaiter) {
-                InFlight &prod =
-                    rob_[blockProdSeq - rob_.front().seq];
+                InFlight &prod = slot(blockProdSeq);
                 inf.nextWaiter = prod.firstWaiter;
-                prod.firstWaiter = c.seq;
+                prod.firstWaiter = seq;
             } else {
-                sleepers_.push_back(Sleeper{blockCycle, c.seq, c.cls});
-                std::push_heap(sleepers_.begin(), sleepers_.end(), byWake);
+                wheel_[blockCycle & wheelMask_] |= slotBit(seq);
             }
             continue;
         }
 
-        // The structural gate above already reserved this entry a
-        // unit; allocate it and issue.
-        switch (inf.op.cls) {
-          case OpClass::Load:
-          case OpClass::IntAlu:
-          case OpClass::Branch:
-          case OpClass::Store:
-            ++aluUsed;
-            count(SubsystemId::IntALU);
-            count(SubsystemId::IntReg);
-            break;
-          case OpClass::IntMul:
-            ++mulUsed;
-            count(SubsystemId::IntALU);
-            count(SubsystemId::IntReg);
-            break;
-          case OpClass::FpAdd:
-            ++faddUsed;
-            count(SubsystemId::FPUnit);
-            count(SubsystemId::FPReg);
-            break;
-          case OpClass::FpMul:
-          case OpClass::FpDiv:
-            ++fmulUsed;
-            count(SubsystemId::FPUnit);
-            count(SubsystemId::FPReg);
-            break;
-          default:
-            EVAL_PANIC("unknown op class in issue");
-        }
+        ++used[pool];
+        count(inf.isFpSide ? SubsystemId::FPUnit : SubsystemId::IntALU);
+        count(inf.isFpSide ? SubsystemId::FPReg : SubsystemId::IntReg);
 
         inf.issued = true;
-        // Wake the consumers parked on this entry; they re-enter the
-        // candidate list next cycle, by which point this result is at
-        // least a cycle from completing — exactly when the full scan
-        // would first have seen them unblocked.
+        inf.completeCycle = now + execLatency(inf.op, now);
+        // The consumers parked on this entry cannot issue before its
+        // result is available: move them to the wheel at that cycle.
+        SlotMask &woken = wheel_[inf.completeCycle & wheelMask_];
         for (std::uint64_t ws = inf.firstWaiter; ws != kNoWaiter;) {
-            InFlight &waiter = rob_[ws - rob_.front().seq];
-            pendingWake_.push_back(IssueCand{ws, waiter.op.cls});
-            const std::uint64_t nxt = waiter.nextWaiter;
+            InFlight &waiter = slot(ws);
+            woken |= slotBit(ws);
+            ws = waiter.nextWaiter;
             waiter.nextWaiter = kNoWaiter;
-            ws = nxt;
         }
         inf.firstWaiter = kNoWaiter;
-        inf.completeCycle = now + execLatency(inf.op, now);
-        if (inf.op.cls == OpClass::FpDiv)
+        if (cls == OpClass::FpDiv)
             fpDivBusyUntil_ = inf.completeCycle;
-        if (inf.op.cls == OpClass::Load &&
+        if (cls == OpClass::Load &&
             inf.completeCycle - now > cfg_.memLat.l1 + 1) {
-            inf.missInFlight = true;
             ++missesInFlight;
+            // eval-lint: allow(perf-hot-alloc) reserved to cfg_.mshrs
+            // in run(); issue stops allocating MSHRs at that limit
             missComplete_.push_back(inf.completeCycle);
         }
-        ++issued;
 
         if (inf.isFpSide) {
             EVAL_ASSERT(fpQueueOcc_ > 0, "fp queue underflow");
@@ -480,15 +409,19 @@ Core::issue(std::uint64_t now)
 
         // A mispredicted branch redirects the front end once it
         // resolves; FU replication adds one cycle to this loop.
-        if (fetchBlockedOnBranch_ && inf.seq == pendingBranchSeq_) {
+        if (fetchBlockedOnBranch_ && seq == pendingBranchSeq_) {
             const std::uint64_t redirect =
                 inf.completeCycle + 1 + cfg_.frontendDepth +
                 (cfg_.fuReplicated ? 1 : 0);
             fetchBlockedOnBranch_ = false;
             fetchResumeCycle_ = std::max(fetchResumeCycle_, redirect);
         }
+
+        // Width exhausted: nothing later can issue, and the remaining
+        // candidates keep their bits.
+        if (++issued == cfg_.issueWidth)
+            break;
     }
-    issueCand_.resize(keepCand);
 }
 
 void
@@ -496,13 +429,12 @@ Core::squashAll(std::uint64_t resumeCycle)
 {
     // Return the squashed ops to the front of the fetch queue in
     // program order; they will be re-fetched and re-executed.
-    for (std::size_t i = rob_.size(); i-- > 0;)
-        fetchQueue_.push_front(rob_[i].op);
-    rob_.clear();
+    for (std::uint64_t seq = nextSeq_; seq-- > robHead_;)
+        fetchQueue_.push_front(slot(seq).op);
+    robHead_ = nextSeq_;
     missComplete_.clear();
-    issueCand_.clear();
-    sleepers_.clear();
-    pendingWake_.clear();
+    cand_ = 0;
+    std::fill(wheel_.begin(), wheel_.end(), SlotMask{0});
 
     intQueueOcc_ = fpQueueOcc_ = lsqOcc_ = 0;
     fetchBlockedOnBranch_ = false;
@@ -514,8 +446,8 @@ Core::retire(std::uint64_t now, unsigned maxRetire)
 {
     unsigned retired = 0;
     const unsigned width = std::min(cfg_.retireWidth, maxRetire);
-    while (retired < width && !rob_.empty()) {
-        InFlight &head = rob_.front();
+    while (retired < width && robHead_ != nextSeq_) {
+        const InFlight &head = slot(robHead_);
         if (!head.issued || head.completeCycle > now)
             break;
 
@@ -527,7 +459,7 @@ Core::retire(std::uint64_t now, unsigned maxRetire)
         ++stats_.instructions;
         ++retired;
 
-        rob_.pop_front();
+        ++robHead_;
 
         // Diva checker: with probability errorProb_ the result was a
         // variation-induced timing error; the checker supplies the
@@ -548,18 +480,12 @@ Core::run(TraceSource &trace, std::uint64_t numInstructions)
 {
     ScopedSpan span("arch.core_run");
     stats_ = CoreStats{};
-    rob_.clear();
     fetchQueue_.clear();
     missComplete_.clear();
     missComplete_.reserve(cfg_.mshrs);
-    issueCand_.clear();
-    issueCand_.reserve(cfg_.robSize);
-    sleepers_.clear();
-    sleepers_.reserve(cfg_.robSize);
-    pendingWake_.clear();
-    pendingWake_.reserve(cfg_.robSize);
-    wakeScratch_.reserve(cfg_.robSize);
-    nextSeq_ = 0;
+    robHead_ = nextSeq_ = 0;
+    cand_ = 0;
+    std::fill(wheel_.begin(), wheel_.end(), SlotMask{0});
     fetchResumeCycle_ = 0;
     fetchBlockedOnBranch_ = false;
     intQueueOcc_ = fpQueueOcc_ = lsqOcc_ = 0;
@@ -577,8 +503,8 @@ Core::run(TraceSource &trace, std::uint64_t numInstructions)
 
         // Account a memory-stall cycle when retirement is fully
         // blocked by a load still waiting on main memory.
-        if (retired == 0 && !rob_.empty()) {
-            const InFlight &head = rob_.front();
+        if (retired == 0 && robHead_ != nextSeq_) {
+            const InFlight &head = slot(robHead_);
             if (head.issued && head.op.cls == OpClass::Load &&
                 head.completeCycle > now &&
                 head.completeCycle - now >= cfg_.memLat.l2) {

@@ -21,7 +21,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "arch/branch_predictor.hh"
@@ -130,8 +129,6 @@ class Core
     struct InFlight
     {
         MicroOp op;
-        std::uint64_t seq = 0;
-        std::uint64_t readyCycle = 0;    ///< operands available
         std::uint64_t completeCycle = 0; ///< result available
         /** Intrusive wait chain: seqs of unissued consumers parked on
          *  this entry, woken when it issues (kNoWaiter = none). */
@@ -139,11 +136,20 @@ class Core
         std::uint64_t nextWaiter = kNoWaiter;
         bool issued = false;
         bool isFpSide = false;
-        bool missInFlight = false;       ///< occupies an MSHR
     };
 
     /** Sentinel seq for the InFlight waiter chains. */
     static constexpr std::uint64_t kNoWaiter = ~0ULL;
+    /** ROB ring slots; entry seq lives in slot seq % kRobSlots. */
+    static constexpr unsigned kRobSlots = 128;
+    /** One bit per ROB ring slot. */
+    using SlotMask = unsigned __int128;
+
+    static SlotMask slotBit(std::uint64_t seq)
+    {
+        return SlotMask{1} << (seq % kRobSlots);
+    }
+    InFlight &slot(std::uint64_t seq) { return rob_[seq % kRobSlots]; }
 
     void dispatch(TraceSource &trace, std::uint64_t now);
     void issue(std::uint64_t now);
@@ -165,7 +171,9 @@ class Core
 
     // Transient machine state.
     std::deque<MicroOp> fetchQueue_;
-    std::deque<InFlight> rob_;
+    /** The ROB: seqs robHead_ .. nextSeq_-1 are in flight. */
+    std::array<InFlight, kRobSlots> rob_;
+    std::uint64_t robHead_ = 0;
     /** Completion cycles of issued loads occupying an MSHR.  Replaces
      *  the per-cycle ROB scan that used to recount them: entries are
      *  pushed when a missing load issues, lazily pruned once their
@@ -175,44 +183,28 @@ class Core
      *  limit). */
     std::vector<std::uint64_t> missComplete_;
     /**
-     * Event-driven issue scheduling.  Instead of scanning the whole
-     * ROB every cycle, issue() only visits `issueCand_`: the seqs
-     * (ascending, i.e. program order) of unissued entries that could
-     * plausibly issue this cycle.  An entry that fails its dependency
-     * check leaves the candidate list and parks on one of two wake
-     * lists:
-     *   - `sleepers_` (a min-heap on wake cycle) when the blocking
-     *     producer had issued — readiness is then purely a matter of
-     *     reaching the producer's completion cycle;
+     * Event-driven issue scheduling (DESIGN.md §5g).  Instead of
+     * scanning the whole ROB every cycle, issue() only visits the
+     * slots set in `cand_`: unissued entries that could plausibly
+     * issue this cycle.  An entry that fails its dependency check
+     * clears its bit and parks in one of two places:
+     *   - `wheel_[c & wheelMask_]` when the blocking producer had
+     *     issued — readiness is then purely a matter of reaching the
+     *     producer's completion cycle c, and issue(c) ORs the bucket
+     *     back into `cand_`;
      *   - the blocking producer's intrusive waiter chain when it had
      *     not issued — nothing can change for the consumer until that
-     *     specific producer issues, at which point the chain is walked
-     *     into `pendingWake_` for the next cycle's pass.
-     * Woken seqs are merged back in seq order before the pass, so the
-     * entries visited in any cycle are a superset of those that could
-     * issue, in exactly the ROB-scan order: issue order, stats, and
-     * cycle counts are unchanged.  A deferred wake is sound because a
-     * parked entry's recheck would provably have hit `continue`.
-     *
-     * Candidates carry the op class so a structurally blocked entry
-     * (functional unit exhausted, MSHRs full, issue width reached) is
-     * skipped without touching the ROB at all.
+     *     producer issues, at which point the chain moves to the
+     *     wheel bucket of the producer's completion cycle.
+     * The wheel has more slots than the longest execution latency, so
+     * a bucket only ever holds entries due on the cycle that drains
+     * it.  A parked entry wakes no later than the first cycle it
+     * could issue, and until then its recheck could only have parked
+     * it again, so issue order and every counter match a full scan.
      */
-    struct IssueCand
-    {
-        std::uint64_t seq;
-        OpClass cls;
-    };
-    struct Sleeper
-    {
-        std::uint64_t wakeCycle;
-        std::uint64_t seq;
-        OpClass cls;
-    };
-    std::vector<IssueCand> issueCand_;
-    std::vector<Sleeper> sleepers_;
-    std::vector<IssueCand> pendingWake_;
-    std::vector<IssueCand> wakeScratch_;
+    SlotMask cand_ = 0;
+    std::vector<SlotMask> wheel_;
+    std::uint64_t wheelMask_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t fetchResumeCycle_ = 0;
     std::uint64_t pendingBranchSeq_ = 0;
