@@ -8,8 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hh"
 #include "core/eval.hh"
+#include "exec/thread_pool.hh"
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 
@@ -291,7 +291,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    eval::BenchReporter reporter("microbench");
+    // EVAL_THREADS when set, hardware concurrency otherwise.
+    eval::setGlobalThreads(0);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

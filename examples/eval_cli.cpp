@@ -9,10 +9,8 @@
  *       one adaptation run with per-subsystem detail
  *   eval_cli sweep  [--chips N] [--envs TS,TS+ASV,...]
  *       a mini Figure 10/11/12 table: ExperimentContext::sweep (the
- *       loop the benches and goldens run) under Fuzzy-Dyn over the
+ *       loop eval_paper and the goldens run) under Fuzzy-Dyn over the
  *       selected apps
- *   eval_cli record --app gcc --ops 100000 --out trace.trc
- *   eval_cli replay --trace trace.trc [--insts 50000]
  *   eval_cli fig13  [--chips N] [--seed S] [--apps gzip,swim,applu]
  *                   [--sim-insts K] [--scheme fuzzy|exh] [--out DIR]
  *                   [--checkpoint-every K] [--resume]
@@ -35,7 +33,7 @@
  *                      default from EVAL_MANIFEST, "" disables
  * With any of the first three present the command defaults to `run`.
  * The flags go to startTelemetry (src/stats/telemetry.hh), the hookup
- * the benches share, so the files are written even when the run dies
+ * eval_paper shares, so the files are written even when the run dies
  * via fatal()/uncaught exception.
  *
  * Execution:
@@ -56,7 +54,6 @@
 #include "trace/manifest.hh"
 #include "trace/span_tracer.hh"
 #include "util/arg_parser.hh"
-#include "workload/trace_file.hh"
 
 using namespace eval;
 
@@ -190,42 +187,6 @@ cmdSweep(const ArgParser &args)
     return 0;
 }
 
-int
-cmdRecord(const ArgParser &args)
-{
-    const AppProfile &app = appByName(args.getString("app", "gcc"));
-    const auto ops = static_cast<std::uint64_t>(
-        args.getInt("ops", 100000));
-    const std::string out = args.getString("out", "trace.trc");
-    SyntheticTrace trace(app,
-                         static_cast<std::uint64_t>(args.getInt("seed",
-                                                                1)));
-    const std::uint64_t written = recordTrace(trace, ops, out);
-    std::printf("recorded %llu ops of %s into %s\n",
-                static_cast<unsigned long long>(written),
-                app.name.c_str(), out.c_str());
-    return 0;
-}
-
-int
-cmdReplay(const ArgParser &args)
-{
-    const std::string path = args.getString("trace", "trace.trc");
-    FileTrace trace(path, /*loop=*/true);
-    CoreConfig cfg;
-    Core core(cfg, static_cast<std::uint64_t>(args.getInt("seed", 1)));
-    const auto insts = static_cast<std::uint64_t>(
-        args.getInt("insts", 50000));
-    const CoreStats s = core.run(trace, insts);
-    std::printf("replayed %s: IPC %.2f, CPIcomp %.2f, "
-                "L2 misses %.2f/1k inst, branch mpki %.1f\n",
-                path.c_str(), s.ipc(), s.cpiComp(),
-                1000.0 * s.missesPerInstruction(),
-                1000.0 * static_cast<double>(s.branchMispredicts) /
-                    static_cast<double>(s.instructions));
-    return 0;
-}
-
 /** The fig13 campaign knobs.  Apps are pinned explicitly (not via
  *  EVAL_APPS) so a --resume resolves the same suite, and with it the
  *  same fingerprint, as the run it continues. */
@@ -274,8 +235,7 @@ int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: eval_cli <chips|run|sweep|record|replay"
-                 "|fig13> "
+                 "usage: eval_cli <chips|run|sweep|fig13> "
                  "[--stats-out=FILE] [--trace-out=FILE] "
                  "[--threads=N] [options]\n"
                  "(see the file header for options)\n");
@@ -325,17 +285,14 @@ main(int argc, char **argv)
             rc = cmdRun(args);
         else if (cmd == "sweep")
             rc = cmdSweep(args);
-        else if (cmd == "record")
-            rc = cmdRecord(args);
-        else if (cmd == "replay")
-            rc = cmdReplay(args);
         else if (cmd == "fig13")
             rc = cmdFig13(args);
         else
             return usage();
     }
-    finishTelemetry(cmd,
-                    static_cast<double>(traceNowNs() - cmdStart) / 1e9);
+    RunManifest::global().addStage(
+        cmd, static_cast<double>(traceNowNs() - cmdStart) / 1e9);
+    finishTelemetry();
 
     for (const std::string &key : args.unusedKeys())
         warn("unused option --", key);

@@ -618,6 +618,39 @@ ExperimentContext::adaptApps(std::size_t chipIndex,
 
 namespace {
 
+/** Characterize @p apps before a per-chip fan-out.  The chips would
+ *  otherwise all wait on the cache's call_once for one app at a time;
+ *  here distinct apps characterize in parallel. */
+void
+warmCharacterizations(CharacterizationCache &chars,
+                      const std::vector<const AppProfile *> &apps)
+{
+    globalPool().parallelFor(std::size_t{0}, apps.size(), 1,
+                             [&chars, &apps](std::size_t a) {
+                                 chars.get(*apps[a]);
+                             });
+}
+
+} // namespace
+
+OutcomeTally
+ExperimentContext::adaptPopulation(const EnvCapabilities &caps,
+                                   AdaptScheme scheme)
+{
+    warmCharacterizations(chars_, selectedApps());
+    const auto perChip = globalPool().parallelMap(
+        numChips(), [this, &caps, scheme](std::size_t chip) {
+            return adaptApps(chip, caps, scheme);
+        });
+    OutcomeTally total{};
+    for (const OutcomeTally &local : perChip)
+        for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
+            total[o] += local[o];
+    return total;
+}
+
+namespace {
+
 /** Add one app run to a sweep cell's running sums. */
 void
 addRun(SweepCell &sum, const AppRunResult &r)
@@ -636,6 +669,7 @@ std::vector<SweepCell>
 ExperimentContext::sweep(const std::vector<SweepKey> &cells)
 {
     const auto apps = selectedApps();
+    warmCharacterizations(chars_, apps);
     // The NoVar reference runs on the shared ideal model, which
     // serializes; warm it before the fan-out.
     for (const AppProfile *app : apps)

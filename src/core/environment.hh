@@ -1,12 +1,12 @@
 /**
  * @file
  * The Table 1 environments and the experiment driver used by every
- * bench: manufacture chips, characterize workloads, run an application
- * on a core under an environment + adaptation scheme, and report the
- * relative frequency / performance / power metrics of Figures 10-12.
- * ExperimentContext::sweep is the one Figure 10-12 loop (benches,
- * goldens and eval_cli all call it); adaptApps is the one Figure 13
- * unit.
+ * paper experiment: manufacture chips, characterize workloads, run an
+ * application on a core under an environment + adaptation scheme, and
+ * report the relative frequency / performance / power metrics of
+ * Figures 10-12.  ExperimentContext::sweep is the one Figure 10-12 loop
+ * (eval_paper, goldens and eval_cli all call it); adaptApps is the one
+ * Figure 13 unit and adaptPopulation the one Figure 13 cell loop.
  */
 
 #pragma once
@@ -238,13 +238,23 @@ class ExperimentContext
                            AdaptScheme scheme);
 
     /**
+     * One Figure 13 cell: adaptApps on every chip of the population,
+     * fanned out on globalPool() and folded in chip order, so the
+     * tally is the same for every thread count.  The selected apps are
+     * characterized (in parallel, once per context) before the fan-out.
+     */
+    OutcomeTally adaptPopulation(const EnvCapabilities &caps,
+                                 AdaptScheme scheme);
+
+    /**
      * The Figure 10-12 sweep: every selected app on every chip (app a
      * on core (chip + a) % 4) under each of @p cells, returned in
      * @p cells order.  Chips fan out on globalPool(); per-chip sums
      * are taken in app order and folded in chip order before the
      * division by `runs`, so the result is bit-identical for every
      * thread count, and a cell's result does not depend on which
-     * other cells run beside it.
+     * other cells run beside it.  As in adaptPopulation, the selected
+     * apps are characterized in parallel before the fan-out.
      */
     std::vector<SweepCell> sweep(const std::vector<SweepKey> &cells);
 

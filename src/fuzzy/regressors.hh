@@ -4,7 +4,7 @@
  * paper argues fuzzy controllers beat perceptrons (which cannot model
  * outputs that are non-linear in the inputs) and table/tree approaches
  * (which need more states and memory).  These baselines let the claim
- * be measured (bench_ablation_controllers).
+ * be measured (`eval_paper controllers`).
  *
  * Both operate in normalized coordinates like FuzzyController and are
  * trained online, one example at a time.

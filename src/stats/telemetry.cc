@@ -41,9 +41,8 @@ startTelemetry(const std::string &tool, const TelemetryPaths &paths)
 }
 
 void
-finishTelemetry(const std::string &stage, double wallS)
+finishTelemetry()
 {
-    RunManifest::global().addStage(stage, wallS);
     ExitFlush::global().runNow();
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The one telemetry hookup shared by eval_cli and the benches.  A run
+ * The one telemetry hookup shared by eval_cli and eval_paper.  A run
  * names up to four output files; startTelemetry() turns on the
  * recorders they need, stamps them into the run manifest, and
  * registers one ExitFlush closure that writes them all, so the files
@@ -34,8 +34,8 @@ struct TelemetryPaths
  *  register the exit flush that writes the files. */
 void startTelemetry(const std::string &tool, const TelemetryPaths &paths);
 
-/** Record the run's stage and its wall time in the manifest, then
- *  write every telemetry file now (each flush runs at most once). */
-void finishTelemetry(const std::string &stage, double wallS);
+/** Write every telemetry file now (each flush runs at most once).
+ *  The caller records its stages in the manifest first. */
+void finishTelemetry();
 
 } // namespace eval

@@ -5,7 +5,6 @@
 
 #include "core/environment.hh"
 #include "core/optimizer.hh"
-#include "exec/thread_pool.hh"
 #include "util/logging.hh"
 #include "valid/serializers.hh"
 #include "variation/chip.hh"
@@ -21,7 +20,10 @@ constexpr double kThC = 65.0;
 std::string
 subsystemTag(std::size_t i)
 {
-    return "s" + std::to_string(i);
+    // Built by appending: GCC 12 -O3 reports a false -Wrestrict on
+    // `"literal" + std::string` (an inlined insert at offset 0).
+    std::string tag = "s";
+    return tag.append(std::to_string(i));
 }
 
 ProcessParams
@@ -104,9 +106,12 @@ runOptimizerDecisions(const ExperimentTweaks &tweaks)
             for (std::size_t p = 0; p < chr.phases.size(); ++p) {
                 const AdaptationResult ad =
                     optimizer.choose(core, chr.phases[p].chr, kThC);
-                const std::string tag = "c" + std::to_string(chip) +
-                                        "_" + app.name + "_p" +
-                                        std::to_string(p);
+                std::string tag = "c";
+                tag.append(std::to_string(chip))
+                    .append("_")
+                    .append(app.name)
+                    .append("_p")
+                    .append(std::to_string(p));
                 golden.addExact(tag + "_freq", ad.op.freq);
                 golden.addExact(tag + "_perf", ad.predictedPerf);
                 golden.addExact(tag + "_pe", ad.predictedPe);
@@ -229,16 +234,8 @@ runFig13Micro(const ExperimentTweaks &tweaks)
     // The FU+Queue technique row of Figure 13 across the four voltage
     // environments.
     for (const VoltageEnv &env : fig13VoltageEnvs()) {
-        const EnvCapabilities caps = fig13Caps(env);
-        const auto perChip = globalPool().parallelMap(
-            static_cast<std::size_t>(ctx.config().chips),
-            [&](std::size_t chip) {
-                return ctx.adaptApps(chip, caps, AdaptScheme::FuzzyDyn);
-            });
-        OutcomeTally outcomes{};
-        for (const OutcomeTally &local : perChip)
-            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-                outcomes[o] += local[o];
+        const OutcomeTally outcomes =
+            ctx.adaptPopulation(fig13Caps(env), AdaptScheme::FuzzyDyn);
         golden.addExact(std::string(env.tag) + "_invocations",
                         static_cast<double>(invocationCount(outcomes)));
         addOutcomeMetrics(golden, env.tag, outcomes);

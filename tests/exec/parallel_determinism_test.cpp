@@ -27,7 +27,7 @@ smallConfig()
     return cfg;
 }
 
-/** The bench_cmp_mixes inner loop: per-chip CMP runs fanned out on
+/** The eval_paper cmp inner loop: per-chip CMP runs fanned out on
  *  the global pool, accumulated in chip order. */
 std::vector<CmpRunResult>
 runMixOverChips(std::size_t threads)

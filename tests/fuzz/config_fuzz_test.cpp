@@ -175,7 +175,7 @@ TEST(ArgParserFuzz, RandomArgvNeverCorruptsMemory)
             while (token.rfind("--", 0) == 0)
                 token.erase(0, 1);
             if (token.empty())
-                token = "x";
+                token.push_back('x');
             words.push_back(std::move(token));
         }
         std::vector<const char *> argv{"prog"};

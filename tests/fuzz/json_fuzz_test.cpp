@@ -62,9 +62,11 @@ randomValue(Rng &rng, int depth)
         JsonValue obj = JsonValue::object();
         const std::size_t n = rng.uniformInt(5);
         for (std::size_t i = 0; i < n; ++i) {
-            obj.set("k" + std::to_string(i) + "_" +
-                        std::to_string(rng.uniformInt(1000)),
-                    randomValue(rng, depth + 1));
+            std::string key = "k";
+            key.append(std::to_string(i))
+                .append("_")
+                .append(std::to_string(rng.uniformInt(1000)));
+            obj.set(key, randomValue(rng, depth + 1));
         }
         return obj;
       }

@@ -1,5 +1,5 @@
-/** The Fig 13 campaign: the per-chip unit (ExperimentContext::
- *  adaptApps) is thread-count invariant on a non-FU+Queue technique
+/** The Fig 13 campaign: the cell loop (ExperimentContext::
+ *  adaptPopulation) is thread-count invariant on a non-FU+Queue technique
  *  row and sums to the campaign's tallies; the accumulator's snapshot
  *  round-trips losslessly; and the campaign's bytes do not depend on
  *  the thread count. */
@@ -69,8 +69,8 @@ TEST(CampaignTest, AccumulatorRoundTripsThroughSnapshots)
                  SnapshotError);
 }
 
-/** Per-env tallies of the Fig 13 unit over every chip of a fresh
- *  context, chips fanned out over the global pool. */
+/** Per-env tallies of the Fig 13 cell loop (adaptPopulation) over a
+ *  fresh context, chips fanned out over the global pool. */
 std::array<OutcomeTally, kNumVoltageEnvs>
 runUnit(const ExperimentConfig &cfg, bool fu, bool queue,
         AdaptScheme scheme)
@@ -81,13 +81,7 @@ runUnit(const ExperimentConfig &cfg, bool fu, bool queue,
         EnvCapabilities caps = fig13Caps(fig13VoltageEnvs()[e]);
         caps.fuReplication = fu;
         caps.queueResize = queue;
-        const auto perChip = globalPool().parallelMap(
-            ctx.numChips(), [&](std::size_t chip) {
-                return ctx.adaptApps(chip, caps, scheme);
-            });
-        for (const OutcomeTally &t : perChip)
-            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o)
-                perEnv[e][o] += t[o];
+        perEnv[e] = ctx.adaptPopulation(caps, scheme);
     }
     return perEnv;
 }
@@ -95,7 +89,7 @@ runUnit(const ExperimentConfig &cfg, bool fu, bool queue,
 TEST(Fig13Unit, NoOptTalliesMatchAcrossThreadCounts)
 {
     // The No opt technique row (neither FU replication nor queue
-    // resizing), which only bench_fig13_outcomes runs at full size.
+    // resizing), which only eval_paper's fig13 runs at full size.
     ExperimentConfig cfg;
     cfg.seed = 5;
     cfg.chips = 3;
