@@ -54,6 +54,10 @@ ablationChecker(ExperimentContext &shared)
         }
         ExperimentContext &ctx = derived ? *derived : shared;
         const auto apps = ctx.selectedApps();
+        std::vector<const AppProfile *> sampled;
+        for (std::size_t a = 0; a < apps.size(); a += 4)
+            sampled.push_back(apps[a]);
+        ctx.warmCharacterizations(sampled);
 
         // Per-chip fan-out; serial chip-order accumulation keeps the
         // stats bit-identical to a serial run.

@@ -19,11 +19,20 @@ void
 ablationTechniques(ExperimentContext &ctx)
 {
     const ExperimentConfig &cfg = ctx.config();
+    const char *const queueApps[] = {"gzip", "crafty", "swim", "mcf",
+                                     "lucas"};
+    const auto apps = ctx.selectedApps();
+    std::vector<const AppProfile *> used;
+    for (const char *name : queueApps)
+        used.push_back(&appByName(name));
+    for (std::size_t a = 0; a < apps.size(); a += 3)
+        used.push_back(apps[a]);
+    ctx.warmCharacterizations(used);
 
     // --- Queue resize CPI cost across the suite ---
     TablePrinter qt("Queue resize: CPIcomp full vs 3/4 (phase 0)");
     qt.header({"app", "CPI full", "CPI 3/4", "IPC loss"});
-    for (const char *name : {"gzip", "crafty", "swim", "mcf", "lucas"}) {
+    for (const char *name : queueApps) {
         const auto &chr = ctx.characterizations().get(appByName(name));
         const double full = chr.phases[0].chr.perfFull.cpiComp;
         const double small = chr.phases[0].chr.perfSmall.cpiComp;
@@ -53,7 +62,6 @@ ablationTechniques(ExperimentContext &ctx)
     TablePrinter ft("Technique ablation: mean chosen fR (Exh-Dyn)");
     ft.header({"combo", "fR", "delta vs base"});
     std::map<std::string, double> fr;
-    const auto apps = ctx.selectedApps();
 
     for (const Combo &combo : combos) {
         EnvCapabilities caps;

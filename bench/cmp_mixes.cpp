@@ -15,13 +15,17 @@ namespace eval {
 void
 cmpMixes(ExperimentContext &ctx)
 {
-
     const std::vector<std::pair<std::string, WorkloadMix>> mixes = {
         {"int-heavy", intHeavyMix()},
         {"fp-heavy", fpHeavyMix()},
         {"mixed", mixedMix()},
         {"mem-bound", memBoundMix()},
     };
+    std::vector<const AppProfile *> apps;
+    for (const auto &mix : mixes)
+        apps.insert(apps.end(), mix.second.begin(), mix.second.end());
+    ctx.warmCharacterizations(apps);
+
     const std::vector<std::pair<EnvironmentKind, AdaptScheme>> setups = {
         {EnvironmentKind::Baseline, AdaptScheme::Static},
         {EnvironmentKind::TS_ASV, AdaptScheme::ExhDyn},

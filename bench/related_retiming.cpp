@@ -8,6 +8,8 @@
  * ~10-20% for retiming against ~40% for EVAL over the Baseline.
  */
 
+#include <algorithm>
+
 #include "paper.hh"
 #include "core/retiming.hh"
 
@@ -18,25 +20,51 @@ relatedRetiming(ExperimentContext &ctx)
 {
     const ExperimentConfig &cfg = ctx.config();
     const auto apps = ctx.selectedApps();
+    const double fnom = cfg.process.freqNominal;
+
+    // Chip i runs app i mod |apps| on core i mod 4.  Warm what the
+    // chip tasks share (characterizations, the NoVar reference on the
+    // ideal model), fan the chips out, fold in chip order.
+    const std::vector<const AppProfile *> used(
+        apps.begin(),
+        apps.begin() + static_cast<std::ptrdiff_t>(
+                           std::min(ctx.numChips(), apps.size())));
+    ctx.warmCharacterizations(used);
+    for (const AppProfile *app : used)
+        ctx.novarPerf(*app);
+
+    struct ChipResult
+    {
+        double baseF, retimeF, basePerf, evalF, evalPerf;
+    };
+    const auto perChip = globalPool().parallelMap(
+        ctx.numChips(), [&ctx, &apps, fnom](std::size_t chip) {
+            CoreSystemModel &core = ctx.coreModel(chip, chip % 4);
+            ChipResult r{};
+            r.baseF = core.baselineFrequency() / fnom;
+            r.retimeF = retimedFrequency(core) / fnom;
+
+            const AppProfile &app = *apps[chip % apps.size()];
+            r.basePerf = ctx.runApp(chip, chip % 4, app,
+                                    EnvironmentKind::Baseline,
+                                    AdaptScheme::Static)
+                             .perfRel;
+            const AppRunResult ev = ctx.runApp(
+                chip, chip % 4, app, EnvironmentKind::TS_ASV_Q_FU,
+                AdaptScheme::FuzzyDyn);
+            r.evalF = ev.freqRel;
+            r.evalPerf = ev.perfRel;
+            return r;
+        });
 
     RunningStats baseF, retimeF, evalF;
     RunningStats basePerf, evalPerf;
-
-    for (int chip = 0; chip < cfg.chips; ++chip) {
-        CoreSystemModel &core = ctx.coreModel(chip, chip % 4);
-        baseF.add(core.baselineFrequency() / cfg.process.freqNominal);
-        retimeF.add(retimedFrequency(core) / cfg.process.freqNominal);
-
-        const AppProfile &app = *apps[chip % apps.size()];
-        const AppRunResult base = ctx.runApp(
-            chip, chip % 4, app, EnvironmentKind::Baseline,
-            AdaptScheme::Static);
-        const AppRunResult ev = ctx.runApp(
-            chip, chip % 4, app, EnvironmentKind::TS_ASV_Q_FU,
-            AdaptScheme::FuzzyDyn);
-        basePerf.add(base.perfRel);
-        evalF.add(ev.freqRel);
-        evalPerf.add(ev.perfRel);
+    for (const ChipResult &r : perChip) {
+        baseF.add(r.baseF);
+        retimeF.add(r.retimeF);
+        basePerf.add(r.basePerf);
+        evalF.add(r.evalF);
+        evalPerf.add(r.evalPerf);
     }
 
     TablePrinter table("Sec 7: dynamic retiming vs EVAL");

@@ -23,9 +23,6 @@ enum class OpClass : std::uint8_t {
 constexpr std::size_t kNumOpClasses =
     static_cast<std::size_t>(OpClass::NumClasses);
 
-/** Printable op-class name. */
-const char *opClassName(OpClass c);
-
 /** True for loads and stores. */
 constexpr bool
 isMemOp(OpClass c)

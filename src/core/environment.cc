@@ -107,13 +107,12 @@ ExperimentConfig
 ExperimentConfig::fromEnv()
 {
     ExperimentConfig cfg;
-    const RunConfig rc = RunConfig::fromEnv();
-    cfg.seed = rc.seed;
-    cfg.chips = rc.chips;
+    cfg.seed = static_cast<std::uint64_t>(envInt("EVAL_SEED", 1));
+    cfg.chips = std::max(1, static_cast<int>(envInt("EVAL_CHIPS", 30)));
     cfg.simInsts = static_cast<std::uint64_t>(
         envInt("EVAL_SIM_INSTS", 160000));
-    cfg.apps = rc.apps;
-    if (rc.fast) {
+    cfg.apps = splitCsvList(envString("EVAL_APPS", ""));
+    if (envBool("EVAL_FAST", false)) {
         cfg.chips = std::min(cfg.chips, 8);
         cfg.simInsts = std::min<std::uint64_t>(cfg.simInsts, 60000);
     }
@@ -213,15 +212,12 @@ ExperimentContext::evictChip(std::size_t index)
 std::vector<const AppProfile *>
 ExperimentContext::selectedApps() const
 {
-    std::vector<std::string> names = cfg_.apps;
-    if (names.empty())
-        names = RunConfig::fromEnv().apps;
     std::vector<const AppProfile *> apps;
-    if (names.empty()) {
+    if (cfg_.apps.empty()) {
         for (const auto &p : specSuite())
             apps.push_back(&p);
     } else {
-        for (const auto &name : names)
+        for (const auto &name : cfg_.apps)
             apps.push_back(&appByName(name));
     }
     return apps;
@@ -616,28 +612,21 @@ ExperimentContext::adaptApps(std::size_t chipIndex,
     return tally;
 }
 
-namespace {
-
-/** Characterize @p apps before a per-chip fan-out.  The chips would
- *  otherwise all wait on the cache's call_once for one app at a time;
- *  here distinct apps characterize in parallel. */
 void
-warmCharacterizations(CharacterizationCache &chars,
-                      const std::vector<const AppProfile *> &apps)
+ExperimentContext::warmCharacterizations(
+    const std::vector<const AppProfile *> &apps)
 {
     globalPool().parallelFor(std::size_t{0}, apps.size(), 1,
-                             [&chars, &apps](std::size_t a) {
-                                 chars.get(*apps[a]);
+                             [this, &apps](std::size_t a) {
+                                 chars_.get(*apps[a]);
                              });
 }
-
-} // namespace
 
 OutcomeTally
 ExperimentContext::adaptPopulation(const EnvCapabilities &caps,
                                    AdaptScheme scheme)
 {
-    warmCharacterizations(chars_, selectedApps());
+    warmCharacterizations(selectedApps());
     const auto perChip = globalPool().parallelMap(
         numChips(), [this, &caps, scheme](std::size_t chip) {
             return adaptApps(chip, caps, scheme);
@@ -669,7 +658,7 @@ std::vector<SweepCell>
 ExperimentContext::sweep(const std::vector<SweepKey> &cells)
 {
     const auto apps = selectedApps();
-    warmCharacterizations(chars_, apps);
+    warmCharacterizations(apps);
     // The NoVar reference runs on the shared ideal model, which
     // serializes; warm it before the fan-out.
     for (const AppProfile *app : apps)

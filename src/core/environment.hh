@@ -111,9 +111,7 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     int chips = 30;
     std::uint64_t simInsts = 160000;
-    /** Application subset by name; empty = EVAL_APPS env, then the
-     *  full suite.  Validation experiments pin this explicitly so
-     *  golden runs do not depend on the caller's environment. */
+    /** Application subset by name; empty = the full suite. */
     std::vector<std::string> apps;
     ProcessParams process;
     Constraints constraints;
@@ -121,6 +119,10 @@ struct ExperimentConfig
     PowerCalibration powerCal;
     TimelineParams timeline;
 
+    /** The EVAL_* knobs: EVAL_SEED (default 1), EVAL_CHIPS (default
+     *  30, at least 1), EVAL_SIM_INSTS (default 160000), EVAL_APPS
+     *  (comma-separated subset) and EVAL_FAST (clamps to 8 chips and
+     *  60000 instructions).  The only place they are read. */
     static ExperimentConfig fromEnv();
 
     /** Human-readable one-line fingerprint of every knob that changes
@@ -190,7 +192,15 @@ class ExperimentContext
     }
     CharacterizationCache &characterizations() { return chars_; }
 
-    /** Applications selected by EVAL_APPS (default: full suite). */
+    /**
+     * Characterize @p apps in parallel, one task per app.  Call it
+     * before a per-chip fan-out: the chip tasks would otherwise all
+     * wait on the cache's call_once for one app at a time.
+     */
+    void warmCharacterizations(const std::vector<const AppProfile *> &apps);
+
+    /** The applications cfg.apps names, in order (empty: the full
+     *  suite). */
     std::vector<const AppProfile *> selectedApps() const;
 
     /** Core model for (chip index, core), cached. */

@@ -27,7 +27,6 @@
 #include "power/knobs.hh"
 #include "power/power_model.hh"
 #include "power/vt0_calibration.hh"
-#include "thermal/sensors.hh"
 #include "thermal/thermal_model.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"

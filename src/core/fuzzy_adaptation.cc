@@ -110,18 +110,6 @@ CoreFuzzySystem::train()
     trained_ = true;
 }
 
-void
-CoreFuzzySystem::save(std::ostream &os) const
-{
-    EVAL_ASSERT(trained_, "cannot save an untrained fuzzy system");
-    for (std::size_t i = 0; i < kNumSubsystems; ++i) {
-        for (const auto *fcs : {&fmaxFc_, &vddFc_, &vbbFc_}) {
-            if ((*fcs)[i])
-                (*fcs)[i]->save(os);
-        }
-    }
-}
-
 double
 CoreFuzzySystem::predictFmax(SubsystemId id, double thC, double alphaF,
                              bool altConfig) const

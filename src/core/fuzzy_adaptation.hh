@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <iosfwd>
 #include <memory>
 
 #include "core/optimizer.hh"
@@ -59,13 +58,6 @@ class CoreFuzzySystem
 
     bool trained() const { return trained_; }
     const EnvCapabilities &caps() const { return caps_; }
-
-    /**
-     * Write every trained FC's image (TrainedController::save) in
-     * subsystem order, fmax then Vdd then Vbb, skipping absent ones:
-     * the reserved-memory contents of Sec 4.3.2 for this core.
-     */
-    void save(std::ostream &os) const;
 
     /** Freq-algorithm query: fmax prediction in Hz. */
     double predictFmax(SubsystemId id, double thC, double alphaF,

@@ -1,11 +1,10 @@
 // eval-lint: hot-path the FC gradient step and inference run per
-// training example and per controller query; only construction and
-// persistence may allocate.
+// training example and per controller query; only construction may
+// allocate.
 #include "fuzzy/fuzzy_controller.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <ostream>
 
@@ -26,20 +25,6 @@ saveVector(std::ostream &os, std::span<const double> v)
     for (double x : v)
         os << ' ' << x;
     os << '\n';
-}
-
-/** Reads one saveVector record into @p v (an image load, so it may
- *  allocate: once per controller, never per query). */
-void
-loadVector(std::istream &is, std::vector<double> &v)
-{
-    std::size_t n = 0;
-    is >> n;
-    EVAL_ASSERT(is.good() && n < (1u << 24), "corrupt controller image");
-    v.resize(n);
-    for (double &x : v)
-        is >> x;
-    EVAL_ASSERT(is.good(), "truncated controller image");
 }
 
 } // namespace
@@ -221,53 +206,12 @@ FuzzyController::footprintBytes() const
 }
 
 void
-InputNormalizer::save(std::ostream &os) const
-{
-    saveVector(os, {lo_.data(), dims_});
-    saveVector(os, {hi_.data(), dims_});
-}
-
-InputNormalizer
-InputNormalizer::load(std::istream &is)
-{
-    std::vector<double> lo, hi;
-    loadVector(is, lo);
-    loadVector(is, hi);
-    EVAL_ASSERT(lo.size() == hi.size() && lo.size() <= kMaxFcInputs,
-                "corrupt normalizer image");
-    InputNormalizer n;
-    n.dims_ = lo.size();
-    std::copy(lo.begin(), lo.end(), n.lo_.begin());
-    std::copy(hi.begin(), hi.end(), n.hi_.begin());
-    return n;
-}
-
-void
 FuzzyController::save(std::ostream &os) const
 {
     os << "fc " << rules_ << ' ' << inputs_ << ' ' << seeded_ << '\n';
     saveVector(os, mu_);
     saveVector(os, sigma_);
     saveVector(os, y_);
-}
-
-FuzzyController
-FuzzyController::load(std::istream &is)
-{
-    std::string tag;
-    std::size_t rules = 0, inputs = 0, seeded = 0;
-    is >> tag >> rules >> inputs >> seeded;
-    EVAL_ASSERT(is.good() && tag == "fc", "not a controller image");
-    FuzzyController fc(rules, inputs);
-    fc.seeded_ = seeded;
-    loadVector(is, fc.mu_);
-    loadVector(is, fc.sigma_);
-    loadVector(is, fc.y_);
-    EVAL_ASSERT(fc.mu_.size() == rules * inputs &&
-                    fc.sigma_.size() == rules * inputs &&
-                    fc.y_.size() == rules,
-                "controller image shape mismatch");
-    return fc;
 }
 
 TrainedController::TrainedController(std::size_t numRules,
@@ -302,27 +246,6 @@ TrainedController::predict(std::span<const double> rawInput) const
     const FcInput x = inputNorm_.normalize(rawInput);
     const double z = fc_.infer({x.data(), inputNorm_.dims()});
     return outputNorm_.denormalizeScalar(z);
-}
-
-void
-TrainedController::save(std::ostream &os) const
-{
-    EVAL_ASSERT(trained_, "cannot save an untrained controller");
-    fc_.save(os);
-    inputNorm_.save(os);
-    outputNorm_.save(os);
-}
-
-TrainedController
-TrainedController::load(std::istream &is)
-{
-    FuzzyController fc = FuzzyController::load(is);
-    TrainedController tc(fc.numRules(), fc.numInputs());
-    tc.fc_ = std::move(fc);
-    tc.inputNorm_ = InputNormalizer::load(is);
-    tc.outputNorm_ = InputNormalizer::load(is);
-    tc.trained_ = true;
-    return tc;
 }
 
 } // namespace eval

@@ -59,10 +59,6 @@ class InputNormalizer
 
     std::size_t dims() const { return dims_; }
 
-    /** Plain-text persistence (the reserved-memory image). */
-    void save(std::ostream &os) const;
-    static InputNormalizer load(std::istream &is);
-
   private:
     std::size_t dims_ = 0;
     FcInput lo_{};
@@ -97,9 +93,8 @@ class FuzzyController
     /** Approximate data footprint in bytes (paper: ~120 KB total). */
     std::size_t footprintBytes() const;
 
-    /** Plain-text persistence of the rule base. */
+    /** Plain-text image of the rule base (exact to 17 digits). */
     void save(std::ostream &os) const;
-    static FuzzyController load(std::istream &is);
 
   private:
     double membership(std::size_t rule, std::span<const double> x) const;
@@ -137,14 +132,6 @@ class TrainedController
 
     bool trained() const { return trained_; }
     const FuzzyController &controller() const { return fc_; }
-
-    /**
-     * Persist / restore a trained controller (the manufacturer writes
-     * the trained rule bases into a reserved memory area that the
-     * runtime routines load, Sec 4.3.2).
-     */
-    void save(std::ostream &os) const;
-    static TrainedController load(std::istream &is);
 
   private:
     FuzzyController fc_;

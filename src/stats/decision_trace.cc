@@ -30,16 +30,6 @@ thread_local int traceCore = -1;
 } // namespace
 
 void
-DecisionTrace::setCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity ? capacity : 1;
-    ring_.clear();
-    head_ = 0;
-    total_ = 0;
-}
-
-void
 DecisionTrace::setContext(int chip, int core)
 {
     traceChip = chip;

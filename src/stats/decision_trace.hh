@@ -79,9 +79,6 @@ class DecisionTrace
         enabled_.store(enabled, std::memory_order_relaxed);
     }
 
-    /** Resize the ring; drops buffered records. */
-    void setCapacity(std::size_t capacity);
-
     /** Ambient (chip, core) stamped onto records from the calling
      *  thread (thread-local, so parallel chip tasks do not clobber
      *  each other's context). */
@@ -108,7 +105,7 @@ class DecisionTrace
   private:
     std::atomic<bool> enabled_{false};
     mutable std::mutex mutex_;   ///< guards the ring fields below
-    std::size_t capacity_;
+    const std::size_t capacity_;
     std::size_t head_ = 0;       ///< next write position
     std::uint64_t total_ = 0;
     std::vector<DecisionRecord> ring_;

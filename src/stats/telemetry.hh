@@ -3,9 +3,11 @@
  * The one telemetry hookup shared by eval_cli and eval_paper.  A run
  * names up to four output files; startTelemetry() turns on the
  * recorders they need, stamps them into the run manifest, and
- * registers one ExitFlush closure that writes them all, so the files
- * survive fatal()/uncaught-exception exits mid-run.
- * finishTelemetry() is the normal-exit path.
+ * installs a std::atexit hook and a chained std::terminate handler
+ * that write them all, so the files survive fatal() and
+ * uncaught-exception exits mid-run.  finishTelemetry() is the
+ * normal-exit path.  The files are written at most once, whichever
+ * path comes first; a failing writer is skipped, never rethrown.
  *
  *   stats      StatRegistry counters, nested JSON
  *   decisions  DecisionTrace, JSONL, one adaptation decision per line
@@ -31,11 +33,11 @@ struct TelemetryPaths
 
 /** Enable the decision trace and the span tracer when their paths are
  *  set, record @p tool and every set path in the run manifest, and
- *  register the exit flush that writes the files. */
+ *  arm the exit flush that writes the files. */
 void startTelemetry(const std::string &tool, const TelemetryPaths &paths);
 
-/** Write every telemetry file now (each flush runs at most once).
- *  The caller records its stages in the manifest first. */
+/** Write every telemetry file now (a no-op once written).  The
+ *  caller records its stages in the manifest first. */
 void finishTelemetry();
 
 } // namespace eval

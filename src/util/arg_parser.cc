@@ -61,21 +61,6 @@ ArgParser::getInt(const std::string &key, std::int64_t fallback) const
     return v;
 }
 
-double
-ArgParser::getDouble(const std::string &key, double fallback) const
-{
-    queried_[key] = true;
-    const auto it = options_.find(key);
-    if (it == options_.end())
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (!end || *end != '\0')
-        EVAL_FATAL("option --", key, " expects a number, got '",
-                   it->second, "'");
-    return v;
-}
-
 bool
 ArgParser::getBool(const std::string &key, bool fallback) const
 {

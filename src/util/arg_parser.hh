@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal command-line argument parser for the CLI tool and examples:
+ * Minimal command-line argument parser for eval_cli:
  * `--key value`, `--key=value`, and boolean `--flag` options, plus
  * positional arguments.
  */
@@ -33,7 +33,6 @@ class ArgParser
                           const std::string &fallback) const;
     std::int64_t getInt(const std::string &key,
                         std::int64_t fallback) const;
-    double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key, bool fallback = false) const;
 
     /** Keys that were provided but never queried (typo detection). */

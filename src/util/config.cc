@@ -72,17 +72,4 @@ splitCsvList(const std::string &s)
     return out;
 }
 
-RunConfig
-RunConfig::fromEnv()
-{
-    RunConfig cfg;
-    cfg.chips = static_cast<int>(envInt("EVAL_CHIPS", 30));
-    cfg.seed = static_cast<std::uint64_t>(envInt("EVAL_SEED", 1));
-    cfg.fast = envBool("EVAL_FAST", false);
-    cfg.apps = splitCsvList(envString("EVAL_APPS", ""));
-    if (cfg.chips < 1)
-        cfg.chips = 1;
-    return cfg;
-}
-
 } // namespace eval

@@ -1,12 +1,9 @@
 /**
  * @file
- * Environment-driven run configuration for benches and examples.
- *
- * The harness convention (documented in DESIGN.md) is:
- *   EVAL_CHIPS  number of chip samples per experiment (default 30)
- *   EVAL_SEED   master RNG seed (default 1)
- *   EVAL_FAST   when "1", shrink sweeps for smoke runs
- *   EVAL_APPS   comma-separated subset of the workload suite
+ * Typed readers for EVAL_* environment variables.  The experiment
+ * knobs (EVAL_CHIPS, EVAL_SEED, EVAL_FAST, EVAL_APPS, EVAL_SIM_INSTS)
+ * are read in one place, ExperimentConfig::fromEnv
+ * (core/environment.hh).
  */
 
 #pragma once
@@ -34,18 +31,6 @@ bool envHas(const char *name);
 
 /** Split a comma-separated string into trimmed non-empty tokens. */
 std::vector<std::string> splitCsvList(const std::string &s);
-
-/** Harness run configuration assembled from the environment. */
-struct RunConfig
-{
-    int chips = 30;
-    std::uint64_t seed = 1;
-    bool fast = false;
-    std::vector<std::string> apps;   ///< empty = full suite
-
-    /** Build from the EVAL_* environment variables. */
-    static RunConfig fromEnv();
-};
 
 } // namespace eval
 

@@ -70,68 +70,4 @@ SeriesSet::print(int precision) const
     std::fputs(csv(precision).c_str(), stdout);
 }
 
-namespace {
-
-std::string
-escapeCsvCell(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-CsvTable::CsvTable(std::vector<std::string> header)
-    : header_(std::move(header))
-{
-}
-
-void
-CsvTable::row(std::vector<std::string> cells)
-{
-    EVAL_ASSERT(cells.size() == header_.size(),
-                "CSV row width does not match the header");
-    rows_.push_back(std::move(cells));
-}
-
-std::string
-CsvTable::str() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < header_.size(); ++i)
-        os << (i ? "," : "") << escapeCsvCell(header_[i]);
-    os << "\n";
-    for (const auto &row : rows_) {
-        for (std::size_t i = 0; i < row.size(); ++i)
-            os << (i ? "," : "") << escapeCsvCell(row[i]);
-        os << "\n";
-    }
-    return os.str();
-}
-
-bool
-CsvTable::write(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot open '", path, "' for writing");
-        return false;
-    }
-    const std::string text = str();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    std::fclose(f);
-    if (!ok)
-        warn("short write to '", path, "'");
-    return ok;
-}
-
 } // namespace eval

@@ -1,7 +1,7 @@
 /**
  * @file
- * Helpers for emitting series data (figure lines) and generic row
- * tables as CSV so bench and stats output can be replotted directly.
+ * Emits series data (figure lines) as CSV so bench output can be
+ * replotted directly.
  */
 
 #pragma once
@@ -40,28 +40,4 @@ class SeriesSet
     std::vector<std::vector<double>> values_;   ///< [series][sample]
 };
 
-/**
- * A plain header-plus-rows CSV table (the stats-registry dump format).
- * Cells containing commas, quotes, or newlines are quoted per RFC 4180.
- */
-class CsvTable
-{
-  public:
-    explicit CsvTable(std::vector<std::string> header);
-
-    void row(std::vector<std::string> cells);
-
-    std::size_t rows() const { return rows_.size(); }
-
-    std::string str() const;
-
-    /** Write to @p path; returns false (with a warning) on I/O error. */
-    bool write(const std::string &path) const;
-
-  private:
-    std::vector<std::string> header_;
-    std::vector<std::vector<std::string>> rows_;
-};
-
 } // namespace eval
-

@@ -1,6 +1,5 @@
 #include "util/math_utils.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -61,69 +60,6 @@ double
 lerp(double a, double b, double t)
 {
     return a + (b - a) * t;
-}
-
-double
-interpolate(const std::vector<double> &xs, const std::vector<double> &ys,
-            double x)
-{
-    EVAL_ASSERT(xs.size() == ys.size() && !xs.empty(),
-                "interpolate needs equal-size non-empty samples");
-    if (x <= xs.front())
-        return ys.front();
-    if (x >= xs.back())
-        return ys.back();
-    auto it = std::upper_bound(xs.begin(), xs.end(), x);
-    std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-    std::size_t lo = hi - 1;
-    const double span = xs[hi] - xs[lo];
-    if (span <= 0.0)
-        return ys[lo];
-    return lerp(ys[lo], ys[hi], (x - xs[lo]) / span);
-}
-
-double
-fixedPoint(const std::function<double(double)> &f, double x0, double damping,
-           double tol, std::size_t maxIter, bool *converged)
-{
-    double x = x0;
-    for (std::size_t i = 0; i < maxIter; ++i) {
-        const double fx = f(x);
-        const double next = (1.0 - damping) * x + damping * fx;
-        if (std::abs(next - x) < tol) {
-            if (converged)
-                *converged = true;
-            return next;
-        }
-        x = next;
-    }
-    if (converged)
-        *converged = false;
-    return x;
-}
-
-double
-goldenSectionMax(const std::function<double(double)> &f, double lo, double hi,
-                 double tol)
-{
-    EVAL_ASSERT(hi >= lo, "goldenSectionMax needs hi >= lo");
-    const double invphi = (std::sqrt(5.0) - 1.0) / 2.0;
-    double a = lo, b = hi;
-    double c = b - invphi * (b - a);
-    double d = a + invphi * (b - a);
-    double fc = f(c), fd = f(d);
-    while (b - a > tol) {
-        if (fc > fd) {
-            b = d; d = c; fd = fc;
-            c = b - invphi * (b - a);
-            fc = f(c);
-        } else {
-            a = c; c = d; fc = fd;
-            d = a + invphi * (b - a);
-            fd = f(d);
-        }
-    }
-    return 0.5 * (a + b);
 }
 
 } // namespace eval

@@ -130,14 +130,4 @@ Rng::state() const
     return s;
 }
 
-Rng
-Rng::fromState(const State &state)
-{
-    Rng rng;
-    rng.state_ = state.words;
-    rng.cachedGaussian_ = state.cachedGaussian;
-    rng.hasCachedGaussian_ = state.hasCachedGaussian;
-    return rng;
-}
-
 } // namespace eval

@@ -65,8 +65,8 @@ class Rng
 
     /**
      * Complete generator state for snapshotting: the xoshiro words
-     * plus the Box-Muller spare, so a restored generator continues the
-     * exact sequence (including a pending cached gaussian).
+     * plus the Box-Muller spare (a pending cached gaussian is part of
+     * where the stream stands).
      */
     struct State
     {
@@ -76,9 +76,6 @@ class Rng
     };
 
     State state() const;
-
-    /** Rebuild a generator from a snapshotted state. */
-    static Rng fromState(const State &state);
 
   private:
     std::array<std::uint64_t, 4> state_;

@@ -57,7 +57,6 @@ class Histogram
     double hi() const { return hi_; }
     double binLow(std::size_t i) const;
     double binCenter(std::size_t i) const;
-    double binWidth() const { return width_; }
     double count(std::size_t i) const { return counts_[i]; }
     double totalWeight() const { return total_; }
 

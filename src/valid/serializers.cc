@@ -1,6 +1,5 @@
 #include "valid/serializers.hh"
 
-#include <memory>
 #include <utility>
 
 namespace eval {
@@ -9,113 +8,17 @@ namespace {
 
 constexpr std::uint32_t kVariationMapVersion = 1;
 constexpr std::uint32_t kChipVersion = 1;
-constexpr std::uint32_t kCharacterizationVersion = 1;
 constexpr std::uint32_t kAdaptationResultVersion = 1;
 
+/** A JSON array of doubles from a std::vector or std::array. */
+template <typename Doubles>
 JsonValue
-doubleArray(const std::vector<double> &xs)
+doubleArray(const Doubles &xs)
 {
     JsonValue arr = JsonValue::array();
     for (double x : xs)
         arr.push(x);
     return arr;
-}
-
-std::vector<double>
-doubleVector(const JsonValue &v)
-{
-    std::vector<double> out;
-    out.reserve(v.asArray().size());
-    for (const JsonValue &e : v.asArray())
-        out.push_back(e.asDouble());
-    return out;
-}
-
-template <std::size_t N>
-JsonValue
-doubleArray(const std::array<double, N> &xs)
-{
-    JsonValue arr = JsonValue::array();
-    for (double x : xs)
-        arr.push(x);
-    return arr;
-}
-
-template <std::size_t N>
-std::array<double, N>
-fixedArray(const JsonValue &v)
-{
-    if (v.asArray().size() != N)
-        throw SnapshotError("array size " +
-                            std::to_string(v.asArray().size()) +
-                            " != expected " + std::to_string(N));
-    std::array<double, N> out{};
-    for (std::size_t i = 0; i < N; ++i)
-        out[i] = v.asArray()[i].asDouble();
-    return out;
-}
-
-JsonValue
-toJson(const PerfInputs &in)
-{
-    JsonValue o = JsonValue::object();
-    o.set("cpi_comp", in.cpiComp);
-    o.set("misses_per_inst", in.missesPerInst);
-    o.set("mem_penalty_sec", in.memPenaltySec);
-    o.set("recovery_penalty_cycles", in.recoveryPenaltyCycles);
-    return o;
-}
-
-PerfInputs
-perfInputsFromJson(const JsonValue &v)
-{
-    PerfInputs in;
-    in.cpiComp = v.at("cpi_comp").asDouble();
-    in.missesPerInst = v.at("misses_per_inst").asDouble();
-    in.memPenaltySec = v.at("mem_penalty_sec").asDouble();
-    in.recoveryPenaltyCycles =
-        v.at("recovery_penalty_cycles").asDouble();
-    return in;
-}
-
-JsonValue
-toJson(const ActivityVector &act)
-{
-    JsonValue o = JsonValue::object();
-    o.set("alpha", doubleArray(act.alpha));
-    o.set("rho", doubleArray(act.rho));
-    return o;
-}
-
-ActivityVector
-activityVectorFromJson(const JsonValue &v)
-{
-    ActivityVector act;
-    act.alpha = fixedArray<kNumSubsystems>(v.at("alpha"));
-    act.rho = fixedArray<kNumSubsystems>(v.at("rho"));
-    return act;
-}
-
-JsonValue
-toJson(const PhaseCharacterization &chr)
-{
-    JsonValue o = JsonValue::object();
-    o.set("is_fp", chr.isFp);
-    o.set("activity", toJson(chr.act));
-    o.set("perf_full", toJson(chr.perfFull));
-    o.set("perf_small", toJson(chr.perfSmall));
-    return o;
-}
-
-PhaseCharacterization
-phaseCharacterizationFromJson(const JsonValue &v)
-{
-    PhaseCharacterization chr;
-    chr.isFp = v.at("is_fp").asBool();
-    chr.act = activityVectorFromJson(v.at("activity"));
-    chr.perfFull = perfInputsFromJson(v.at("perf_full"));
-    chr.perfSmall = perfInputsFromJson(v.at("perf_small"));
-    return chr;
 }
 
 } // namespace
@@ -131,20 +34,6 @@ toJson(const Rng::State &state)
     o.set("cached_gaussian", state.cachedGaussian);
     o.set("has_cached_gaussian", state.hasCachedGaussian);
     return o;
-}
-
-Rng::State
-rngStateFromJson(const JsonValue &v)
-{
-    Rng::State s;
-    const auto &words = v.at("words").asArray();
-    if (words.size() != s.words.size())
-        throw SnapshotError("rng state must hold 4 words");
-    for (std::size_t i = 0; i < s.words.size(); ++i)
-        s.words[i] = words[i].asUint();
-    s.cachedGaussian = v.at("cached_gaussian").asDouble();
-    s.hasCachedGaussian = v.at("has_cached_gaussian").asBool();
-    return s;
 }
 
 JsonValue
@@ -174,35 +63,6 @@ toJson(const ProcessParams &p)
     return o;
 }
 
-ProcessParams
-processParamsFromJson(const JsonValue &v)
-{
-    ProcessParams p;
-    p.vddNominal = v.at("vdd_nominal").asDouble();
-    p.freqNominal = v.at("freq_nominal").asDouble();
-    p.tempNominalC = v.at("temp_nominal_c").asDouble();
-    p.vtMean = v.at("vt_mean").asDouble();
-    p.vtRefTempC = v.at("vt_ref_temp_c").asDouble();
-    p.vtSigmaOverMu = v.at("vt_sigma_over_mu").asDouble();
-    p.vtSystematicShare = v.at("vt_systematic_share").asDouble();
-    p.leffMean = v.at("leff_mean").asDouble();
-    p.leffSigmaRatio = v.at("leff_sigma_ratio").asDouble();
-    p.leffSystematicShare = v.at("leff_systematic_share").asDouble();
-    p.vtLeffCorrelation = v.at("vt_leff_correlation").asDouble();
-    p.phi = v.at("phi").asDouble();
-    p.gridSize =
-        static_cast<std::size_t>(v.at("grid_size").asInt());
-    p.alphaPower = v.at("alpha_power").asDouble();
-    p.mobilityTempExponent =
-        v.at("mobility_temp_exponent").asDouble();
-    p.delayVariationGain = v.at("delay_variation_gain").asDouble();
-    p.vddDroopGuardband = v.at("vdd_droop_guardband").asDouble();
-    p.k1 = v.at("k1").asDouble();
-    p.k2 = v.at("k2").asDouble();
-    p.k3 = v.at("k3").asDouble();
-    return p;
-}
-
 JsonValue
 toSnapshot(const VariationMap &map)
 {
@@ -215,20 +75,6 @@ toSnapshot(const VariationMap &map)
                         std::move(payload));
 }
 
-VariationMap
-variationMapFromSnapshot(const JsonValue &snapshot)
-{
-    const JsonValue &p =
-        snapshotPayload(snapshot, "variation_map", kVariationMapVersion);
-    const auto n = static_cast<std::size_t>(p.at("grid_size").asInt());
-    std::vector<double> vt = doubleVector(p.at("vt_sys"));
-    std::vector<double> leff = doubleVector(p.at("leff_sys"));
-    if (vt.size() != n * n || leff.size() != n * n)
-        throw SnapshotError("variation_map field size mismatch");
-    return VariationMap::fromFields(processParamsFromJson(p.at("params")),
-                                    std::move(vt), std::move(leff));
-}
-
 JsonValue
 toSnapshot(const Chip &chip)
 {
@@ -236,56 +82,9 @@ toSnapshot(const Chip &chip)
     payload.set("id", chip.id());
     payload.set("num_cores", chip.floorplan().numCores());
     payload.set("rng", toJson(chip.rng().state()));
-    // Nested complete snapshot: a chip's map is independently loadable.
+    // The map nests as a complete snapshot of its own.
     payload.set("map", toSnapshot(chip.map()));
     return makeSnapshot("chip", kChipVersion, std::move(payload));
-}
-
-Chip
-chipFromSnapshot(const JsonValue &snapshot)
-{
-    const JsonValue &p = snapshotPayload(snapshot, "chip", kChipVersion);
-    const auto numCores =
-        static_cast<std::size_t>(p.at("num_cores").asInt());
-    return Chip(p.at("id").asUint(),
-                std::make_shared<Floorplan>(numCores),
-                variationMapFromSnapshot(p.at("map")),
-                Rng::fromState(rngStateFromJson(p.at("rng"))));
-}
-
-JsonValue
-toSnapshot(const AppCharacterization &chr)
-{
-    JsonValue payload = JsonValue::object();
-    payload.set("name", chr.name);
-    payload.set("is_fp", chr.isFp);
-    JsonValue phases = JsonValue::array();
-    for (const PhaseData &phase : chr.phases) {
-        JsonValue o = JsonValue::object();
-        o.set("weight", phase.weight);
-        o.set("chr", toJson(phase.chr));
-        phases.push(std::move(o));
-    }
-    payload.set("phases", std::move(phases));
-    return makeSnapshot("characterization", kCharacterizationVersion,
-                        std::move(payload));
-}
-
-AppCharacterization
-characterizationFromSnapshot(const JsonValue &snapshot)
-{
-    const JsonValue &p = snapshotPayload(snapshot, "characterization",
-                                         kCharacterizationVersion);
-    AppCharacterization chr;
-    chr.name = p.at("name").asString();
-    chr.isFp = p.at("is_fp").asBool();
-    for (const JsonValue &e : p.at("phases").asArray()) {
-        PhaseData phase;
-        phase.weight = e.at("weight").asDouble();
-        phase.chr = phaseCharacterizationFromJson(e.at("chr"));
-        chr.phases.push_back(std::move(phase));
-    }
-    return chr;
 }
 
 JsonValue
@@ -306,23 +105,6 @@ toJson(const OperatingPoint &op)
     return o;
 }
 
-OperatingPoint
-operatingPointFromJson(const JsonValue &v)
-{
-    OperatingPoint op;
-    op.freq = v.at("freq").asDouble();
-    const auto &knobs = v.at("knobs").asArray();
-    if (knobs.size() != op.knobs.size())
-        throw SnapshotError("operating point knob count mismatch");
-    for (std::size_t i = 0; i < op.knobs.size(); ++i) {
-        op.knobs[i].vdd = knobs[i].at("vdd").asDouble();
-        op.knobs[i].vbb = knobs[i].at("vbb").asDouble();
-    }
-    op.lowSlopeFu = v.at("low_slope_fu").asBool();
-    op.smallQueue = v.at("small_queue").asBool();
-    return op;
-}
-
 JsonValue
 toSnapshot(const AdaptationResult &result)
 {
@@ -334,20 +116,6 @@ toSnapshot(const AdaptationResult &result)
     payload.set("fmax", doubleArray(result.fmax));
     return makeSnapshot("adaptation_result", kAdaptationResultVersion,
                         std::move(payload));
-}
-
-AdaptationResult
-adaptationResultFromSnapshot(const JsonValue &snapshot)
-{
-    const JsonValue &p = snapshotPayload(snapshot, "adaptation_result",
-                                         kAdaptationResultVersion);
-    AdaptationResult result;
-    result.op = operatingPointFromJson(p.at("op"));
-    result.feasible = p.at("feasible").asBool();
-    result.predictedPerf = p.at("predicted_perf").asDouble();
-    result.predictedPe = p.at("predicted_pe").asDouble();
-    result.fmax = fixedArray<kNumSubsystems>(p.at("fmax"));
-    return result;
 }
 
 } // namespace eval

@@ -1,20 +1,18 @@
 /**
  * @file
- * Snapshot serializers for the simulator's core state: variation maps,
- * manufactured chips, workload characterizations, and optimizer
- * decisions.  Every toSnapshot/fromSnapshot pair guarantees bit-exact
- * round trips through both the JSON text and the compact binary
- * encodings (tests/golden/snapshot_roundtrip_test.cpp holds the
- * contract); fromSnapshot throws SnapshotError on version or shape
- * mismatches.
+ * Snapshot encoders for the simulator's core state: variation maps,
+ * manufactured chips, and optimizer decisions.  The golden suites
+ * hash these bytes (snapshotDigest), so an encoder's output is part
+ * of the behaviour contract; nothing decodes them back into model
+ * objects.  The only snapshot that is read back is the Fig 13
+ * campaign checkpoint (valid/checkpoint.hh).
  *
- * Kind versions bump whenever a payload's meaning changes so stale
- * snapshots fail loudly instead of deserializing garbage.
+ * Kind versions bump whenever a payload's meaning changes, so a
+ * golden digest moves when the encoding does.
  */
 
 #pragma once
 
-#include "core/environment.hh"
 #include "core/optimizer.hh"
 #include "util/random.hh"
 #include "valid/snapshot.hh"
@@ -23,32 +21,18 @@
 
 namespace eval {
 
-// -- Rng state ----------------------------------------------------------
 JsonValue toJson(const Rng::State &state);
-Rng::State rngStateFromJson(const JsonValue &v);
-
-// -- ProcessParams ------------------------------------------------------
 JsonValue toJson(const ProcessParams &p);
-ProcessParams processParamsFromJson(const JsonValue &v);
 
-// -- VariationMap (kind "variation_map") --------------------------------
+/** Kind "variation_map". */
 JsonValue toSnapshot(const VariationMap &map);
-VariationMap variationMapFromSnapshot(const JsonValue &snapshot);
 
-// -- Chip (kind "chip") -------------------------------------------------
+/** Kind "chip"; nests the chip's variation_map snapshot. */
 JsonValue toSnapshot(const Chip &chip);
-Chip chipFromSnapshot(const JsonValue &snapshot);
 
-// -- Characterization (kind "characterization") -------------------------
-JsonValue toSnapshot(const AppCharacterization &chr);
-AppCharacterization characterizationFromSnapshot(const JsonValue &snapshot);
-
-// -- Optimizer decision (kind "adaptation_result") ----------------------
 JsonValue toJson(const OperatingPoint &op);
-OperatingPoint operatingPointFromJson(const JsonValue &v);
 
+/** Kind "adaptation_result". */
 JsonValue toSnapshot(const AdaptationResult &result);
-AdaptationResult adaptationResultFromSnapshot(const JsonValue &snapshot);
 
 } // namespace eval
-

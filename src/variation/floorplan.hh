@@ -40,8 +40,6 @@ struct Rect
     double width() const { return x1 - x0; }
     double height() const { return y1 - y0; }
     double area() const { return width() * height(); }
-    double centerX() const { return 0.5 * (x0 + x1); }
-    double centerY() const { return 0.5 * (y0 + y1); }
 };
 
 /** Static description of one subsystem. */

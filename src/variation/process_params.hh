@@ -122,13 +122,6 @@ struct ProcessParams
         return leffSigma() * std::sqrt(1.0 - leffSystematicShare);
     }
 
-    /** Vt at temperature tC, nominal Vdd, zero body bias (Eq 9). */
-    double
-    vtAtTemp(double tC) const
-    {
-        return vtMean + k1 * (tC - vtRefTempC);
-    }
-
     /** A zero-variation copy of these parameters (NoVar environment). */
     ProcessParams
     withoutVariation() const

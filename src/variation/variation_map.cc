@@ -1,9 +1,7 @@
 #include "variation/variation_map.hh"
 
 #include <algorithm>
-#include <cmath>
 
-#include "util/logging.hh"
 #include "util/math_utils.hh"
 
 namespace eval {
@@ -35,22 +33,6 @@ VariationMap
 VariationMap::flat(const ProcessParams &params)
 {
     return VariationMap(params, params.gridSize);
-}
-
-VariationMap
-VariationMap::fromFields(const ProcessParams &params,
-                         std::vector<double> vtSys,
-                         std::vector<double> leffSys)
-{
-    const auto n = static_cast<std::size_t>(
-        std::lround(std::sqrt(static_cast<double>(vtSys.size()))));
-    EVAL_ASSERT(n > 0 && n * n == vtSys.size() &&
-                    vtSys.size() == leffSys.size(),
-                "variation fields must be square and equally sized");
-    VariationMap map(params, n);
-    map.vtSys_ = std::move(vtSys);
-    map.leffSys_ = std::move(leffSys);
-    return map;
 }
 
 double

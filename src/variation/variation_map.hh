@@ -40,15 +40,6 @@ class VariationMap
     /** Build a flat (no-variation) map for the NoVar environment. */
     static VariationMap flat(const ProcessParams &params);
 
-    /**
-     * Rebuild a map from snapshotted fields (src/valid serializers).
-     * Both fields must be n*n for a power-of-two-sized grid matching
-     * what the generator would produce; fatal otherwise.
-     */
-    static VariationMap fromFields(const ProcessParams &params,
-                                   std::vector<double> vtSys,
-                                   std::vector<double> leffSys);
-
     /** Systematic Vt at chip coordinates (x, y) in [0,1]^2, bilinear. */
     double vtSystematicAt(double x, double y) const;
 
@@ -68,7 +59,7 @@ class VariationMap
     const ProcessParams &params() const { return params_; }
     std::size_t gridSize() const { return n_; }
 
-    /** Raw systematic fields, row-major n*n (snapshot serialization). */
+    /** Raw systematic fields, row-major n*n (hashed by the chip snapshot). */
     const std::vector<double> &vtSystematicField() const { return vtSys_; }
     const std::vector<double> &leffSystematicField() const
     {

@@ -184,26 +184,4 @@ appByName(const std::string &name)
     EVAL_FATAL("unknown application: ", name);
 }
 
-std::vector<std::string>
-specIntNames()
-{
-    std::vector<std::string> names;
-    for (const auto &p : specSuite()) {
-        if (!p.isFp)
-            names.push_back(p.name);
-    }
-    return names;
-}
-
-std::vector<std::string>
-specFpNames()
-{
-    std::vector<std::string> names;
-    for (const auto &p : specSuite()) {
-        if (p.isFp)
-            names.push_back(p.name);
-    }
-    return names;
-}
-
 } // namespace eval

@@ -75,9 +75,5 @@ const std::vector<AppProfile> &specSuite();
 /** Look up a profile by name (fatal on unknown). */
 const AppProfile &appByName(const std::string &name);
 
-/** Names of integer / FP subsets. */
-std::vector<std::string> specIntNames();
-std::vector<std::string> specFpNames();
-
 } // namespace eval
 

@@ -128,15 +128,22 @@ TEST_F(EnvironmentTest, OutcomesOnlyForNewPhases)
     EXPECT_EQ(res.outcomes.size(), 3u);
 }
 
-TEST_F(EnvironmentTest, SelectedAppsHonoursEnv)
+TEST_F(EnvironmentTest, SelectedAppsReadsOnlyTheConfig)
 {
-    setenv("EVAL_APPS", "swim,gzip", 1);
-    const auto apps = ctx().selectedApps();
+    // EVAL_APPS reaches a context only through ExperimentConfig::
+    // fromEnv: a config built in code with no apps runs the full
+    // suite whatever the environment says.
+    setenv("EVAL_APPS", "gzip", 1);
+    const auto all = ctx().selectedApps();
+    ExperimentConfig named;
+    named.chips = 1;
+    named.apps = {"swim", "gzip"};
+    const auto picked = ExperimentContext(named).selectedApps();
     unsetenv("EVAL_APPS");
-    ASSERT_EQ(apps.size(), 2u);
-    EXPECT_EQ(apps[0]->name, "swim");
-    EXPECT_EQ(apps[1]->name, "gzip");
-    EXPECT_EQ(ctx().selectedApps().size(), specSuite().size());
+    EXPECT_EQ(all.size(), 24u);
+    ASSERT_EQ(picked.size(), 2u);
+    EXPECT_EQ(picked[0]->name, "swim");
+    EXPECT_EQ(picked[1]->name, "gzip");
 }
 
 TEST_F(EnvironmentTest, NamesRoundTrip)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/environment.hh"
 #include "util/arg_parser.hh"
 #include "util/config.hh"
 #include "util/random.hh"
@@ -105,7 +106,7 @@ TEST_F(ConfigFuzz, SplitCsvNeverCrashesAndIsIdempotent)
     }
 }
 
-TEST_F(ConfigFuzz, RunConfigFromEnvToleratesGarbage)
+TEST_F(ConfigFuzz, ExperimentConfigFromEnvToleratesGarbage)
 {
     Rng rng(0xFEED);
     for (int i = 0; i < 200; ++i) {
@@ -113,9 +114,9 @@ TEST_F(ConfigFuzz, RunConfigFromEnvToleratesGarbage)
         ::setenv("EVAL_SEED", randomGarbage(rng, 12).c_str(), 1);
         ::setenv("EVAL_APPS", randomGarbage(rng, 32).c_str(), 1);
         ::setenv("EVAL_FAST", randomGarbage(rng, 4).c_str(), 1);
-        const RunConfig cfg = RunConfig::fromEnv();
+        const ExperimentConfig cfg = ExperimentConfig::fromEnv();
         // Whatever the garbage, the config stays usable.
-        EXPECT_GE(cfg.chips, 0);
+        EXPECT_GE(cfg.chips, 1);
     }
     ::unsetenv("EVAL_CHIPS");
     ::unsetenv("EVAL_SEED");

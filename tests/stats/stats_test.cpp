@@ -1,17 +1,23 @@
 /**
  * @file
  * Unit tests for the stats subsystem: counter semantics, registry
- * registration rules, the JSON snapshot, and the decision trace ring.
+ * registration rules, the JSON snapshot, the decision trace ring, and
+ * the telemetry exit flush.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <exception>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "stats/stats.hh"
+#include "stats/telemetry.hh"
+#include "util/logging.hh"
 
 using namespace eval;
 
@@ -198,6 +204,55 @@ TEST(StatRegistryTest, JsonRoundTrip)
     EXPECT_EQ(json.scalar("controller.adaptations.value"), "7");
     EXPECT_EQ(json.scalar("chip.thermal.iterations.type"), "counter");
     EXPECT_EQ(json.scalar("chip.thermal.iterations.value"), "3");
+}
+
+/** In a death-test child: arm telemetry with a stats file at
+ *  @p path and bump one counter, so the file has content to write. */
+void
+startStatsTelemetry(const std::string &path)
+{
+    TelemetryPaths paths;
+    paths.stats = path;
+    startTelemetry("stats_test", paths);
+    StatRegistry::global().counter("test.died_mid_run").inc();
+}
+
+/** The stats file the child left behind ("" if none), removed. */
+std::string
+takeStatsFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    std::remove(path.c_str());
+    return os.str();
+}
+
+TEST(TelemetryDeathTest, FatalExitStillWritesStats)
+{
+    const std::string path = testing::TempDir() + "stats_test_fatal.json";
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            startStatsTelemetry(path);
+            EVAL_FATAL("dying mid-run");
+        },
+        ::testing::ExitedWithCode(1), "dying mid-run");
+    EXPECT_NE(takeStatsFile(path).find("died_mid_run"), std::string::npos);
+}
+
+TEST(TelemetryDeathTest, TerminateStillWritesStats)
+{
+    const std::string path =
+        testing::TempDir() + "stats_test_terminate.json";
+    std::remove(path.c_str());
+    EXPECT_DEATH(
+        {
+            startStatsTelemetry(path);
+            std::terminate();
+        },
+        "");
+    EXPECT_NE(takeStatsFile(path).find("died_mid_run"), std::string::npos);
 }
 
 TEST(DecisionTraceTest, DisabledRecordIsNoOp)

@@ -1,12 +1,10 @@
-/** Tests for the Eq 6-9 electro-thermal solver and sensors. */
+/** Tests for the Eq 6-9 electro-thermal solver and the heat sink. */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "power/power_model.hh"
-#include "thermal/sensors.hh"
-#include "util/statistics.hh"
 #include "thermal/thermal_model.hh"
 
 namespace eval {
@@ -101,30 +99,6 @@ TEST(Heatsink, TracksChipPower)
     EXPECT_NEAR(hs.tempC(120.0), hs.ambientC + 30.0, 1e-12);
     // The paper's TH_MAX=70C corresponds to ~PMAX on all four cores.
     EXPECT_LE(hs.tempC(4 * 30.0), 70.0 + 1e-9);
-}
-
-TEST(Sensors, NoisySensorClampsAndCenters)
-{
-    NoisySensor s(0.5, 0.0, 100.0);
-    Rng rng(5);
-    RunningStats stats;
-    for (int i = 0; i < 20000; ++i)
-        stats.add(s.read(50.0, rng));
-    EXPECT_NEAR(stats.mean(), 50.0, 0.05);
-    EXPECT_NEAR(stats.stddev(), 0.5, 0.05);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_GE(s.read(-1000.0, rng), 0.0);
-        EXPECT_LE(s.read(1000.0, rng), 100.0);
-    }
-}
-
-TEST(Sensors, PeRateNeverNegative)
-{
-    SensorSuite suite;
-    Rng rng(7);
-    EXPECT_DOUBLE_EQ(suite.readPeRate(0.0, rng), 0.0);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GE(suite.readPeRate(1e-5, rng), 0.0);
 }
 
 /** Property: solver converges over the whole knob space. */

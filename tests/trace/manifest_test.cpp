@@ -1,5 +1,5 @@
 /** Tests for run provenance: manifest content, the config hash, and
- *  the crash-safe ExitFlush registry. */
+ *  peak RSS. */
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <sstream>
 
 
-#include "trace/exit_flush.hh"
 #include "trace/manifest.hh"
 #include "valid/json_value.hh"
 
@@ -106,48 +105,6 @@ TEST_F(ManifestTest, WriteProducesAParsableFile)
               "manifest_test");
     std::remove(path.c_str());
     EXPECT_FALSE(m.write("/nonexistent-dir/manifest.json"));
-}
-
-TEST(ExitFlushTest, ClosuresRunOnceAndClear)
-{
-    ExitFlush &flush = ExitFlush::global();
-    flush.runNow(); // drain anything a prior test registered
-
-    int runs = 0;
-    flush.add("test.counter", [&runs] { ++runs; });
-    EXPECT_EQ(flush.pending(), 1u);
-    flush.runNow();
-    EXPECT_EQ(runs, 1);
-    EXPECT_EQ(flush.pending(), 0u);
-    flush.runNow(); // second call must not re-run the closure
-    EXPECT_EQ(runs, 1);
-}
-
-TEST(ExitFlushTest, RemoveUnregistersWithoutRunning)
-{
-    ExitFlush &flush = ExitFlush::global();
-    flush.runNow();
-
-    int runs = 0;
-    const int id = flush.add("test.removed", [&runs] { ++runs; });
-    flush.add("test.kept", [&runs] { runs += 10; });
-    flush.remove(id);
-    EXPECT_EQ(flush.pending(), 1u);
-    flush.runNow();
-    EXPECT_EQ(runs, 10);
-}
-
-TEST(ExitFlushTest, ThrowingClosureDoesNotBlockOthers)
-{
-    ExitFlush &flush = ExitFlush::global();
-    flush.runNow();
-
-    bool ran = false;
-    flush.add("test.throws", [] { throw std::runtime_error("boom"); });
-    flush.add("test.after", [&ran] { ran = true; });
-    flush.runNow();
-    EXPECT_TRUE(ran);
-    EXPECT_EQ(flush.pending(), 0u);
 }
 
 TEST(PeakRssTest, CoversOwnAllocation)

@@ -1,9 +1,11 @@
-/** Tests for environment-driven configuration (util/config.hh). */
+/** Tests for environment-driven configuration (util/config.hh and
+ *  ExperimentConfig::fromEnv). */
 
 #include <cstdlib>
 
 #include <gtest/gtest.h>
 
+#include "core/environment.hh"
 #include "util/config.hh"
 
 namespace eval {
@@ -68,24 +70,27 @@ TEST_F(ConfigTest, SplitCsvListTrims)
     EXPECT_TRUE(splitCsvList("").empty());
 }
 
-TEST_F(ConfigTest, RunConfigFromEnv)
+TEST_F(ConfigTest, ExperimentConfigFromEnv)
 {
     setenv("EVAL_CHIPS", "7", 1);
     setenv("EVAL_SEED", "99", 1);
     setenv("EVAL_FAST", "1", 1);
     setenv("EVAL_APPS", "swim,mcf", 1);
-    const RunConfig cfg = RunConfig::fromEnv();
+    const ExperimentConfig cfg = ExperimentConfig::fromEnv();
     EXPECT_EQ(cfg.chips, 7);
     EXPECT_EQ(cfg.seed, 99u);
-    EXPECT_TRUE(cfg.fast);
+    EXPECT_EQ(cfg.simInsts, 60000u);   // EVAL_FAST's clamp
     ASSERT_EQ(cfg.apps.size(), 2u);
     EXPECT_EQ(cfg.apps[0], "swim");
 }
 
-TEST_F(ConfigTest, RunConfigClampsChips)
+TEST_F(ConfigTest, ExperimentConfigClampsChips)
 {
     setenv("EVAL_CHIPS", "-3", 1);
-    EXPECT_EQ(RunConfig::fromEnv().chips, 1);
+    EXPECT_EQ(ExperimentConfig::fromEnv().chips, 1);
+    setenv("EVAL_CHIPS", "20", 1);
+    setenv("EVAL_FAST", "1", 1);
+    EXPECT_EQ(ExperimentConfig::fromEnv().chips, 8);
 }
 
 } // namespace

@@ -1,7 +1,5 @@
 /** Tests for numeric helpers (util/math_utils.hh). */
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "util/math_utils.hh"
@@ -45,44 +43,6 @@ TEST(LerpClamp, Basics)
     EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
     EXPECT_DOUBLE_EQ(clamp(-5.0, 0.0, 1.0), 0.0);
     EXPECT_DOUBLE_EQ(clamp(0.5, 0.0, 1.0), 0.5);
-}
-
-TEST(Interpolate, PiecewiseLinear)
-{
-    const std::vector<double> xs{0.0, 1.0, 2.0};
-    const std::vector<double> ys{0.0, 10.0, 40.0};
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, 0.5), 5.0);
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, 1.5), 25.0);
-    // Flat extrapolation.
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, -1.0), 0.0);
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, 3.0), 40.0);
-}
-
-TEST(FixedPoint, ConvergesToRoot)
-{
-    // x = cos(x) has the Dottie number as its fixed point.
-    bool converged = false;
-    const double x = fixedPoint([](double v) { return std::cos(v); }, 0.5,
-                                1.0, 1e-10, 500, &converged);
-    EXPECT_TRUE(converged);
-    EXPECT_NEAR(x, 0.7390851332151607, 1e-7);
-}
-
-TEST(FixedPoint, DampingStabilizesDivergentMap)
-{
-    // x -> 3.2 - x oscillates undamped; damping finds x = 1.6.
-    bool converged = false;
-    const double x = fixedPoint([](double v) { return 3.2 - v; }, 0.0, 0.5,
-                                1e-10, 500, &converged);
-    EXPECT_TRUE(converged);
-    EXPECT_NEAR(x, 1.6, 1e-6);
-}
-
-TEST(GoldenSection, FindsParabolaPeak)
-{
-    const double x = goldenSectionMax(
-        [](double v) { return -(v - 2.5) * (v - 2.5); }, 0.0, 10.0, 1e-7);
-    EXPECT_NEAR(x, 2.5, 1e-5);
 }
 
 /** Property sweep: quantile/CDF round trip across the unit interval. */

@@ -1,5 +1,6 @@
 /** Tests for the synthetic SPEC-like workload suite and generator. */
 
+#include <algorithm>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -13,8 +14,10 @@ namespace {
 TEST(Suite, TwentyFourApps)
 {
     EXPECT_EQ(specSuite().size(), 24u);
-    EXPECT_EQ(specIntNames().size(), 12u);
-    EXPECT_EQ(specFpNames().size(), 12u);
+    const auto fp = std::count_if(
+        specSuite().begin(), specSuite().end(),
+        [](const AppProfile &app) { return app.isFp; });
+    EXPECT_EQ(fp, 12);   // 12 SPECfp + 12 SPECint
 }
 
 TEST(Suite, LookupByName)
