@@ -166,10 +166,9 @@ class ExperimentContext
     /**
      * Chip @p index, manufactured on first use.  Chip @p i is a pure
      * function of (seed, i), so lazy manufacture returns exactly the
-     * chip the old eager constructor held — but the campaign loop
-     * walking the population block by block only ever materializes
-     * the current block, bounding resident VariationMaps to the
-     * block size (DESIGN.md Sec 5h).
+     * chip the old eager constructor held — but the campaign unit
+     * evicts its chip on return, bounding resident VariationMaps to
+     * the chips in flight, one per worker thread (DESIGN.md Sec 5h).
      */
     const Chip &chip(std::size_t index);
 

@@ -46,9 +46,15 @@ CoreFuzzySystem::train()
         const SubsystemModel &sub = core_.subsystem(id);
         Rng subRng = rng.fork(0x5B + i);
 
-        std::vector<std::vector<double>> fmaxIn, vddIn, vbbIn;
+        // Inputs are kept whole (FcInput); the Freq FC reads the first
+        // kFreqInputs entries of each, the Power FCs kPowerInputs.
+        std::vector<FcInput> fmaxIn, vddIn, vbbIn;
         std::vector<double> fmaxOut, vddOut, vbbOut;
         fmaxIn.reserve(cfg_.examplesPerFc);
+        if (caps_.asv)
+            vddIn.reserve(cfg_.examplesPerFc);
+        if (caps_.abb)
+            vbbIn.reserve(cfg_.examplesPerFc);
 
         for (std::size_t k = 0; k < cfg_.examplesPerFc; ++k) {
             const double thC = subRng.uniform(45.0, 70.0);
@@ -60,7 +66,7 @@ CoreFuzzySystem::train()
                 exhaustive.maxFrequency(core_, id, alt, alphaF, thC),
                 knobs.freq.lo(), knobs.freq.hi());
             FcInput in = freqInput(id, thC, alphaF, alt);
-            fmaxIn.emplace_back(in.begin(), in.begin() + kFreqInputs);
+            fmaxIn.push_back(in);
             fmaxOut.push_back(fmax);
 
             if (caps_.asv || caps_.abb) {
@@ -75,13 +81,11 @@ CoreFuzzySystem::train()
                 if (best) {
                     in[kFreqInputs] = fcore;
                     if (caps_.asv) {
-                        vddIn.emplace_back(in.begin(),
-                                           in.begin() + kPowerInputs);
+                        vddIn.push_back(in);
                         vddOut.push_back(best->vdd);
                     }
                     if (caps_.abb) {
-                        vbbIn.emplace_back(in.begin(),
-                                           in.begin() + kPowerInputs);
+                        vbbIn.push_back(in);
                         vbbOut.push_back(best->vbb);
                     }
                 }
@@ -92,18 +96,18 @@ CoreFuzzySystem::train()
                     "too few training examples for the rule base");
         Rng trainRng = subRng.fork(0x7124);
 
-        fmaxFc_[i] = std::make_unique<TrainedController>(
-            cfg_.rules, fmaxIn.front().size());
+        fmaxFc_[i] =
+            std::make_unique<TrainedController>(cfg_.rules, kFreqInputs);
         fmaxFc_[i]->train(fmaxIn, fmaxOut, cfg_.learningRate, trainRng);
 
         if (caps_.asv && vddIn.size() >= cfg_.rules) {
-            vddFc_[i] = std::make_unique<TrainedController>(
-                cfg_.rules, vddIn.front().size());
+            vddFc_[i] = std::make_unique<TrainedController>(cfg_.rules,
+                                                            kPowerInputs);
             vddFc_[i]->train(vddIn, vddOut, cfg_.learningRate, trainRng);
         }
         if (caps_.abb && vbbIn.size() >= cfg_.rules) {
-            vbbFc_[i] = std::make_unique<TrainedController>(
-                cfg_.rules, vbbIn.front().size());
+            vbbFc_[i] = std::make_unique<TrainedController>(cfg_.rules,
+                                                            kPowerInputs);
             vbbFc_[i]->train(vbbIn, vbbOut, cfg_.learningRate, trainRng);
         }
     }

@@ -30,15 +30,14 @@ saveVector(std::ostream &os, std::span<const double> v)
 } // namespace
 
 void
-InputNormalizer::fit(const std::vector<std::vector<double>> &samples)
+InputNormalizer::fit(std::span<const FcInput> samples, std::size_t dims)
 {
     EVAL_ASSERT(!samples.empty(), "normalizer needs samples");
-    dims_ = samples.front().size();
-    EVAL_ASSERT(dims_ <= kMaxFcInputs, "too many controller inputs");
+    EVAL_ASSERT(dims <= kMaxFcInputs, "too many controller inputs");
+    dims_ = dims;
     lo_.fill(std::numeric_limits<double>::infinity());
     hi_.fill(-std::numeric_limits<double>::infinity());
-    for (const auto &s : samples) {
-        EVAL_ASSERT(s.size() == dims_, "inconsistent sample dims");
+    for (const FcInput &s : samples) {
         for (std::size_t j = 0; j < dims_; ++j) {
             lo_[j] = std::min(lo_[j], s[j]);
             hi_[j] = std::max(hi_[j], s[j]);
@@ -221,18 +220,18 @@ TrainedController::TrainedController(std::size_t numRules,
 }
 
 void
-TrainedController::train(const std::vector<std::vector<double>> &inputs,
+TrainedController::train(std::span<const FcInput> inputs,
                          const std::vector<double> &outputs,
                          double learningRate, Rng &rng)
 {
     EVAL_ASSERT(inputs.size() == outputs.size() && !inputs.empty(),
                 "dataset shape mismatch");
-    inputNorm_.fit(inputs);
+    const std::size_t dims = fc_.numInputs();
+    inputNorm_.fit(inputs, dims);
     outputNorm_.fitScalar(outputs);
 
-    const std::size_t dims = inputNorm_.dims();
     for (std::size_t k = 0; k < inputs.size(); ++k) {
-        const FcInput x = inputNorm_.normalize(inputs[k]);
+        const FcInput x = inputNorm_.normalize({inputs[k].data(), dims});
         fc_.train({x.data(), dims}, outputNorm_.normalizeScalar(outputs[k]),
                   learningRate, rng);
     }

@@ -37,7 +37,8 @@ constexpr std::size_t kMaxFcInputs = 8;
  *  bounds the gradient step's stack scratch. */
 constexpr std::size_t kMaxFcRules = 64;
 
-/** A normalized input vector; the first dims() entries are valid. */
+/** A controller input vector, raw or normalized; only its first
+ *  dims() entries are valid. */
 using FcInput = std::array<double, kMaxFcInputs>;
 
 /** Per-dimension affine normalization to [0, 1] (at most
@@ -47,8 +48,9 @@ class InputNormalizer
   public:
     InputNormalizer() = default;
 
-    /** Fit ranges from a set of raw vectors. */
-    void fit(const std::vector<std::vector<double>> &samples);
+    /** Fit ranges from raw vectors whose first @p dims entries are
+     *  valid. */
+    void fit(std::span<const FcInput> samples, std::size_t dims);
 
     /** Fit a scalar range. */
     void fitScalar(const std::vector<double> &samples);
@@ -118,12 +120,13 @@ class TrainedController
      * normalizes each example once and feeds it through
      * FuzzyController::train.
      *
-     * @param inputs  raw input vectors
+     * @param inputs  raw input vectors; the first numInputs entries
+     *                of each are read
      * @param outputs raw outputs (same length)
      * @param learningRate Eq 13 alpha
      * @param rng     sigma-seeding stream
      */
-    void train(const std::vector<std::vector<double>> &inputs,
+    void train(std::span<const FcInput> inputs,
                const std::vector<double> &outputs, double learningRate,
                Rng &rng);
 

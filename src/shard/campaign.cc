@@ -57,6 +57,7 @@ runCampaignChip(ExperimentContext &ctx, const CampaignConfig &campaign,
     for (std::size_t e = 0; e < kNumVoltageEnvs; ++e)
         result.outcomes[e] = ctx.adaptApps(
             chip, fig13Caps(fig13VoltageEnvs()[e]), campaign.scheme);
+    ctx.evictChip(chip);
     return result;
 }
 

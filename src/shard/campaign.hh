@@ -57,6 +57,8 @@ struct ChipCampaignResult
  * under fig13Caps of each voltage env, env-major.  Pure in (campaign,
  * chip id): only per-chip caches of @p ctx are touched, so a fresh
  * context after a resume reproduces the uninterrupted result exactly.
+ * The unit releases those caches (ExperimentContext::evictChip) before
+ * it returns, so a campaign holds one chip per worker thread.
  */
 ChipCampaignResult runCampaignChip(ExperimentContext &ctx,
                                    const CampaignConfig &campaign,

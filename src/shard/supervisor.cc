@@ -110,9 +110,9 @@ runCampaignLoop(const CampaignLoopOptions &opts, CampaignAccumulator &acc)
         }
     }
 
-    // Chips are manufactured lazily, one block at a time; chip i is
-    // pure in (seed, i), so a resumed run rebuilds exactly the chips
-    // an uninterrupted one would have.
+    // Each chip is manufactured lazily by its unit, which releases it
+    // on return; chip i is pure in (seed, i), so a resumed run
+    // rebuilds exactly the chips an uninterrupted one would have.
     ExperimentContext ctx(opts.campaign.experiment);
     const std::uint64_t blockChips =
         std::max<std::uint64_t>(1, opts.checkpointEvery);
@@ -133,11 +133,6 @@ runCampaignLoop(const CampaignLoopOptions &opts, CampaignAccumulator &acc)
             });
         for (std::size_t i = 0; i < blockSize; ++i)
             acc.addChip(cursor + i, results[i]);
-
-        // Bound memory: this block's chips (and their model/fuzzy/
-        // static-config cache entries) are dead weight now.
-        for (std::uint64_t id = cursor; id < blockEnd; ++id)
-            ctx.evictChip(static_cast<std::size_t>(id));
         processed += blockSize;
 
         if (durable &&

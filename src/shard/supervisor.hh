@@ -1,7 +1,7 @@
 /**
  * @file
  * The one Fig 13 campaign loop: block fan-out over the global pool,
- * serial fold in chip order, evict, and (optionally) checkpoint.
+ * serial fold in chip order, and (optionally) checkpoint.
  *
  * runMonolithic is the loop with no checkpoint directory; `eval_cli
  * fig13` runs it with one, so an interrupted campaign resumes from

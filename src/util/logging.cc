@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "trace/span_tracer.hh"
 
@@ -177,8 +178,11 @@ terminateWithMessage(LogLevel level, const std::string &msg,
     std::fprintf(stderr, "%s%s[%s] %s (%s:%d)\n",
                  timestampPrefix().c_str(), threadPrefix().c_str(),
                  levelTag(level), msg.c_str(), file, line);
+    // A panic goes through std::terminate, not std::abort, so the
+    // handler startTelemetry chains in still flushes the run's files
+    // before the default handler aborts (SIGABRT).
     if (level == LogLevel::Panic)
-        std::abort();
+        std::terminate();
     std::exit(1);
 }
 

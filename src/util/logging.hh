@@ -4,8 +4,10 @@
  * base/logging facilities.
  *
  * panic() is for internal invariant violations (simulator bugs); it
- * aborts.  fatal() is for user errors (bad configuration, impossible
- * parameters); it exits with an error code.  warn() and inform() print
+ * calls std::terminate, which aborts after any installed terminate
+ * handler (startTelemetry's flush) has run.  fatal() is for user
+ * errors (bad configuration, impossible parameters); it exits with an
+ * error code.  warn() and inform() print
  * status without stopping the run.
  *
  * Output filtering (thread-safe):

@@ -22,7 +22,9 @@ using V = std::vector<double>;
 TEST(Normalizer, MapsRangeToUnit)
 {
     InputNormalizer n;
-    n.fit({{0.0, 10.0}, {2.0, 30.0}});
+    const std::vector<FcInput> samples{{0.0, 10.0}, {2.0, 30.0}};
+    n.fit(samples, 2);
+    EXPECT_EQ(n.dims(), 2u);
     const auto v = n.normalize(V{1.0, 20.0});
     EXPECT_NEAR(v[0], 0.5, 1e-12);
     EXPECT_NEAR(v[1], 0.5, 1e-12);
@@ -31,7 +33,8 @@ TEST(Normalizer, MapsRangeToUnit)
 TEST(Normalizer, ConstantDimensionMapsToHalf)
 {
     InputNormalizer n;
-    n.fit({{5.0}, {5.0}});
+    const std::vector<FcInput> samples{{5.0}, {5.0}};
+    n.fit(samples, 1);
     EXPECT_NEAR(n.normalize(V{5.0})[0], 0.5, 1e-12);
 }
 
@@ -150,7 +153,7 @@ TEST(TrainedController, RawUnitsEndToEnd)
     // Learn fmax ~ 5e9 - 2e9 * load in raw physical units.
     TrainedController tc(16, 1);
     Rng rng(6);
-    std::vector<std::vector<double>> in;
+    std::vector<FcInput> in;
     std::vector<double> out;
     for (int k = 0; k < 3000; ++k) {
         const double load = rng.uniform(0.0, 1.0);

@@ -1,8 +1,8 @@
 /** The Fig 13 campaign: the cell loop (ExperimentContext::
  *  adaptPopulation) is thread-count invariant on a non-FU+Queue technique
  *  row and sums to the campaign's tallies; the accumulator's snapshot
- *  round-trips losslessly; and the campaign's bytes do not depend on
- *  the thread count. */
+ *  round-trips losslessly; the campaign's bytes do not depend on the
+ *  thread count; and the per-chip unit releases its chip's caches. */
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "exec/thread_pool.hh"
 #include "shard/supervisor.hh"
+#include "stats/stat_registry.hh"
 #include "valid/snapshot.hh"
 
 namespace eval {
@@ -67,6 +68,32 @@ TEST(CampaignTest, AccumulatorRoundTripsThroughSnapshots)
     EXPECT_THROW(CampaignAccumulator::fromSnapshot(
                      makeSnapshot("not_a_result", 1, acc.toPayload())),
                  SnapshotError);
+}
+
+TEST(CampaignTest, ChipUnitReleasesItsChip)
+{
+    setGlobalThreads(0);
+    CampaignConfig campaign = testCampaign();
+    campaign.scheme = AdaptScheme::FuzzyDyn;
+    // Four apps put an app on every core ((chip + app) % 4).
+    campaign.experiment.apps = {"gzip", "swim", "mcf", "art"};
+    ExperimentContext ctx(campaign.experiment);
+    const Counter &trainings =
+        StatRegistry::global().counter("fuzzy.trainings");
+
+    // Each call trains 4 cores x 4 voltage envs: the first unit left
+    // nothing cached behind for the second to reuse.
+    const std::uint64_t before = trainings.value();
+    const ChipCampaignResult first = runCampaignChip(ctx, campaign, 0);
+    EXPECT_EQ(trainings.value() - before, 16u);
+    const ChipCampaignResult second = runCampaignChip(ctx, campaign, 0);
+    EXPECT_EQ(trainings.value() - before, 32u);
+    EXPECT_EQ(second.outcomes, first.outcomes);
+    EXPECT_GT(first.invocations(), 0u);
+
+    // Evicting the already-released chip again is a no-op.
+    ctx.evictChip(0);
+    EXPECT_EQ(runCampaignChip(ctx, campaign, 0).outcomes, first.outcomes);
 }
 
 /** Per-env tallies of the Fig 13 cell loop (adaptPopulation) over a

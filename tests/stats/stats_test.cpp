@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <csignal>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -253,6 +254,21 @@ TEST(TelemetryDeathTest, TerminateStillWritesStats)
         },
         "");
     EXPECT_NE(takeStatsFile(path).find("died_mid_run"), std::string::npos);
+}
+
+TEST(TelemetryDeathTest, PanicStillWritesStats)
+{
+    const std::string path = testing::TempDir() + "stats_test_panic.json";
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            startStatsTelemetry(path);
+            EVAL_ASSERT(path.empty(), "panicking mid-run");
+        },
+        ::testing::KilledBySignal(SIGABRT), "panicking mid-run");
+    const std::string stats = takeStatsFile(path);
+    EXPECT_FALSE(stats.empty());
+    EXPECT_NE(stats.find("died_mid_run"), std::string::npos);
 }
 
 TEST(DecisionTraceTest, DisabledRecordIsNoOp)
