@@ -2,12 +2,12 @@
 # Tier-1 verification: configure with warnings-as-errors, build
 # everything, run the test suite tier by tier (ctest labels: tier1,
 # fuzz, golden).  This is what CI runs; run it locally before pushing.
+# The eval-lint gate (tools/lint) is the tier-1 test lint_test.
 #
 # Usage: scripts/check.sh [build-dir]     (default: build-check)
 #        scripts/check.sh --tsan [build-dir]
 #        scripts/check.sh --asan [build-dir]
 #        scripts/check.sh --ubsan [build-dir]
-#        scripts/check.sh --lint [build-dir]
 #        scripts/check.sh --tidy [build-dir]
 #        scripts/check.sh --coverage [build-dir]
 #        scripts/check.sh --prof-smoke [build-dir]
@@ -21,13 +21,6 @@
 # AddressSanitizer(+Leak) / UndefinedBehaviorSanitizer.  Together with
 # --tsan these form the sanitizer matrix (TESTING.md "Static analysis
 # and sanitizers").
-#
-# --lint (or CHECK_LINT=1) builds the eval-lint analyzer (tools/lint),
-# self-tests it against the fixture corpus (the violating tree MUST
-# fail, the clean tree MUST pass), then lints the real tree against the
-# layering manifest (tools/lint/layers.toml).  Writes lint-report.json
-# and lint.sarif into the build dir; CI uploads the SARIF to code
-# scanning and keeps the JSON as a failure artifact.
 #
 # --tidy (or CHECK_TIDY=1) runs clang-tidy over src/ with the curated
 # .clang-tidy config, using the build dir's compile_commands.json.
@@ -60,7 +53,6 @@ case "${1:-}" in
   --tsan)     mode="tsan";     shift ;;
   --asan)     mode="asan";     shift ;;
   --ubsan)    mode="ubsan";    shift ;;
-  --lint)     mode="lint";     shift ;;
   --tidy)     mode="tidy";     shift ;;
   --coverage) mode="coverage"; shift ;;
   --prof-smoke) mode="prof-smoke"; shift ;;
@@ -68,7 +60,6 @@ esac
 [[ "${CHECK_TSAN:-0}" == "1" ]] && mode="tsan"
 [[ "${CHECK_ASAN:-0}" == "1" ]] && mode="asan"
 [[ "${CHECK_UBSAN:-0}" == "1" ]] && mode="ubsan"
-[[ "${CHECK_LINT:-0}" == "1" ]] && mode="lint"
 [[ "${CHECK_TIDY:-0}" == "1" ]] && mode="tidy"
 [[ "${CHECK_COVERAGE:-0}" == "1" ]] && mode="coverage"
 [[ "${CHECK_PROF_SMOKE:-0}" == "1" ]] && mode="prof-smoke"
@@ -98,32 +89,6 @@ if [[ "$mode" == "asan" || "$mode" == "ubsan" ]]; then
         ctest --test-dir "$build_dir" --output-on-failure -j"$(nproc)" \
             -L tier1
     echo "check.sh: tier-1 tests passed under ${mode}"
-    exit 0
-fi
-
-if [[ "$mode" == "lint" ]]; then
-    build_dir="${1:-$repo_root/build-check}"
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" -j"$(nproc)" --target eval_lint
-    lint_bin="$build_dir/tools/lint/eval_lint"
-
-    # Self-test the gate before trusting it: the violating fixture
-    # corpus must fail (exit 1), the clean corpus must pass (exit 0).
-    if "$lint_bin" --root "$repo_root/tests/lint/fixtures/violating" \
-        > /dev/null; then
-        echo "check.sh: ERROR eval-lint passed the violating fixture corpus"
-        exit 1
-    fi
-    "$lint_bin" --root "$repo_root/tests/lint/fixtures/clean" > /dev/null
-
-    # The real tree (fixtures excluded: they are violating on purpose).
-    # No explicit paths: a path-scoped run skips the stale-manifest
-    # checks (lay-unused-edge), and the merge gate must include them.
-    "$lint_bin" --root "$repo_root" --exclude tests/lint/fixtures \
-        --json "$build_dir/lint-report.json" \
-        --sarif "$build_dir/lint.sarif"
-    echo "check.sh: eval-lint clean" \
-         "(report: $build_dir/lint-report.json, sarif: $build_dir/lint.sarif)"
     exit 0
 fi
 

@@ -72,11 +72,18 @@ DecisionTrace::totalRecorded() const
 const DecisionRecord &
 DecisionTrace::at(std::size_t i) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EVAL_ASSERT(i < ring_.size(), "trace index out of range");
-    // Until the ring wraps, head_ == size and oldest is index 0.
-    const std::size_t base = ring_.size() < capacity_ ? 0 : head_;
-    return ring_[(base + i) % ring_.size()];
+    std::size_t size = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        size = ring_.size();
+        if (i < size) {
+            // Until the ring wraps, head_ == size and oldest is index 0.
+            const std::size_t base = size < capacity_ ? 0 : head_;
+            return ring_[(base + i) % size];
+        }
+    }
+    // Fail with the lock released: the exit flush writes this trace.
+    EVAL_PANIC("trace index ", i, " out of range (size ", size, ")");
 }
 
 namespace {

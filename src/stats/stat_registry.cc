@@ -43,23 +43,30 @@ Counter &
 StatRegistry::counter(const std::string &name)
 {
     EVAL_ASSERT(!name.empty(), "stat name must not be empty");
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = stats_.find(name);
-    if (it != stats_.end())
-        return *it->second;
+    std::string clash;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = stats_.find(name);
+        if (it != stats_.end())
+            return *it->second;
 
-    // A dotted name is a tree path: a leaf cannot double as a group.
-    const std::string prefix = name + ".";
-    for (const auto &[other, unused] : stats_) {
-        (void)unused;
-        if (other.compare(0, prefix.size(), prefix) == 0 ||
-            name.compare(0, other.size() + 1, other + ".") == 0) {
-            EVAL_FATAL("stat '", name, "' conflicts with the hierarchy "
-                       "of existing stat '", other, "'");
+        // A dotted name is a tree path: a leaf cannot double as a group.
+        const std::string prefix = name + ".";
+        for (const auto &[other, unused] : stats_) {
+            (void)unused;
+            if (other.compare(0, prefix.size(), prefix) == 0 ||
+                name.compare(0, other.size() + 1, other + ".") == 0) {
+                clash = other;
+                break;
+            }
         }
+        if (clash.empty())
+            return *stats_.emplace(name, std::make_unique<Counter>())
+                        .first->second;
     }
-    it = stats_.emplace(name, std::make_unique<Counter>()).first;
-    return *it->second;
+    // Fail with the lock released: the exit flush dumps this registry.
+    EVAL_FATAL("stat '", name, "' conflicts with the hierarchy of "
+               "existing stat '", clash, "'");
 }
 
 bool

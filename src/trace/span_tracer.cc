@@ -233,16 +233,14 @@ SpanTracer::writeProfileJson(const std::string &path) const
     return ok;
 }
 
-namespace trace_detail {
-
 bool
-tracingEnabled()
+ScopedSpan::tracingEnabled()
 {
     return tracingFlag.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
-beginSpanImpl(const char *name)
+ScopedSpan::beginSpanImpl(const char *name)
 {
     ThreadLog &log = threadLog();
     OpenFrame frame;
@@ -263,7 +261,7 @@ beginSpanImpl(const char *name)
 }
 
 void
-endSpanImpl(const char *name, std::uint64_t startNs)
+ScopedSpan::endSpanImpl(const char *name, std::uint64_t startNs)
 {
     const std::uint64_t now = traceNowNs();
     const std::uint64_t durNs = now > startNs ? now - startNs : 0;
@@ -285,7 +283,5 @@ endSpanImpl(const char *name, std::uint64_t startNs)
     cell.inclNs += durNs;
     cell.selfNs += durNs > childNs ? durNs - childNs : 0;
 }
-
-} // namespace trace_detail
 
 } // namespace eval

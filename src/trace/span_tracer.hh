@@ -28,19 +28,19 @@
  *    are counted exactly by stats counters (timing.error_evals,
  *    thermal.solves) and their time lands in the enclosing span's
  *    self time.
- *  - This file is the sanctioned home of wall-clock reads for
- *    tracing (see the det-wallclock lint rule): model code must not
- *    read clocks, but may open spans freely.
+ *  - This file is the home of wall-clock reads for tracing: model
+ *    code does not read clocks, but may open spans freely.
  *
- * Escape hatch discipline: ScopedSpan is the ONLY way model code may
- * create spans.  The raw beginSpan/endSpan handle API exists for the
- * tracer's own internals and is lint-banned elsewhere
- * (obs-span-leak), because a span handle that escapes its scope can
- * close out of stack order and charge the wrong parent path.
+ * ScopedSpan is the ONLY way to create a span, and the type itself
+ * keeps it a stack local: the raw open/close calls are its private
+ * members, and it can be neither copied, moved, nor heap-allocated.
+ * A span handle that escaped its scope could close out of stack order
+ * and charge the wrong parent path.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -102,24 +102,11 @@ class SpanTracer
     static const char *currentSpanName();
 };
 
-namespace trace_detail {
-
-/** Tracer-internal span open/close (the raw handle API wrapped by
- *  ScopedSpan).  Outside src/trace the obs-span-leak lint rule bans
- *  these: use ScopedSpan.  beginSpanImpl pushes the open-span frame
- *  (building the parent-path key once, at open); endSpanImpl pops it,
- *  attributes self time to the closing span and inclusive time to its
- *  parent's child accumulator, and folds the profile bucket. */
-std::uint64_t beginSpanImpl(const char *name);
-void endSpanImpl(const char *name, std::uint64_t startNs);
-bool tracingEnabled();
-
-} // namespace trace_detail
-
 /**
  * RAII span: times its scope into the profile when tracing is
- * enabled, and is a single relaxed atomic load when disabled.  Deliberately immovable and uncopyable — a span
- * IS its scope (see obs-span-leak).
+ * enabled, and is a single relaxed atomic load when disabled.  A span
+ * IS its scope: it cannot be copied, moved or heap-allocated, and
+ * nothing else can open or close one.
  *
  *     ScopedSpan span("optimizer.choose");
  */
@@ -127,24 +114,35 @@ class ScopedSpan
 {
   public:
     explicit ScopedSpan(const char *name)
-        : name_(trace_detail::tracingEnabled() ? name : nullptr)
+        : name_(tracingEnabled() ? name : nullptr)
     {
         if (name_)
-            start_ = trace_detail::beginSpanImpl(name_);
+            start_ = beginSpanImpl(name_);
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
     ScopedSpan(ScopedSpan &&) = delete;
     ScopedSpan &operator=(ScopedSpan &&) = delete;
+    static void *operator new(std::size_t) = delete;
+    static void *operator new[](std::size_t) = delete;
 
     ~ScopedSpan()
     {
         if (name_)
-            trace_detail::endSpanImpl(name_, start_);
+            endSpanImpl(name_, start_);
     }
 
   private:
+    static bool tracingEnabled();
+    /** Push the open-span frame (building the parent-path key once, at
+     *  open) and return the start time. */
+    static std::uint64_t beginSpanImpl(const char *name);
+    /** Pop the frame, attribute self time to the closing span and
+     *  inclusive time to its parent's child accumulator, and fold the
+     *  profile bucket. */
+    static void endSpanImpl(const char *name, std::uint64_t startNs);
+
     const char *name_;        ///< nullptr = tracing was disabled
     std::uint64_t start_ = 0;
 };

@@ -65,8 +65,6 @@ SeriesSet::csv(int precision) const
 void
 SeriesSet::print(int precision) const
 {
-    // eval-lint: allow(hyg-iostream) SeriesSet::print is the sanctioned
-    // CSV console sink for bench output, parallel to TablePrinter.
     std::fputs(csv(precision).c_str(), stdout);
 }
 

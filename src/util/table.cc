@@ -113,9 +113,6 @@ TablePrinter::csv() const
 void
 TablePrinter::print() const
 {
-    // eval-lint: allow(hyg-iostream) TablePrinter is the sanctioned
-    // console sink: every bench/CLI figure goes through it, so this is
-    // the one place library code may write to stdout directly.
     std::fputs(str().c_str(), stdout);
 }
 

@@ -1,65 +1,17 @@
-// Fixture: model code that honors every rule — split-derived Rng
-// streams inside the parallel region, tolerance comparison instead of
-// float equality, and a justified (therefore used) suppression for an
-// unordered container that never reaches an accumulation path.
-#include <cmath>
+// Fixture: a justified (therefore used) suppression for an unordered
+// container that never reaches an accumulation path.
 #include <cstddef>
 #include <unordered_set>
-#include <vector>
 
 namespace fixture {
 
-struct Rng
-{
-    double uniform() { return 0.5; }
-    Rng split(std::size_t) const { return *this; }
-};
-
-template <typename Fn>
-void
-parallelFor(std::size_t first, std::size_t last, std::size_t grain, Fn &&fn)
-{
-    (void)grain;
-    for (std::size_t i = first; i < last; ++i)
-        fn(i);
-}
-
-double
-blend(double frac, std::size_t n)
+bool
+seenBefore(std::size_t n)
 {
     // eval-lint: allow(det-unordered) membership probe only: the set
     // is never iterated, so its order cannot reach results or output.
-    std::unordered_set<std::size_t> seen;
-    seen.insert(n);
-
-    Rng master;
-    std::vector<double> out(n);
-    parallelFor(0, n, 1, [&](std::size_t i) {
-        Rng local = master.split(i);
-        out[i] = local.uniform();
-    });
-
-    double sum = 0.0;
-    for (double v : out)
-        sum += v;
-    if (std::abs(frac - 1.0) < 1e-12)
-        sum += 1.0;
-    return sum;
-}
-
-class ScopedSpan
-{
-  public:
-    explicit ScopedSpan(const char *) {}
-};
-
-double
-tracedBlend(double frac, std::size_t n)
-{
-    // RAII span on the stack: opens and closes with this scope, so
-    // obs-span-leak has nothing to say.
-    ScopedSpan span("model.blend");
-    return blend(frac, n);
+    static std::unordered_set<std::size_t> seen;
+    return !seen.insert(n).second;
 }
 
 } // namespace fixture

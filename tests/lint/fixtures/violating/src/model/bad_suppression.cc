@@ -1,23 +1,23 @@
 // Fixture: suppression misuse.  Each case must surface as
 // lint-bad-suppression, and the finding it tried to hide must
 // still be reported.
-#include <cstdlib>
+#include <unordered_map>
 
 namespace fixture {
 
 int
-noise()
+tables()
 {
     // Case 1: no justification text at all.
-    const int a = std::rand(); // eval-lint: allow(det-entropy)
+    std::unordered_map<int, int> a; // eval-lint: allow(det-unordered)
 
     // Case 2: unknown rule id.
-    const int b = std::rand(); // eval-lint: allow(not-a-rule) because
+    std::unordered_map<int, int> b; // eval-lint: allow(not-a-rule) because
 
     // Case 3: empty rule list.
-    const int c = std::rand(); // eval-lint: allow() shrug
+    std::unordered_map<int, int> c; // eval-lint: allow() shrug
 
-    return a + b + c;
+    return static_cast<int>(a.size() + b.size() + c.size());
 }
 
 } // namespace fixture

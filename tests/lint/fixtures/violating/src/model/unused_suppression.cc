@@ -5,8 +5,8 @@ namespace fixture {
 double
 harmless()
 {
-    // eval-lint: allow(det-entropy) there is no entropy call here, so
-    // this allowance is stale and must be flagged.
+    // eval-lint: allow(det-unordered) there is no unordered container
+    // here, so this allowance is stale and must be flagged.
     const double x = 0.5;
     return x;
 }

@@ -1,13 +1,12 @@
 /**
  * @file
  * Tests for phase 1 of the semantic analyzer: buildFileIndex() on
- * in-memory sources — include edges, declarations, throw/catch sites,
- * memory-order uses, and parallelFor/parallelMap lambda regions.
+ * in-memory sources — include edges, memory-order uses, and
+ * parallelFor/parallelMap lambda regions.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 #include "index.hh"
@@ -15,7 +14,6 @@
 namespace {
 
 using eval::lint::buildFileIndex;
-using eval::lint::DeclSite;
 using eval::lint::FileIndex;
 using eval::lint::moduleOf;
 
@@ -46,46 +44,6 @@ TEST(LintIndex, IncludesRecordPathLineAndAngled)
     EXPECT_EQ(idx.includes[2].line, 3);
 }
 
-TEST(LintIndex, HeaderFlagAndModule)
-{
-    EXPECT_TRUE(buildFileIndex("src/core/x.hh", "int x;\n").header);
-    EXPECT_FALSE(buildFileIndex("src/core/x.cc", "int x;\n").header);
-    EXPECT_EQ(buildFileIndex("src/thermal/solver.cc", "").module,
-              "thermal");
-}
-
-TEST(LintIndex, ThrowSitesRecordTypeAndRethrow)
-{
-    const FileIndex idx = buildFileIndex(
-        "src/valid/x.cc",
-        "void f() {\n"
-        "    throw SnapshotError(\"bad\");\n"
-        "    throw std::runtime_error(\"worse\");\n"
-        "    try { g(); } catch (...) { throw; }\n"
-        "    throw err;\n"
-        "}\n");
-    ASSERT_EQ(idx.throwSites.size(), 4u);
-    EXPECT_EQ(idx.throwSites[0].type, "SnapshotError");
-    EXPECT_EQ(idx.throwSites[0].line, 2);
-    EXPECT_EQ(idx.throwSites[1].type, "std::runtime_error");
-    EXPECT_TRUE(idx.throwSites[2].rethrow);
-    EXPECT_EQ(idx.throwSites[3].type, "err");
-
-    ASSERT_EQ(idx.catchSites.size(), 1u);
-    EXPECT_EQ(idx.catchSites[0].type, "...");
-}
-
-TEST(LintIndex, CatchSiteTypeDropsQualifiers)
-{
-    const FileIndex idx = buildFileIndex(
-        "src/valid/x.cc",
-        "void f() {\n"
-        "    try { g(); } catch (const SnapshotError &e) { (void)e; }\n"
-        "}\n");
-    ASSERT_EQ(idx.catchSites.size(), 1u);
-    EXPECT_EQ(idx.catchSites[0].type, "SnapshotError");
-}
-
 TEST(LintIndex, AtomicsRecordEveryMemoryOrderSpelling)
 {
     const FileIndex idx = buildFileIndex(
@@ -106,10 +64,9 @@ TEST(LintIndex, TokensInCommentsAndStringsAreNotIndexed)
 {
     const FileIndex idx = buildFileIndex(
         "src/core/x.cc",
-        "// throw SnapshotError in a comment\n"
+        "// memory_order_relaxed in a comment\n"
         "const char *s = \"memory_order_relaxed\";\n"
         "/* parallelFor(0, n, 1, [&](std::size_t i) {}) */\n");
-    EXPECT_TRUE(idx.throwSites.empty());
     EXPECT_TRUE(idx.atomics.empty());
     EXPECT_TRUE(idx.regions.empty());
 }
@@ -126,7 +83,6 @@ TEST(LintIndex, ParallelRegionCapturesParamsAndBody)
     ASSERT_EQ(idx.regions.size(), 1u);
     const auto &region = idx.regions[0];
     EXPECT_EQ(region.entry, "parallelFor");
-    EXPECT_EQ(region.line, 2);
     EXPECT_EQ(region.captures, "&out, total");
     ASSERT_EQ(region.params.size(), 1u);
     EXPECT_EQ(region.params[0], "i");
@@ -146,33 +102,6 @@ TEST(LintIndex, SubscriptBeforeLambdaIsNotARegion)
     ASSERT_EQ(idx.regions.size(), 1u);
     EXPECT_EQ(idx.regions[0].entry, "parallelMap");
     EXPECT_EQ(idx.regions[0].captures, "&");
-}
-
-TEST(LintIndex, DeclsRecordNamespacesTypesAndFunctions)
-{
-    const FileIndex idx = buildFileIndex(
-        "src/core/x.cc",
-        "namespace eval {\n"
-        "struct Widget { int v; };\n"
-        "class Gadget;\n"
-        "enum class Mode { A, B };\n"
-        "int\n"
-        "frob(int x)\n"
-        "{\n"
-        "    return x;\n"
-        "}\n"
-        "} // namespace eval\n");
-    auto has = [&](DeclSite::Kind kind, const std::string &name) {
-        return std::any_of(idx.decls.begin(), idx.decls.end(),
-                           [&](const DeclSite &d) {
-                               return d.kind == kind && d.name == name;
-                           });
-    };
-    EXPECT_TRUE(has(DeclSite::Kind::Namespace, "eval"));
-    EXPECT_TRUE(has(DeclSite::Kind::Struct, "Widget"));
-    EXPECT_TRUE(has(DeclSite::Kind::Class, "Gadget"));
-    EXPECT_TRUE(has(DeclSite::Kind::Enum, "Mode"));
-    EXPECT_TRUE(has(DeclSite::Kind::Function, "frob"));
 }
 
 } // namespace

@@ -17,27 +17,28 @@ namespace {
 
 using eval::lint::checkLayerDag;
 using eval::lint::LayersManifest;
+using eval::lint::ManifestError;
 using eval::lint::parseLayers;
 
 LayersManifest
 parseOk(const std::string &text)
 {
-    std::vector<std::string> errors;
+    std::vector<ManifestError> errors;
     const LayersManifest m = parseLayers(text, errors);
     EXPECT_TRUE(errors.empty())
-        << (errors.empty() ? "" : errors.front());
+        << (errors.empty() ? "" : errors.front().message);
     return m;
 }
 
-std::vector<std::string>
+std::vector<ManifestError>
 parseErrors(const std::string &text)
 {
-    std::vector<std::string> errors;
+    std::vector<ManifestError> errors;
     (void)parseLayers(text, errors);
     return errors;
 }
 
-TEST(LintLayers, ParsesModulesUsesThrowsAndExceptions)
+TEST(LintLayers, ParsesModulesAndUses)
 {
     const LayersManifest m = parseOk(
         "# comment\n"
@@ -51,32 +52,15 @@ TEST(LintLayers, ParsesModulesUsesThrowsAndExceptions)
         "\n"
         "[modules.timing]\n"
         "uses = [\"util\"]\n"
-        "throws = [\"TimingError\"]\n"
         "\n"
         "[modules.cmp]\n"
-        "uses = []\n"
-        "\n"
-        "[exceptions]\n"
-        "edges = [\n"
-        "  \"core/eval.hh -> cmp : umbrella header\",\n"
-        "]\n");
+        "uses = []\n");
     ASSERT_EQ(m.modules.size(), 4u);
 
     const auto &core = m.modules.at("core");
     ASSERT_EQ(core.uses.size(), 2u);
     EXPECT_EQ(core.uses[0].to, "util");
     EXPECT_EQ(core.uses[1].to, "timing");
-    EXPECT_FALSE(core.throwsDeclared);
-
-    const auto &timing = m.modules.at("timing");
-    EXPECT_TRUE(timing.throwsDeclared);
-    ASSERT_EQ(timing.throws_.size(), 1u);
-    EXPECT_EQ(timing.throws_[0], "TimingError");
-
-    ASSERT_EQ(m.exceptions.size(), 1u);
-    EXPECT_EQ(m.exceptions[0].file, "core/eval.hh");
-    EXPECT_EQ(m.exceptions[0].to, "cmp");
-    EXPECT_EQ(m.exceptions[0].why, "umbrella header");
 }
 
 TEST(LintLayers, EdgeLinesPointAtTheDeclaration)
@@ -100,19 +84,14 @@ TEST(LintLayers, RejectsUnknownSyntax)
     EXPECT_FALSE(parseErrors("[modules.a]\nuses = 3\n").empty());
     EXPECT_FALSE(parseErrors("not a key line\n").empty());
     EXPECT_FALSE(parseErrors("[modules.a]\ncolor = [\"red\"]\n").empty());
+    // Neither exception contracts nor per-file edge exceptions are
+    // part of the manifest.
+    EXPECT_FALSE(parseErrors("[modules.a]\nthrows = [\"E\"]\n").empty());
+    EXPECT_FALSE(parseErrors("[exceptions]\nedges = []\n").empty());
     EXPECT_FALSE(parseErrors("uses = [\"a\"]\n").empty()); // outside table
     EXPECT_FALSE(
         parseErrors("[modules.a]\nuses = []\n[modules.a]\nuses = []\n")
             .empty()); // duplicate table
-}
-
-TEST(LintLayers, RejectsMalformedExceptionEdge)
-{
-    const auto errors = parseErrors(
-        "[exceptions]\n"
-        "edges = [\"core/eval.hh cmp\"]\n"); // missing "->" and ": why"
-    ASSERT_FALSE(errors.empty());
-    EXPECT_NE(errors.front().find("exception edge"), std::string::npos);
 }
 
 TEST(LintLayers, RejectsUsesCycles)
@@ -125,12 +104,12 @@ TEST(LintLayers, RejectsUsesCycles)
         "[modules.c]\n"
         "uses = [\"a\"]\n");
     ASSERT_FALSE(errors.empty());
-    EXPECT_NE(errors.front().find("cycle"), std::string::npos);
+    EXPECT_NE(errors.front().message.find("cycle"), std::string::npos);
 }
 
 TEST(LintLayers, DagCheckAcceptsADag)
 {
-    std::vector<std::string> errors;
+    std::vector<ManifestError> errors;
     const LayersManifest m = parseLayers(
         "[modules.a]\n"
         "uses = [\"b\", \"c\"]\n"

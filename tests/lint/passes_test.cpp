@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for phase 2 of the semantic analyzer: runProjectPasses() over
- * synthetic FileIndex sets — layering edges and their exceptions,
- * include cycles, exception contracts, the relaxed-atomics audit, and
- * the determinism data-flow check on parallel regions.
+ * synthetic FileIndex sets — layering edges, the relaxed-atomics
+ * audit, and the determinism data-flow check on parallel regions.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@ using eval::lint::buildFileIndex;
 using eval::lint::Diagnostic;
 using eval::lint::LayersManifest;
 using eval::lint::parseLayers;
-using eval::lint::PassOptions;
 using eval::lint::ProjectIndex;
 using eval::lint::runProjectPasses;
 
@@ -36,21 +34,17 @@ countRule(const std::vector<Diagnostic> &diags, const std::string &rule)
 LayersManifest
 manifest(const std::string &text)
 {
-    std::vector<std::string> errors;
+    std::vector<eval::lint::ManifestError> errors;
     LayersManifest m = parseLayers(text, errors);
     EXPECT_TRUE(errors.empty())
-        << (errors.empty() ? "" : errors.front());
+        << (errors.empty() ? "" : errors.front().message);
     return m;
 }
 
 std::vector<Diagnostic>
-run(const ProjectIndex &index, const LayersManifest &m,
-    bool fullTree = true)
+run(const ProjectIndex &index, const LayersManifest &m)
 {
-    PassOptions opts;
-    opts.fullTree = fullTree;
-    opts.manifestRel = "layers.toml";
-    return runProjectPasses(index, m, {}, opts);
+    return runProjectPasses(index, m, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -66,8 +60,7 @@ TEST(LintPasses, UndeclaredCrossModuleIncludeIsLayEdge)
         buildFileIndex("src/thermal/solver.hh", "#pragma once\n"));
     const auto diags = run(
         index, manifest("[modules.stats]\nuses = []\n"
-                        "[modules.thermal]\nuses = []\n"),
-        /*fullTree=*/false);
+                        "[modules.thermal]\nuses = []\n"));
     ASSERT_EQ(countRule(diags, "lay-edge"), 1);
     const auto it =
         std::find_if(diags.begin(), diags.end(), [](const Diagnostic &d) {
@@ -78,23 +71,15 @@ TEST(LintPasses, UndeclaredCrossModuleIncludeIsLayEdge)
     EXPECT_NE(it->message.find("stats -> thermal"), std::string::npos);
 }
 
-TEST(LintPasses, DeclaredEdgeAndExceptionAreSilent)
+TEST(LintPasses, DeclaredAndExercisedEdgeIsSilent)
 {
     ProjectIndex index;
     index.files.push_back(buildFileIndex(
         "src/core/x.cc", "#include \"util/math.hh\"\n"));
-    index.files.push_back(buildFileIndex(
-        "src/util/fft.cc", "#include \"exec/thread_pool.hh\"\n"));
-    index.files.push_back(buildFileIndex("src/exec/y.cc", ""));
-    const auto diags = run(
-        index,
-        manifest("[modules.core]\nuses = [\"util\"]\n"
-                 "[modules.util]\nuses = []\n"
-                 "[modules.exec]\nuses = []\n"
-                 "[exceptions]\n"
-                 "edges = [\"util/fft.cc -> exec : pool fan-out\"]\n"));
-    EXPECT_EQ(countRule(diags, "lay-edge"), 0);
-    EXPECT_EQ(countRule(diags, "lay-unused-edge"), 0);
+    index.files.push_back(buildFileIndex("src/util/y.cc", ""));
+    const auto diags = run(index, manifest("[modules.core]\nuses = [\"util\"]\n"
+                                           "[modules.util]\nuses = []\n"));
+    EXPECT_TRUE(diags.empty());
 }
 
 TEST(LintPasses, SameModuleAndNonModuleIncludesAreSilent)
@@ -107,8 +92,7 @@ TEST(LintPasses, SameModuleAndNonModuleIncludesAreSilent)
         "#include <vector>\n"            // angled
         "#include \"gtest/gtest.h\"\n")); // not a declared module
     const auto diags =
-        run(index, manifest("[modules.core]\nuses = []\n"),
-            /*fullTree=*/false);
+        run(index, manifest("[modules.core]\nuses = []\n"));
     EXPECT_EQ(countRule(diags, "lay-edge"), 0);
 }
 
@@ -117,98 +101,33 @@ TEST(LintPasses, UndeclaredModuleIsLayModule)
     ProjectIndex index;
     index.files.push_back(buildFileIndex("src/rogue/x.cc", "int x;\n"));
     const auto diags =
-        run(index, manifest("[modules.core]\nuses = []\n"),
-            /*fullTree=*/false);
+        run(index, manifest("[modules.core]\nuses = []\n"));
     EXPECT_EQ(countRule(diags, "lay-module"), 1);
 }
 
-TEST(LintPasses, StaleManifestEntriesOnlyReportOnFullTreeRuns)
+TEST(LintPasses, StaleManifestEntriesAreLayUnusedEdge)
 {
     ProjectIndex index;
     index.files.push_back(buildFileIndex("src/core/x.cc", "int x;\n"));
-    const LayersManifest m =
-        manifest("[modules.core]\nuses = [\"util\"]\n"
-                 "[modules.util]\nuses = []\n");
-    // Full tree: the unexercised core -> util edge and the fileless
-    // util table are both stale.
-    EXPECT_EQ(countRule(run(index, m, true), "lay-unused-edge"), 2);
-    // Changed-files run: out-of-scope users may exercise them; silent.
-    EXPECT_EQ(countRule(run(index, m, false), "lay-unused-edge"), 0);
-}
-
-TEST(LintPasses, IncludeCycleIsReportedOnce)
-{
-    ProjectIndex index;
-    index.files.push_back(buildFileIndex(
-        "src/core/a.hh", "#pragma once\n#include \"b.hh\"\n"));
-    index.files.push_back(buildFileIndex(
-        "src/core/b.hh", "#pragma once\n#include \"a.hh\"\n"));
+    // The unexercised core -> util edge and the fileless util table
+    // are both stale.
     const auto diags =
-        run(index, manifest("[modules.core]\nuses = []\n"));
-    EXPECT_EQ(countRule(diags, "lay-cycle"), 1);
+        run(index, manifest("[modules.core]\nuses = [\"util\"]\n"
+                            "[modules.util]\nuses = []\n"));
+    EXPECT_EQ(countRule(diags, "lay-unused-edge"), 2);
 }
 
 TEST(LintPasses, ManifestErrorsBecomeLayManifestFindings)
 {
-    ProjectIndex index;
-    PassOptions opts;
-    opts.manifestRel = "tools/lint/layers.toml";
+    LayersManifest unloaded;
+    unloaded.path = "tools/lint/layers.toml";
     const auto diags = runProjectPasses(
-        index, LayersManifest{}, {"line 7: unknown module key 'color'"},
-        opts);
+        ProjectIndex{}, unloaded, {{7, "unknown module key 'color'"}});
     ASSERT_EQ(countRule(diags, "lay-manifest"), 1);
     EXPECT_EQ(diags[0].file, "tools/lint/layers.toml");
     EXPECT_EQ(diags[0].line, 7);
     EXPECT_NE(diags[0].message.find("unknown module key"),
               std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Exception contracts
-// ---------------------------------------------------------------------------
-
-TEST(LintPasses, ThrowOutsideContractIsExcContract)
-{
-    ProjectIndex index;
-    index.files.push_back(buildFileIndex(
-        "src/valid/x.cc",
-        "void f() { throw std::runtime_error(\"boom\"); }\n"));
-    const auto diags = run(
-        index,
-        manifest("[modules.valid]\nuses = []\n"
-                 "throws = [\"SnapshotError\"]\n"),
-        /*fullTree=*/false);
-    EXPECT_EQ(countRule(diags, "exc-contract"), 1);
-}
-
-TEST(LintPasses, DeclaredThrowsPassThroughsAndRethrowsAreSilent)
-{
-    ProjectIndex index;
-    index.files.push_back(buildFileIndex(
-        "src/valid/x.cc",
-        "void f(bool b, SnapshotError err) {\n"
-        "    if (b)\n"
-        "        throw SnapshotError(\"declared\");\n"
-        "    throw err;\n" // pass-through of a checked object
-        "    try { f(b, err); } catch (...) { throw; }\n"
-        "}\n"));
-    const auto diags = run(
-        index,
-        manifest("[modules.valid]\nuses = []\n"
-                 "throws = [\"SnapshotError\"]\n"),
-        /*fullTree=*/false);
-    EXPECT_EQ(countRule(diags, "exc-contract"), 0);
-}
-
-TEST(LintPasses, NoThrowsKeyMeansMayNotThrow)
-{
-    ProjectIndex index;
-    index.files.push_back(buildFileIndex(
-        "src/core/x.cc", "void f() { throw CoreError(\"boom\"); }\n"));
-    const auto diags =
-        run(index, manifest("[modules.core]\nuses = []\n"),
-            /*fullTree=*/false);
-    EXPECT_EQ(countRule(diags, "exc-contract"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +144,7 @@ TEST(LintPasses, RelaxedAtomicNeedsAllowanceOrCountersOnly)
     ProjectIndex bare;
     bare.files.push_back(buildFileIndex("src/stats/x.cc", body));
     EXPECT_EQ(
-        countRule(run(bare, LayersManifest{}, false), "atomics-relaxed"),
+        countRule(run(bare, LayersManifest{}), "atomics-relaxed"),
         1);
 
     ProjectIndex marked;
@@ -234,7 +153,7 @@ TEST(LintPasses, RelaxedAtomicNeedsAllowanceOrCountersOnly)
         "// eval-lint: counters-only monotone ticks, test fixture\n" +
             body));
     EXPECT_EQ(
-        countRule(run(marked, LayersManifest{}, false), "atomics-relaxed"),
+        countRule(run(marked, LayersManifest{}), "atomics-relaxed"),
         0);
 
     // Outside src/ the audit does not apply (bench and tests measure,
@@ -242,7 +161,7 @@ TEST(LintPasses, RelaxedAtomicNeedsAllowanceOrCountersOnly)
     ProjectIndex bench;
     bench.files.push_back(buildFileIndex("bench/x.cpp", body));
     EXPECT_EQ(
-        countRule(run(bench, LayersManifest{}, false), "atomics-relaxed"),
+        countRule(run(bench, LayersManifest{}), "atomics-relaxed"),
         0);
 }
 
@@ -255,7 +174,7 @@ runFlow(const std::string &body)
 {
     ProjectIndex index;
     index.files.push_back(buildFileIndex("src/core/x.cc", body));
-    return run(index, LayersManifest{}, false);
+    return run(index, LayersManifest{});
 }
 
 TEST(LintPasses, ByRefMutationInParallelBodyIsFlagged)
@@ -273,15 +192,18 @@ TEST(LintPasses, ByRefMutationInParallelBodyIsFlagged)
 
 TEST(LintPasses, MemberChainMutationFlagsTheRootCapture)
 {
-    // runs.base.resize(...) mutates `runs`, the captured object.
+    // runs.base.resize(...) and runs.all->clear() mutate `runs`, the
+    // captured object.
     const auto diags = runFlow(
         "void f(Runs &runs, std::size_t n) {\n"
         "    parallelFor(0, n, 1, [&runs](std::size_t i) {\n"
         "        runs.base.resize(i);\n"
+        "        runs.all->clear();\n"
         "    });\n"
         "}\n");
-    ASSERT_EQ(countRule(diags, "det-par-capture"), 1);
+    ASSERT_EQ(countRule(diags, "det-par-capture"), 2);
     EXPECT_NE(diags[0].message.find("'runs'"), std::string::npos);
+    EXPECT_NE(diags[1].message.find("'runs'"), std::string::npos);
 }
 
 TEST(LintPasses, SharedScalarAccumulationIsFlagged)
@@ -306,6 +228,7 @@ TEST(LintPasses, SlotWritesLocalsAndCallResultsAreSilent)
         "        acc += scratch.front();\n"     // local: fine
         "        lookup(i).push_back(acc);\n"   // call-result root: fine
         "        out[i] = acc;\n"               // slot write: fine
+        "        out[i].clear();\n"             // slot mutation: fine
         "    });\n"
         "}\n");
     EXPECT_EQ(countRule(diags, "det-par-capture"), 0);

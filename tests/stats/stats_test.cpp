@@ -242,6 +242,22 @@ TEST(TelemetryDeathTest, FatalExitStillWritesStats)
     EXPECT_NE(takeStatsFile(path).find("died_mid_run"), std::string::npos);
 }
 
+TEST(TelemetryDeathTest, HierarchyClashStillWritesStats)
+{
+    // The clash is found under the registry's lock, and the exit flush
+    // dumps that same registry: the fatal exit must not deadlock on it.
+    const std::string path = testing::TempDir() + "stats_test_clash.json";
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            startStatsTelemetry(path);
+            StatRegistry::global().counter("a.b");
+            StatRegistry::global().counter("a.b.c");
+        },
+        ::testing::ExitedWithCode(1), "conflicts with the hierarchy");
+    EXPECT_NE(takeStatsFile(path).find("died_mid_run"), std::string::npos);
+}
+
 TEST(TelemetryDeathTest, TerminateStillWritesStats)
 {
     const std::string path =

@@ -1,9 +1,11 @@
 /** Tests for the span tracer's open-span stack, which logging reads,
- *  and for the span coverage of the real pipeline: every subsystem's
- *  spans land in the profile when chips run on two threads. */
+ *  for the span coverage of the real pipeline (every subsystem's spans
+ *  land in the profile when chips run on two threads), and for the
+ *  compile-time guarantee that a span stays a stack local. */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
@@ -14,6 +16,27 @@
 
 namespace eval {
 namespace {
+
+// A ScopedSpan is its scope: it cannot be heap-allocated, and nothing
+// outside the type can open or close a span by hand.
+template <typename T>
+concept HeapAllocatable = requires { new T("x"); };
+
+template <typename T>
+concept RawSpanOpenable = requires { T::beginSpanImpl("x"); };
+
+/** Control: the same expressions compile for a type that allows them,
+ *  so the negative checks below cannot pass vacuously. */
+struct OpenSpanLike
+{
+    explicit OpenSpanLike(const char *) {}
+    static std::uint64_t beginSpanImpl(const char *) { return 0; }
+};
+
+static_assert(HeapAllocatable<OpenSpanLike>);
+static_assert(RawSpanOpenable<OpenSpanLike>);
+static_assert(!HeapAllocatable<ScopedSpan>);
+static_assert(!RawSpanOpenable<ScopedSpan>);
 
 /** Reset the global tracer around every test. */
 class SpanTracerTest : public ::testing::Test

@@ -51,126 +51,6 @@ indexIncludes(const std::string &content, FileIndex &out)
     }
 }
 
-bool
-keyword(const std::string &word)
-{
-    static const char *kw[] = {
-        "if",     "for",    "while",  "switch", "return", "sizeof",
-        "catch",  "throw",  "new",    "delete", "static_assert",
-        "alignof", "decltype", "noexcept", "operator", "defined",
-    };
-    for (const char *k : kw)
-        if (word == k)
-            return true;
-    return false;
-}
-
-const std::regex nsRe(R"(namespace\s+([A-Za-z_]\w*(::\w+)*))");
-
-const std::regex typeRe(
-    R"((class|struct|enum)\s+(class\s+|struct\s+)?([A-Za-z_]\w*))");
-
-// Function definitions in the repo's layout: the name starts a
-// line (return type on the previous line) and is immediately
-// followed by its parameter list.  Heuristic on purpose — the
-// passes only need a best-effort symbol map, and a missed
-// declaration can only under-report.
-const std::regex fnRe(R"((^|\n)([A-Za-z_~][\w:]*)\()");
-
-void
-indexDecls(const Scan &scan, FileIndex &out)
-{
-    const std::string &code = scan.code;
-
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), nsRe);
-         it != std::sregex_iterator(); ++it)
-        out.decls.push_back({DeclSite::Kind::Namespace, (*it)[1].str(),
-                             lineOf(scan, it->position())});
-
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), typeRe);
-         it != std::sregex_iterator(); ++it) {
-        const std::string kindWord = (*it)[1].str();
-        const DeclSite::Kind kind = kindWord == "class"
-                                        ? DeclSite::Kind::Class
-                                        : kindWord == "struct"
-                                              ? DeclSite::Kind::Struct
-                                              : DeclSite::Kind::Enum;
-        out.decls.push_back(
-            {kind, (*it)[3].str(), lineOf(scan, it->position())});
-    }
-
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), fnRe);
-         it != std::sregex_iterator(); ++it) {
-        const std::string name = (*it)[2].str();
-        if (keyword(name))
-            continue;
-        const std::size_t pos =
-            static_cast<std::size_t>(it->position(2));
-        out.decls.push_back(
-            {DeclSite::Kind::Function, name, lineOf(scan, pos)});
-    }
-}
-
-void
-indexThrows(const Scan &scan, FileIndex &out)
-{
-    const std::string &code = scan.code;
-    for (std::size_t pos : findTokens(code, "throw", false)) {
-        std::size_t p = pos + 5;
-        while (p < code.size() &&
-               std::isspace(static_cast<unsigned char>(code[p])))
-            ++p;
-        ThrowSite site;
-        site.line = lineOf(scan, pos);
-        if (p < code.size() && code[p] == ';') {
-            site.rethrow = true;
-            out.throwSites.push_back(std::move(site));
-            continue;
-        }
-        std::size_t end = p;
-        while (end < code.size() &&
-               (identChar(code[end]) || code[end] == ':'))
-            ++end;
-        site.type = code.substr(p, end - p);
-        out.throwSites.push_back(std::move(site));
-    }
-}
-
-void
-indexCatches(const Scan &scan, FileIndex &out)
-{
-    const std::string &code = scan.code;
-    for (std::size_t pos : findTokens(code, "catch", true)) {
-        const std::size_t open = code.find('(', pos);
-        const std::size_t close = matchParen(code, open);
-        if (close == open)
-            continue;
-        const std::string inside =
-            trimmed(code.substr(open + 1, close - open - 1));
-        CatchSite site;
-        site.line = lineOf(scan, pos);
-        if (inside.find("...") != std::string::npos) {
-            site.type = "...";
-        } else {
-            // "const SnapshotError &e" -> "SnapshotError": drop
-            // cv-qualifiers and take the type spelling.
-            std::istringstream words(inside);
-            std::string w;
-            while (words >> w) {
-                while (!w.empty() && (w.front() == '&' || w.front() == '*'))
-                    w.erase(w.begin());
-                while (!w.empty() && (w.back() == '&' || w.back() == '*'))
-                    w.pop_back();
-                if (w.empty() || w == "const" || w == "volatile")
-                    continue;
-                site.type = w;
-                break;
-            }
-        }
-        out.catchSites.push_back(std::move(site));
-    }
-}
-
 const std::regex orderRe(
     R"(memory_order(::|_)(relaxed|consume|acquire|release|acq_rel|seq_cst))");
 
@@ -208,7 +88,7 @@ parseLambda(const Scan &scan, std::size_t lb, ParallelRegion &region)
 
     std::size_t bodyOpen;
     if (code[p] == '(') {
-        const std::size_t closeParams = matchParen(code, p);
+        const std::size_t closeParams = matchBracket(code, p, '(', ')');
         if (closeParams == p)
             return false;
         // Parameter names: the last identifier of each comma-separated
@@ -271,7 +151,7 @@ indexParallelRegions(const Scan &scan, FileIndex &out)
     for (const char *entry : entries) {
         for (std::size_t pos : findTokens(code, entry, true)) {
             const std::size_t open = code.find('(', pos);
-            const std::size_t close = matchParen(code, open);
+            const std::size_t close = matchBracket(code, open, '(', ')');
             if (close == open)
                 continue; // unbalanced (partial file)
             for (std::size_t lb = code.find('[', open);
@@ -279,7 +159,6 @@ indexParallelRegions(const Scan &scan, FileIndex &out)
                  lb = code.find('[', lb + 1)) {
                 ParallelRegion region;
                 region.entry = entry;
-                region.line = lineOf(scan, pos);
                 if (parseLambda(scan, lb, region)) {
                     out.regions.push_back(std::move(region));
                     break; // one lambda per fan-out call is the idiom
@@ -298,17 +177,10 @@ buildFileIndex(const std::string &relPath, const std::string &content,
     FileIndex out;
     out.relPath = relPath;
     out.module = moduleOf(relPath);
-    const std::size_t dot = relPath.find_last_of('.');
-    const std::string ext =
-        dot == std::string::npos ? "" : relPath.substr(dot);
-    out.header = ext == ".hh" || ext == ".h" || ext == ".hpp";
     out.markers = markers;
     out.lineStart = scan.lineStart;
 
     indexIncludes(content, out);
-    indexDecls(scan, out);
-    indexThrows(scan, out);
-    indexCatches(scan, out);
     indexAtomics(scan, out);
     indexParallelRegions(scan, out);
     return out;
@@ -320,7 +192,7 @@ buildFileIndex(const std::string &relPath, const std::string &content)
     const Scan scan = scanSource(content);
     std::vector<Diagnostic> discard;
     FileMarkers markers;
-    parseSuppressions(scan, relPath, discard, &markers);
+    parseSuppressions(scan, relPath, discard, markers);
     return buildFileIndex(relPath, content, scan, markers);
 }
 

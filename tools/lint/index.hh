@@ -7,16 +7,11 @@
  * the project-wide passes need:
  *
  *  - include edges (quoted and angled, with line numbers),
- *  - namespace / class / struct / enum / function declarations,
- *  - throw and catch sites with the thrown/caught type spelling,
  *  - std::memory_order uses (the atomics audit keys on `relaxed`),
  *  - parallelFor/parallelMap call regions with the lambda's capture
  *    list, parameter names, and blanked body text.
  *
- * Phase 2 (passes.cc) runs project-wide over the vector of FileIndex
- * records: layering contracts against tools/lint/layers.toml, include
- * cycles, per-module exception contracts, the relaxed-atomics audit,
- * and the determinism data-flow check on parallel regions.
+ * Phase 2 (passes.hh) runs project-wide over the FileIndex records.
  *
  * The index is deliberately approximate where C++ is undecidable at
  * the token level (macro-generated code, template metaprogramming);
@@ -42,28 +37,6 @@ struct IncludeSite
     bool angled = false; ///< #include <...> (system/library header)
 };
 
-struct DeclSite
-{
-    enum class Kind { Namespace, Class, Struct, Enum, Function };
-    Kind kind = Kind::Namespace;
-    std::string name;
-    int line = 1;
-};
-
-struct ThrowSite
-{
-    std::string type; ///< full spelling, e.g. "std::runtime_error";
-                      ///< empty for `throw;` / `throw expr;`
-    int line = 1;
-    bool rethrow = false; ///< bare `throw;`
-};
-
-struct CatchSite
-{
-    std::string type; ///< "..." for catch-all
-    int line = 1;
-};
-
 struct AtomicSite
 {
     std::string order; ///< relaxed, acquire, release, acq_rel, seq_cst,
@@ -74,7 +47,6 @@ struct AtomicSite
 struct ParallelRegion
 {
     std::string entry; ///< parallelFor | parallelMap
-    int line = 1;      ///< line of the entry call
     std::string captures;             ///< lambda capture list text
     std::vector<std::string> params;  ///< lambda parameter names
     std::string body;    ///< blanked lambda body (between its braces)
@@ -85,7 +57,6 @@ struct FileIndex
 {
     std::string relPath;
     std::string module; ///< first dir under src/ ("" if not src/)
-    bool header = false;
     FileMarkers markers;
     std::vector<std::size_t> lineStart; ///< for offset -> line mapping
 
@@ -93,9 +64,6 @@ struct FileIndex
     int lineAt(std::size_t offset) const;
 
     std::vector<IncludeSite> includes;
-    std::vector<DeclSite> decls;
-    std::vector<ThrowSite> throwSites;
-    std::vector<CatchSite> catchSites;
     std::vector<AtomicSite> atomics;
     std::vector<ParallelRegion> regions;
 };

@@ -1,7 +1,6 @@
 #include "layers.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <sstream>
 
@@ -25,7 +24,7 @@ stripComment(const std::string &line)
     return trimmed(line);
 }
 
-/** Parse the double-quoted strings in `text` (one array line). */
+/** Parse the double-quoted strings in `text` (one array's items). */
 std::vector<std::string>
 quotedStrings(const std::string &text, bool &malformed)
 {
@@ -51,34 +50,14 @@ quotedStrings(const std::string &text, bool &malformed)
     return out;
 }
 
-/** "file -> module : why" exception entry. */
-bool
-parseExceptionEdge(const std::string &entry, EdgeException &out)
-{
-    const std::size_t arrow = entry.find("->");
-    if (arrow == std::string::npos)
-        return false;
-    const std::size_t colon = entry.find(':', arrow);
-    out.file = trimmed(entry.substr(0, arrow));
-    if (colon == std::string::npos) {
-        out.to = trimmed(entry.substr(arrow + 2));
-        out.why.clear();
-    } else {
-        out.to = trimmed(entry.substr(arrow + 2, colon - arrow - 2));
-        out.why = trimmed(entry.substr(colon + 1));
-    }
-    return !out.file.empty() && !out.to.empty() &&
-           out.to.find(' ') == std::string::npos;
-}
-
 } // namespace
 
 void
 checkLayerDag(const LayersManifest &manifest,
-              std::vector<std::string> &errors)
+              std::vector<ManifestError> &errors)
 {
-    // Iterative DFS with three colors; on a back edge, reconstruct
-    // the module chain for the error message.
+    // DFS with three colors; on a back edge, reconstruct the module
+    // chain for the error message.
     enum class Color { White, Grey, Black };
     std::map<std::string, Color> color;
     for (const auto &[name, mod] : manifest.modules)
@@ -89,28 +68,23 @@ checkLayerDag(const LayersManifest &manifest,
                     std::vector<std::string> &chain) -> bool {
         color[name] = Color::Grey;
         chain.push_back(name);
-        const auto it = manifest.modules.find(name);
-        if (it != manifest.modules.end()) {
-            for (const auto &edge : it->second.uses) {
-                const auto cit = color.find(edge.to);
-                if (cit == color.end())
-                    continue; // unknown target: reported separately
-                if (cit->second == Color::Grey) {
-                    std::string cycle;
-                    auto at = std::find(chain.begin(), chain.end(),
-                                        edge.to);
-                    for (; at != chain.end(); ++at)
-                        cycle += *at + " -> ";
-                    cycle += edge.to;
-                    errors.push_back(
-                        "line " + std::to_string(edge.line) +
-                        ": `uses` edges form a cycle (" + cycle +
-                        "); the layer graph must be a DAG");
-                    return true;
-                }
-                if (cit->second == Color::White && visit(edge.to, chain))
-                    return true;
+        for (const auto &edge : manifest.modules.at(name).uses) {
+            const auto cit = color.find(edge.to);
+            if (cit == color.end())
+                continue; // unknown target: reported separately
+            if (cit->second == Color::Grey) {
+                std::string cycle;
+                auto at = std::find(chain.begin(), chain.end(), edge.to);
+                for (; at != chain.end(); ++at)
+                    cycle += *at + " -> ";
+                cycle += edge.to;
+                errors.push_back({edge.line, "`uses` edges form a cycle (" +
+                                                 cycle + "); the layer graph "
+                                                 "must be a DAG"});
+                return true;
             }
+            if (cit->second == Color::White && visit(edge.to, chain))
+                return true;
         }
         chain.pop_back();
         color[name] = Color::Black;
@@ -127,13 +101,10 @@ checkLayerDag(const LayersManifest &manifest,
 }
 
 LayersManifest
-parseLayers(const std::string &text, std::vector<std::string> &errors)
+parseLayers(const std::string &text, std::vector<ManifestError> &errors)
 {
     LayersManifest manifest;
     manifest.loaded = true;
-
-    enum class Section { None, Module, Exceptions };
-    Section section = Section::None;
     ModuleContract *current = nullptr;
 
     // Array values may span lines: `key = [` ... `]`.
@@ -141,56 +112,29 @@ parseLayers(const std::string &text, std::vector<std::string> &errors)
     std::string pendingValue;
     int pendingLine = 0;
 
+    auto commitArray = [&](const std::string &key, std::string value,
+                           int atLine) {
+        for (const char bracket : {'[', ']'})
+            value.erase(std::remove(value.begin(), value.end(), bracket),
+                        value.end());
+        bool malformed = false;
+        const std::vector<std::string> items =
+            quotedStrings(trimmed(value), malformed);
+        if (malformed)
+            errors.push_back(
+                {atLine, "malformed string array for '" + key + "'"});
+        else if (!current)
+            errors.push_back({atLine, "key '" + key + "' outside any table"});
+        else if (key != "uses")
+            errors.push_back({atLine, "unknown module key '" + key + "'"});
+        else
+            for (const auto &item : items)
+                current->uses.push_back({item, atLine});
+    };
+
     std::istringstream lines(text);
     std::string raw;
     int lineNo = 0;
-
-    auto commitArray = [&](const std::string &key,
-                           const std::string &value, int atLine) {
-        bool malformed = false;
-        const std::string inner = trimmed(value);
-        std::vector<std::string> items = quotedStrings(inner, malformed);
-        if (malformed) {
-            errors.push_back("line " + std::to_string(atLine) +
-                             ": malformed string array for '" + key + "'");
-            return;
-        }
-        if (section == Section::Module && current) {
-            if (key == "uses") {
-                for (const auto &item : items)
-                    current->uses.push_back({item, atLine});
-            } else if (key == "throws") {
-                current->throwsDeclared = true;
-                for (const auto &item : items)
-                    current->throws_.push_back(item);
-            } else {
-                errors.push_back("line " + std::to_string(atLine) +
-                                 ": unknown module key '" + key + "'");
-            }
-        } else if (section == Section::Exceptions) {
-            if (key != "edges") {
-                errors.push_back("line " + std::to_string(atLine) +
-                                 ": unknown exceptions key '" + key + "'");
-                return;
-            }
-            for (const auto &item : items) {
-                EdgeException e;
-                if (!parseExceptionEdge(item, e)) {
-                    errors.push_back(
-                        "line " + std::to_string(atLine) +
-                        ": malformed exception edge '" + item +
-                        "' (want \"file -> module : why\")");
-                    continue;
-                }
-                e.line = atLine;
-                manifest.exceptions.push_back(std::move(e));
-            }
-        } else {
-            errors.push_back("line " + std::to_string(atLine) +
-                             ": key '" + key + "' outside any table");
-        }
-    };
-
     while (std::getline(lines, raw)) {
         ++lineNo;
         const std::string line = stripComment(raw);
@@ -198,84 +142,51 @@ parseLayers(const std::string &text, std::vector<std::string> &errors)
             continue;
 
         if (!pendingKey.empty()) {
-            pendingValue += ' ';
-            pendingValue += line;
+            pendingValue += ' ' + line;
             if (line.find(']') != std::string::npos) {
-                std::string inner = pendingValue;
-                inner.erase(std::remove(inner.begin(), inner.end(), '['),
-                            inner.end());
-                inner.erase(std::remove(inner.begin(), inner.end(), ']'),
-                            inner.end());
-                commitArray(pendingKey, inner, pendingLine);
+                commitArray(pendingKey, pendingValue, pendingLine);
                 pendingKey.clear();
-                pendingValue.clear();
             }
             continue;
         }
 
         if (line.front() == '[') {
-            if (line == "[exceptions]") {
-                section = Section::Exceptions;
-                current = nullptr;
-                continue;
-            }
-            static const std::string prefix = "[modules.";
-            if (startsWith(line, prefix.c_str()) && line.back() == ']') {
-                const std::string name =
-                    line.substr(prefix.size(),
-                                line.size() - prefix.size() - 1);
-                const bool valid =
-                    !name.empty() &&
-                    std::all_of(name.begin(), name.end(), [](char c) {
-                        return identChar(c);
-                    });
-                if (!valid) {
-                    errors.push_back("line " + std::to_string(lineNo) +
-                                     ": bad module name in '" + line + "'");
-                    section = Section::None;
-                    current = nullptr;
-                    continue;
-                }
-                auto [it, fresh] = manifest.modules.try_emplace(name);
-                if (!fresh)
-                    errors.push_back("line " + std::to_string(lineNo) +
-                                     ": duplicate table for module '" +
-                                     name + "'");
-                it->second.name = name;
-                it->second.line = lineNo;
-                section = Section::Module;
-                current = &it->second;
-                continue;
-            }
-            errors.push_back("line " + std::to_string(lineNo) +
-                             ": unknown table '" + line + "'");
-            section = Section::None;
             current = nullptr;
+            static const std::string prefix = "[modules.";
+            const std::string name =
+                startsWith(line, prefix.c_str()) && line.back() == ']'
+                    ? line.substr(prefix.size(),
+                                  line.size() - prefix.size() - 1)
+                    : "";
+            if (name.empty() ||
+                !std::all_of(name.begin(), name.end(), identChar)) {
+                errors.push_back({lineNo, "unknown table '" + line + "'"});
+                continue;
+            }
+            auto [it, fresh] = manifest.modules.try_emplace(name);
+            if (!fresh)
+                errors.push_back(
+                    {lineNo, "duplicate table for module '" + name + "'"});
+            it->second.line = lineNo;
+            current = &it->second;
             continue;
         }
 
         const std::size_t eq = line.find('=');
         if (eq == std::string::npos) {
-            errors.push_back("line " + std::to_string(lineNo) +
-                             ": expected 'key = [...]' but got '" + line +
-                             "'");
+            errors.push_back(
+                {lineNo, "expected 'key = [...]' but got '" + line + "'"});
             continue;
         }
         const std::string key = trimmed(line.substr(0, eq));
         const std::string value = trimmed(line.substr(eq + 1));
         if (value.empty() || value.front() != '[') {
-            errors.push_back("line " + std::to_string(lineNo) +
-                             ": value for '" + key +
-                             "' must be a string array");
+            errors.push_back(
+                {lineNo, "value for '" + key + "' must be a string array"});
             continue;
         }
         if (value.find(']') != std::string::npos) {
-            std::string inner = value;
-            inner.erase(std::remove(inner.begin(), inner.end(), '['),
-                        inner.end());
-            inner.erase(std::remove(inner.begin(), inner.end(), ']'),
-                        inner.end());
-            commitArray(key, inner, lineNo);
+            commitArray(key, value, lineNo);
         } else {
             pendingKey = key;
             pendingValue = value;
@@ -283,27 +194,15 @@ parseLayers(const std::string &text, std::vector<std::string> &errors)
         }
     }
     if (!pendingKey.empty())
-        errors.push_back("line " + std::to_string(pendingLine) +
-                         ": unterminated array for '" + pendingKey + "'");
+        errors.push_back(
+            {pendingLine, "unterminated array for '" + pendingKey + "'"});
 
-    // Edges must point at declared modules; exceptions too.
     for (const auto &[name, mod] : manifest.modules)
         for (const auto &edge : mod.uses)
             if (!manifest.modules.count(edge.to))
-                errors.push_back("line " + std::to_string(edge.line) +
-                                 ": module '" + name +
-                                 "' uses undeclared module '" + edge.to +
-                                 "'");
-    for (const auto &e : manifest.exceptions) {
-        if (!manifest.modules.count(e.to))
-            errors.push_back("line " + std::to_string(e.line) +
-                             ": exception edge targets undeclared "
-                             "module '" + e.to + "'");
-        if (e.why.empty())
-            errors.push_back("line " + std::to_string(e.line) +
-                             ": exception edge '" + e.file + " -> " +
-                             e.to + "' has no justification after ':'");
-    }
+                errors.push_back({edge.line, "module '" + name +
+                                                 "' uses undeclared module '" +
+                                                 edge.to + "'"});
 
     checkLayerDag(manifest, errors);
     return manifest;

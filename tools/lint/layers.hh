@@ -3,27 +3,13 @@
  * The layering-contract manifest: tools/lint/layers.toml.
  *
  * The manifest declares the allowed dependency DAG over the src/
- * modules plus each module's exception contract.  It is the single
- * source of truth for module boundaries — the `evald` extraction
- * (ROADMAP item 1) freezes against it.  Shape:
+ * modules.  It is the single source of truth for module boundaries.
+ * Shape:
  *
  *     [modules.core]
- *     uses   = ["arch", "util", ...]   # explicit allowed edges
- *     throws = []                      # types this module may throw
+ *     uses = ["arch", "util", ...]     # explicit allowed edges
  *
- *     [exceptions]
- *     edges = [
- *       "core/eval.hh -> cmp : umbrella header aggregates the API",
- *     ]
- *
- * Rules enforced by the layering pass (passes.cc):
- *  - every cross-module include needs an explicit `uses` edge or a
- *    per-file exception entry (lay-edge),
- *  - the declared `uses` edges must form a DAG (lay-manifest),
- *  - every declared edge and exception must be exercised by at least
- *    one include, so the manifest can never drift stale
- *    (lay-unused-edge),
- *  - every src/ module must be declared (lay-module).
+ * The layering pass (passes.hh) enforces it as the lay-* rules.
  *
  * The parser covers the TOML subset the manifest needs (tables,
  * string arrays over multiple lines, comments); anything else is a
@@ -46,37 +32,31 @@ struct LayerEdge
 
 struct ModuleContract
 {
-    std::string name;
     int line = 0; ///< [modules.<name>] header line
     std::vector<LayerEdge> uses;
-    std::vector<std::string> throws_; ///< allowed thrown type names
-    bool throwsDeclared = false; ///< absent list = "may not throw"
 };
 
-struct EdgeException
+/** A structural problem in the manifest (reported as lay-manifest). */
+struct ManifestError
 {
-    std::string file; ///< src-relative, e.g. "core/eval.hh"
-    std::string to;   ///< target module
-    std::string why;
-    int line = 0;
+    int line = 1;
+    std::string message;
 };
 
 struct LayersManifest
 {
     bool loaded = false;
-    std::string path; ///< as reported in diagnostics
+    std::string path = "layers.toml"; ///< anchor of manifest findings
     std::map<std::string, ModuleContract> modules;
-    std::vector<EdgeException> exceptions;
 };
 
 /**
- * Parse manifest text.  Structural problems (unknown syntax, bad edge
- * spelling, `uses` cycles) are appended to @p errors as
- * "line N: message" strings; the caller turns them into lay-manifest
- * findings anchored at the manifest file.
+ * Parse manifest text.  Structural problems (unknown syntax, edges to
+ * undeclared modules, `uses` cycles) are appended to @p errors; the
+ * caller turns them into lay-manifest findings.
  */
 LayersManifest parseLayers(const std::string &text,
-                           std::vector<std::string> &errors);
+                           std::vector<ManifestError> &errors);
 
 /**
  * Verify the declared `uses` edges form a DAG.  On a cycle, appends
@@ -84,6 +64,6 @@ LayersManifest parseLayers(const std::string &text,
  * for direct testing.)
  */
 void checkLayerDag(const LayersManifest &manifest,
-                   std::vector<std::string> &errors);
+                   std::vector<ManifestError> &errors);
 
 } // namespace eval::lint

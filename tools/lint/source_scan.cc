@@ -193,10 +193,4 @@ matchBracket(const std::string &code, std::size_t open, char opener,
     return open;
 }
 
-std::size_t
-matchParen(const std::string &code, std::size_t open)
-{
-    return matchBracket(code, open, '(', ')');
-}
-
 } // namespace eval::lint

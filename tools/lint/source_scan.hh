@@ -59,13 +59,9 @@ bool lineIsBlankCode(const Scan &scan, int line);
 /** s starts with prefix. */
 bool startsWith(const std::string &s, const char *prefix);
 
-/** Offset of the ')' matching the '(' at @p open in @p code, or
- *  @p open itself when unbalanced (partial file). */
-std::size_t matchParen(const std::string &code, std::size_t open);
-
-/** Offset of the closer matching the opener at @p open for an
- *  arbitrary bracket pair (e.g. '{'/'}', '['/']'); @p open on
- *  imbalance. */
+/** Offset of the closer matching the opener at @p open for a bracket
+ *  pair ('('/')', '{'/'}', '['/']'), or @p open itself when unbalanced
+ *  (partial file). */
 std::size_t matchBracket(const std::string &code, std::size_t open,
                          char opener, char closer);
 

@@ -16,14 +16,6 @@ inlineUnsuppressible(const std::string &rule)
 
 namespace {
 
-/** Rules whose finding is anchored to line 1 but describes the whole
- *  file; a suppression anywhere in the file covers them. */
-bool
-fileScoped(const std::string &rule)
-{
-    return rule == "hyg-pragma-once";
-}
-
 /** The line a marker/suppression comment covers: its own line for a
  *  trailing comment, else the next code line (bounded so a
  *  suppression cannot drift far from its target). */
@@ -51,7 +43,7 @@ const std::regex markerRe(R"(eval-lint:\s*(hot-path|counters-only)\b(.*))");
 
 std::vector<Suppression>
 parseSuppressions(const Scan &scan, const std::string &relPath,
-                  std::vector<Diagnostic> &diags, FileMarkers *markers)
+                  std::vector<Diagnostic> &diags, FileMarkers &markers)
 {
     std::vector<Suppression> supps;
     for (const auto &[line, text] : scan.lineComments) {
@@ -60,23 +52,15 @@ parseSuppressions(const Scan &scan, const std::string &relPath,
         std::smatch m;
         if (std::regex_search(text, m, markerRe)) {
             const std::string which = m[1].str();
-            std::string why = trimmed(m[2].str());
-            if (why.size() >= 2 &&
-                why.compare(why.size() - 2, 2, "*/") == 0)
-                why = trimmed(why.substr(0, why.size() - 2));
-            if (why.empty())
+            if (trimmed(m[2].str()).empty())
                 diags.push_back({relPath, line, "lint-bad-suppression",
                                  "file marker '" + which + "' has no "
                                  "justification text; every marker must "
                                  "say why it applies"});
-            if (markers) {
-                if (which == "hot-path")
-                    markers->hotPath = true;
-                else {
-                    markers->countersOnly = true;
-                    markers->countersOnlyLine = line;
-                }
-            }
+            if (which == "hot-path")
+                markers.hotPath = true;
+            else
+                markers.countersOnly = true;
             continue;
         }
         if (!std::regex_search(text, m, allowRe)) {
@@ -109,10 +93,7 @@ parseSuppressions(const Scan &scan, const std::string &relPath,
                              "suppression lists no rules"});
             ok = false;
         }
-        std::string just = trimmed(m[2].str());
-        if (just.size() >= 2 && just.compare(just.size() - 2, 2, "*/") == 0)
-            just = trimmed(just.substr(0, just.size() - 2));
-        if (just.empty()) {
+        if (trimmed(m[2].str()).empty()) {
             diags.push_back({relPath, line, "lint-bad-suppression",
                              "suppression has no justification text; "
                              "every allowance must say why it is safe"});
@@ -140,10 +121,7 @@ applySuppressions(std::vector<Diagnostic> &diags,
             const bool ruleMatch =
                 std::find(s.rules.begin(), s.rules.end(), d.rule) !=
                 s.rules.end();
-            if (!ruleMatch)
-                continue;
-            const bool covers = fileScoped(d.rule) || s.coveredLine == d.line;
-            if (covers) {
+            if (ruleMatch && s.coveredLine == d.line) {
                 s.used = true;
                 suppressed = true;
                 break;

@@ -20,13 +20,11 @@
  *                                        counters off the model path)
  *
  * Both markers carry a justification like suppressions do; a bare
- * marker is a lint-bad-suppression.  (hot-path historically allowed
- * an empty why; it now shares the audited form, and every in-tree
- * marker states its reason.)
+ * marker is a lint-bad-suppression.
  *
  * Rules prefixed `lint-` (the audit rules) and `lay-` (the layering
- * contract) are never inline-suppressible: layering exceptions belong
- * in tools/lint/layers.toml where the module boundary stays reviewable
+ * contract) are never inline-suppressible: a module edge belongs in
+ * tools/lint/layers.toml, where the module boundary stays reviewable
  * in one place.
  */
 
@@ -54,7 +52,6 @@ struct FileMarkers
 {
     bool hotPath = false;
     bool countersOnly = false;
-    int countersOnlyLine = 0;
 };
 
 /** True iff @p rule may never be silenced by an inline allow(). */
@@ -66,7 +63,7 @@ bool inlineUnsuppressible(const std::string &rule);
 std::vector<Suppression> parseSuppressions(const Scan &scan,
                                            const std::string &relPath,
                                            std::vector<Diagnostic> &diags,
-                                           FileMarkers *markers = nullptr);
+                                           FileMarkers &markers);
 
 /** Drop suppressed findings, mark used suppressions, and report the
  *  unused ones.  @p diags holds every finding for @p relPath (token
